@@ -25,10 +25,11 @@ from typing import Any, Callable
 class Op:
     """One public call of a workload's work list.
 
-    ``args`` is a tuple, or a callable returning one when an argument is the
-    output (``out``) of an earlier operation of the same round; it is
-    evaluated before the timer starts.  ``check`` receives the output and
-    returns True when it is correct; ``pin`` names a pinned expected value.
+    ``args`` is a tuple and ``kwargs`` a dict, or either is a callable
+    returning one when an argument is the output (``out``) of an earlier
+    operation of the same round; they are evaluated before the timer starts.
+    ``check`` receives the output and returns True when it is correct;
+    ``pin`` names a pinned expected value.
     ``replicates`` counts Monte Carlo (or matched-normal) replicates the call
     produces; ``throughput`` marks the calls whose time enters
     ``replicates_per_s``.
@@ -38,7 +39,7 @@ class Op:
     func: str
     args: Any = ()
     check: Callable[[Any], bool] = lambda out: True
-    kwargs: dict = field(default_factory=dict)
+    kwargs: Any = field(default_factory=dict)
     pin: "Pin | None" = None
     replicates: int = 0
     throughput: bool = False
@@ -67,17 +68,22 @@ def rel_close(a: float, b: float, tol: float) -> bool:
 
 
 class Checker:
-    """Compares outputs with the pins that apply at this run's seed.  A key
-    absent from the table means the check cannot be repeated here."""
+    """Compares outputs with the pins that apply at this run's seed.  A pin
+    of the ``default_seed`` section cannot be repeated at another seed, so it
+    passes there; a pin of a section that applies but is absent from the
+    table is a failed check."""
 
     def __init__(self, table: dict, at_default_seed: bool):
-        self.pinned = dict(table.get("any_seed", {}))
-        if at_default_seed:
-            self.pinned.update(table.get("default_seed", {}))
+        self.sections = ("any_seed", "default_seed") if at_default_seed else ("any_seed",)
+        self.pinned = {}
+        for section in self.sections:
+            self.pinned.update(table.get(section, {}))
 
     def pin_ok(self, pin: "Pin | None", out) -> bool:
-        if pin is None or pin.key not in self.pinned:
+        if pin is None or pin.section not in self.sections:
             return True
+        if pin.key not in self.pinned:
+            return False
         want, got = self.pinned[pin.key], pin.value(out)
         if isinstance(want, str):
             return want == got
@@ -114,6 +120,9 @@ def reference_work() -> int:
     return acc
 
 
+MAX_BURST = 10
+
+
 class SpeedMeter:
     """Times reference_work() between operations, at least every
     ``interval`` seconds.  An interval of time is scaled by the median
@@ -129,11 +138,17 @@ class SpeedMeter:
         self.refs: list = []  # its duration
 
     def measure(self) -> None:
-        t0 = perf_counter()
-        reference_work()
-        t1 = perf_counter()
-        self.times.append(t1)
-        self.refs.append(t1 - t0)
+        """Time reference_work() once per interval elapsed since the last
+        timing, at least once and at most MAX_BURST times, so that a long
+        operation is scaled by about as many timings as a run of short
+        ones."""
+        gap = perf_counter() - self.times[-1] if self.times else self.interval
+        for _ in range(max(1, min(MAX_BURST, int(gap / self.interval)))):
+            t0 = perf_counter()
+            reference_work()
+            t1 = perf_counter()
+            self.times.append(t1)
+            self.refs.append(t1 - t0)
 
     def due(self) -> bool:
         return not self.times or perf_counter() - self.times[-1] >= self.interval
@@ -188,13 +203,14 @@ def run_pass(ops: list, checker, tracer: "Tracer | None" = None,
         fn = getattr(op.module, op.func)
         try:
             args = op.args() if callable(op.args) else op.args
+            kwargs = op.kwargs() if callable(op.kwargs) else op.kwargs
         except Exception:  # an earlier op that failed left no input
             args = None
         ok = args is not None
         t0 = perf_counter()
         if ok:
             try:
-                out = fn(*args, **op.kwargs)
+                out = fn(*args, **kwargs)
             except Exception:  # a failing call is a failed operation
                 ok = False
         dt = perf_counter() - t0
@@ -284,22 +300,6 @@ class Tracer:
             cls.__init__ = self._wrap("%s.%s" % (_short(home), cls.__name__), orig)
             self._undo.append((cls, "__init__", orig))
 
-    @staticmethod
-    def span_cost(n: int = 200000) -> float:
-        """Measured seconds one span adds to a call, from timing a no-op
-        function with and without a wrapper."""
-        def noop():
-            return None
-        wrapped = Tracer()._wrap("probe", noop)
-        t0 = perf_counter()
-        for _ in range(n):
-            noop()
-        t1 = perf_counter()
-        for _ in range(n):
-            wrapped()
-        t2 = perf_counter()
-        return max(0.0, ((t2 - t1) - (t1 - t0)) / n)
-
     def uninstall(self):
         for obj, key, orig in reversed(self._undo):
             setattr(obj, key, orig)
@@ -321,14 +321,15 @@ def quantiles(values: list) -> tuple:
 
 
 def cap_blas_threads() -> int:
-    """Limit BLAS/OpenMP pools to the CPUs this process may use.  Must run
-    before numpy is imported."""
-    nproc = len(os.sched_getaffinity(0))
+    """Run BLAS/OpenMP pools with one thread, well within the CPUs this
+    process may use; returns that CPU count.  The workloads' matrices are
+    small, and a second BLAS thread mostly spin-waits: ``empirical_cov`` of
+    20000 x 1 samples took 8 ms with 2 threads against 0.06 ms with 1, and
+    its time swung with the load of the shared cores.  Must run before numpy
+    is imported."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        cur = os.environ.get(var, "")
-        if not cur.isdigit() or not 1 <= int(cur) <= nproc:
-            os.environ[var] = str(nproc)
-    return nproc
+        os.environ[var] = "1"
+    return len(os.sched_getaffinity(0))
 
 
 def _blas_threads():

@@ -3,8 +3,8 @@
     python3 perfbench/make_pins.py [WORKLOAD ...]    # default: all workloads
 
 Runs every workload at the default seed with the work list of the longest
-allowed run (60 s) and records digests of the raw count rows and matched
-normal samples, the exact convex discrepancy estimates, and the closed-form
+allowed run (``--seconds 60``) and records digests of the raw count rows and
+matched normal samples, the exact convex discrepancy estimates, and the closed-form
 values.  Regenerate only when an output is meant to change, and say why in
 CHANGES.md.
 """
@@ -18,8 +18,6 @@ import sys
 import harness
 import run
 
-MAX_SECONDS = 60
-
 
 def main() -> int:
     harness.cap_blas_threads()
@@ -31,8 +29,10 @@ def main() -> int:
         wl = workloads.WORKLOADS[name]
         rec = harness.Recorder()
         failed = 0
-        for ops in wl.setup(workloads.DEFAULT_SEED, wl.rounds(MAX_SECONDS)):
-            failed += harness.run_pass(ops, rec).failed
+        seed, rounds = workloads.DEFAULT_SEED, wl.rounds(run.MAX_SECONDS)
+        inputs = wl.setup(seed, rounds)
+        for r in range(rounds):
+            failed += harness.run_pass(wl.ops(seed, r, inputs), rec).failed
         if failed:
             print("%s: %d checks failed; pins not written" % (name, failed), file=sys.stderr)
             return 1

@@ -1,7 +1,7 @@
 """cliquestats benchmark: times calls into the library's public functions
 from outside, checks every output, and prints the metrics.
 
-    python3 perfbench/run.py --workload mc-large-n --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload mc-large-n --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --workload all            # the three workloads in turn
 
 Run from the root of a source checkout; the library is imported from its
@@ -28,9 +28,11 @@ import harness
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 SETUP_REPEATS = 3
+MAX_SECONDS = 60
 
-# (module, function) pairs timed in a traced run, and the class whose
-# __init__ is timed as "graphs.Graph"
+# (module, function) pairs timed in a traced run: every function a workload
+# calls, and the library functions they call; and the class whose __init__ is
+# timed as "graphs.Graph"
 TRACE_TARGETS = (
     ("graphs", "gnp_generator"), ("graphs", "clique_count"), ("graphs", "cliques"),
     ("graphs", "link_count"),
@@ -38,7 +40,9 @@ TRACE_TARGETS = (
     ("morse", "lex_matching"), ("morse", "verify_acyclic"),
     ("montecarlo", "simulate_raw"), ("montecarlo", "mvn_samples"),
     ("montecarlo", "smooth_discrepancy"), ("montecarlo", "convex_discrepancy"),
-    ("moments", "crit_variance"), ("bounds", "crit_bound"),
+    ("montecarlo", "analytic_mean_sd"), ("montecarlo", "empirical_cov"),
+    ("moments", "crit_variance"), ("moments", "statistic_cov_matrix"),
+    ("bounds", "crit_bound"), ("bounds", "clique_bound"), ("bounds", "link_bound"),
     ("oracle", "exact_moments"), ("verify", "suite_oracle"),
 )
 TRACE_CLASSES = (("graphs", "Graph"),)
@@ -51,15 +55,16 @@ def parse_args(argv):
                     choices=("mc-large-n", "small-graphs", "analysis", "all"))
     ap.add_argument("--seed", type=int, default=None,
                     help="workload seed, 0 <= seed < 2**63 (default: the pinned seed)")
-    ap.add_argument("--seconds", type=float, default=20.0,
+    ap.add_argument("--seconds", type=float, default=30.0,
                     help="sizes the fixed work list: about this long at the seed "
-                         "commit on 2 cores")
+                         "commit on 2 cores; at most 60, the longest work list "
+                         "pins.json covers")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     if args.seed is not None and not 0 <= args.seed < 2 ** 63:
         ap.error("--seed must lie in [0, 2**63)")
-    if not 0 < args.seconds <= 600:
-        ap.error("--seconds must lie in (0, 600]")
+    if not 0 < args.seconds <= MAX_SECONDS:
+        ap.error("--seconds must lie in (0, %d]" % MAX_SECONDS)
     return args
 
 
@@ -125,11 +130,11 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     meter = harness.SpeedMeter()
     setups = []
     for _ in range(SETUP_REPEATS):
-        work = None  # free the previous set-up's inputs before building anew
+        inputs = None  # free the previous set-up's inputs before building anew
         gc.collect()
         meter.measure()
         t0 = perf_counter()
-        work = wl.setup(seed, rounds)
+        inputs = wl.setup(seed, rounds)
         t1 = perf_counter()
         meter.measure()
         setups.append((t0, t1))
@@ -141,7 +146,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
     targets = [(mods[m], f) for m, f in TRACE_TARGETS]
     classes = [(mods[m], getattr(mods[m], c)) for m, c in TRACE_CLASSES]
     hits = misses = 0
-    for r, ops in enumerate(work):
+    for r in range(rounds):
+        ops = wl.ops(seed, r, inputs)
         # a traced run times each round both ways, alternating which goes
         # first, so slow drift of the machine cancels out of the overhead
         order = (False, True) if r % 2 == 0 else (True, False)
@@ -181,7 +187,6 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
             "op_p50_ms": (p50 * 1e3, "ms"),
             "op_p90_ms": (p90 * 1e3, "ms"),
             "replicates_per_s": (sum(p.replicates for p in plain) / throughput_s, "1/s"),
-            "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
     else:
         # measured seconds, like the self times, so that they add up
@@ -196,10 +201,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool,
         metrics["trace.wall_s"] = (twall, "s")
         metrics["trace.untraced_wall_s"] = (untraced, "s")
         metrics["trace.overhead_s"] = (twall - untraced, "s")
-        metrics["trace.unattributed_s"] = (twall - sum(tracer.self_s.values()), "s")
-        spans = sum(tracer.calls.values())
-        metrics["trace.spans"] = (spans, "count")
-        metrics["trace.span_overhead_s"] = (spans * harness.Tracer.span_cost(), "s")
+        info["unattributed_s"] = twall - sum(tracer.self_s.values())
+        info["spans"] = sum(tracer.calls.values())
     return {"info": info, "metrics": metrics}
 
 
@@ -212,6 +215,9 @@ def report(res: dict, prefix: str = "") -> None:
              "; failing: " + ", ".join(info["failing_ops"]) if info["failing_ops"] else ""))
     print("# measured (unscaled) wall %.6f s; machine speed / reference speed: median %.4f"
           % (info["measured_wall_s"], info["speed_factor_median"]))
+    if "spans" in info:
+        print("# %d spans; traced wall minus the sum of self times: %.6f s"
+              % (info["spans"], info["unattributed_s"]))
     for key, (value, unit) in res["metrics"].items():
         print("%s%-48s %16.6f %s" % (prefix, key, value, unit))
 
@@ -233,6 +239,12 @@ def main(argv=None) -> int:
         report(res, prefix)
         for key, (value, unit) in res["metrics"].items():
             metrics[prefix + key] = {"value": value, "unit": unit}
+    if not args.trace:
+        # ru_maxrss is the process's peak so far, so it is one figure for the
+        # whole run: a workload's own peak when the run has one workload
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print("%-48s %16.6f MB" % ("peak_rss_mb", rss))
+        metrics["peak_rss_mb"] = {"value": rss, "unit": "MB"}
     attempted = sum(r["info"]["attempted"] for r in results)
     failed = sum(r["info"]["failed"] for r in results)
     print(json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,

@@ -32,20 +32,30 @@ def main() -> int:
         print("%-4s %s: %d of %d failed, expected %d"
               % ("ok" if got == failed else "FAIL", label, got, len(ops), failed))
 
-    mc_ops = workloads.WORKLOADS["mc-large-n"].setup(seed, 1)[0]
+    def round_ops(name, r):
+        wl = workloads.WORKLOADS[name]
+        return wl.ops(seed, r, wl.setup(seed, r + 1))
+
+    mc_ops = round_ops("mc-large-n", 0)
     table = pins["mc-large-n"]
     expect("mc-large-n round 0 against its pins", mc_ops, table, 0)
     bad = copy.deepcopy(table)
     bad["default_seed"][mc_ops[0].pin.key] = "0" * 32
     expect("mc-large-n with one wrong row digest", mc_ops, bad, 1)
+    missing = copy.deepcopy(table)
+    del missing["default_seed"][mc_ops[1].pin.key]
+    expect("mc-large-n with one pin missing", mc_ops, missing, 1)
 
-    closed = workloads.closed_form_ops(0)
+    # the closed-form calls of analysis round 0: those whose inputs are fixed
+    closed = [op for op in round_ops("analysis", 0)
+              if op.pin is not None and op.pin.section == "any_seed"
+              and not callable(op.args)]
     table = pins["analysis"]
     expect("analysis closed forms against their pins", closed, table, 0)
     bad = copy.deepcopy(table)
-    key = closed[0].pin.key
-    bad["any_seed"][key] = [bad["any_seed"][key][0] * (1 + 1e-9)]
-    expect("analysis with crit_variance off by 1e-9 relative", closed, bad, 1)
+    key = next(op.pin.key for op in closed if op.func == "crit_bound")
+    bad["any_seed"][key] = [v * (1 + 1e-9) for v in bad["any_seed"][key]]
+    expect("analysis with crit_bound off by 1e-9 relative", closed, bad, 1)
 
     oracle = mods["oracle"]
     wrong_p = harness.Op(oracle, "exact_moments", ("clique", 4, 0.5, 2, None),

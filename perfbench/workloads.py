@@ -1,13 +1,15 @@
 """The three benchmark workloads: their inputs, work lists and output checks.
 
-A workload turns ``(seed, rounds)`` into a list of rounds, each a list of
-:class:`harness.Op`.  Inputs change from round to round (replicate offsets,
-p, n and sample seeds), so no two calls in a run are identical except the
-exhaustive small-graph enumeration, whose repetition is real.
+A workload's set-up turns ``(seed, rounds)`` into its inputs, which are kept
+for the whole run; the operations (:class:`harness.Op`) of each round are
+built from them when the round starts and dropped when it ends.  Inputs
+change from round to round (replicate offsets, p, n and sample seeds), so no
+two calls in a run are identical except the exhaustive small-graph
+enumeration, whose repetition is real.
 
 Checks that can be repeated at any seed run on every seed.  Pinned digests
 and values (``pins.json``, made by ``make_pins.py``) cover the default seed;
-the closed-form schedule of ``analysis`` does not depend on the seed, so its
+the closed-form inputs of ``analysis`` do not depend on the seed, so their
 pins apply at every seed.
 """
 
@@ -34,28 +36,29 @@ def digest(rows) -> str:
     return h.hexdigest()[:32]
 
 
-def _derived_rng(seed: int, tag: int) -> np.random.Generator:
+def _derived_rng(seed: int, *tags: int) -> np.random.Generator:
     """The benchmark's own stream for picking inputs, apart from the
     library's Philox keys."""
-    return np.random.default_rng([seed, tag])
+    return np.random.default_rng([seed, *tags])
 
 
 # ---------------------------------------------------------------------------
 # mc-large-n
 
 
-# (kind, n, d, t, replicates per call): chunk sizes put each call near 0.1 s
-# at the seed commit, large enough for a batched engine to batch within.
-# Critical n=100 calls take about 0.2 s, one call in six, so p90 falls inside
-# their cluster rather than in the tail of the 0.1 s calls.
+# (kind, n, d, t): the n >= 40 entries of the baseline grid in ROADMAP.md.
+# Every call simulates MC_CHUNK replicates, as a sweep of `cliquestats
+# simulate` over the grid at one --replicates does, so each spec weighs in by
+# its cost per replicate (critical n=100 is about half of the time).
 MC_LARGE_SPECS = (
-    ("critical", 40, 2, (), 40),
-    ("critical", 100, 1, (), 40),
-    ("clique", 40, 3, (), 64),
-    ("clique", 100, 2, (), 512),
-    ("link", 40, 3, (1,), 768),
-    ("link", 100, 3, (1,), 128),
+    ("clique", 40, 2, ()),
+    ("clique", 40, 3, ()),
+    ("link", 100, 1, (1,)),
+    ("link", 100, 3, (1,)),
+    ("critical", 40, 2, ()),
+    ("critical", 100, 1, ()),
 )
+MC_CHUNK = 80
 MC_P = 0.5
 
 
@@ -106,25 +109,23 @@ def mc_op(cfg, sample_rows) -> Op:
 
 
 def mc_large_rounds(seconds: float) -> int:
-    return max(1, round(seconds * 1.15))
+    return max(1, round(seconds * 1.1))
 
 
-def mc_large_configs(seed: int, rounds: int) -> list:
-    rng = _derived_rng(seed, 1)
-    bases = rng.integers(0, 1 << 40, size=len(MC_LARGE_SPECS))
-    return [[montecarlo.MCConfig(kind, n, MC_P, d, reps, seed, t=t,
-                                 replicate_offset=int(base) + r * reps)
-             for (kind, n, d, t, reps), base in zip(MC_LARGE_SPECS, bases)]
-            for r in range(rounds)]
+def mc_large_prepare(seed: int, rounds: int):
+    """A random base replicate offset per spec; round r continues from it."""
+    return _derived_rng(seed, 1).integers(0, 1 << 40, size=len(MC_LARGE_SPECS))
 
 
-def build_mc_large(seed: int, rounds: int, _inputs) -> list:
-    return [[mc_op(cfg, (r % cfg.replicates,)) for cfg in cfgs]
-            for r, cfgs in enumerate(mc_large_configs(seed, rounds))]
+def mc_large_ops(seed: int, r: int, bases) -> list:
+    return [mc_op(montecarlo.MCConfig(kind, n, MC_P, d, MC_CHUNK, seed, t=t,
+                                      replicate_offset=int(base) + r * MC_CHUNK),
+                  (r % MC_CHUNK,))
+            for (kind, n, d, t), base in zip(MC_LARGE_SPECS, bases)]
 
 
 def warm_mc_large(seed: int):
-    for kind, n, d, t, _ in MC_LARGE_SPECS:
+    for kind, n, d, t in MC_LARGE_SPECS:
         montecarlo.simulate_raw(montecarlo.MCConfig(kind, n, MC_P, d, 2, seed, t=t,
                                                     replicate_offset=1 << 62))
 
@@ -146,9 +147,18 @@ def small_rounds(seconds: float) -> int:
 
 
 def small_graph_lists() -> dict:
-    """Every labelled graph on 5 and 6 vertices, built during set-up."""
+    """Every labelled graph on 5 and 6 vertices."""
     return {n: [graphs.Graph(n, mask) for mask in range(1 << comb(n, 2))]
             for n in SMALL_NS}
+
+
+def small_prepare(seed: int, rounds: int) -> dict:
+    rng = _derived_rng(seed, 2)
+    bases = rng.integers(0, 1 << 40, size=len(SMALL_MC))
+    # the oracle takes one p per stratum of [0.2, 0.8], in seeded order; the
+    # Monte Carlo keeps p = 0.5, because p moves the cost of a replicate
+    ps = 0.2 + 0.6 * (rng.permutation(rounds) + rng.uniform(size=rounds)) / rounds
+    return {"graphs": small_graph_lists(), "bases": bases, "ps": ps, "rounds": rounds}
 
 
 def morse_ops(g, d: int) -> list:
@@ -197,37 +207,32 @@ def oracle_matches_closed_form(rep, kind: str, n: int, p: float, d: int, t) -> b
                     for i in range(d) for j in range(d)))
 
 
-def build_small(seed: int, rounds: int, graph_lists: dict) -> list:
-    rng = _derived_rng(seed, 2)
-    bases = rng.integers(0, 1 << 40, size=len(SMALL_MC))
-    # the oracle takes one p per stratum of [0.2, 0.8], in seeded order; the
-    # Monte Carlo keeps p = 0.5, because p moves the cost of a replicate
-    ps = 0.2 + 0.6 * (rng.permutation(rounds) + rng.uniform(size=rounds)) / rounds
-    out = []
-    for r in range(rounds):
-        p = float(ps[r])
-        ops = [Op(verify, "suite_oracle", kwargs={"n_max": 5, "ps": (p,), "d_max": 3},
-                  check=lambda gates: bool(gates) and all(g.ok for g in gates))]
-        kind, t = ORACLE_KINDS[r % 3]
-        ops.append(Op(oracle, "exact_moments", (kind, 6, p, 3, t),
-                      check=lambda rep, kind=kind, p=p, t=t:
-                      oracle_matches_closed_form(rep, kind, 6, p, 3, t)))
-        for (kind, d, t), base in zip(SMALL_MC, bases):
-            for c in range(SMALL_MC_CHUNKS):
-                off = int(base) + (r * SMALL_MC_CHUNKS + c) * SMALL_MC_REPS
-                cfg = montecarlo.MCConfig(kind, 5, MC_P, d, SMALL_MC_REPS, seed, t=t,
-                                          replicate_offset=off)
-                ops.append(mc_op(cfg, range(0, SMALL_MC_REPS, 100)))
-        # every graph once per run: round r takes the masks congruent to r
-        for n in SMALL_NS:
-            for g in graph_lists[n][r::rounds]:
-                ops.extend(morse_ops(g, min(3, n - 1)))
-        out.append(ops)
-    return out
+def small_ops(seed: int, r: int, inputs: dict) -> list:
+    p = float(inputs["ps"][r])
+    ops = [Op(verify, "suite_oracle", kwargs={"n_max": 5, "ps": (p,), "d_max": 3},
+              check=lambda gates: bool(gates) and all(g.ok for g in gates))]
+    okind, ot = ORACLE_KINDS[r % 3]
+    ops.append(Op(oracle, "exact_moments", (okind, 6, p, 3, ot),
+                  check=lambda rep: oracle_matches_closed_form(rep, okind, 6, p, 3, ot)))
+    for (kind, d, t), base in zip(SMALL_MC, inputs["bases"]):
+        for c in range(SMALL_MC_CHUNKS):
+            off = int(base) + (r * SMALL_MC_CHUNKS + c) * SMALL_MC_REPS
+            cfg = montecarlo.MCConfig(kind, 5, MC_P, d, SMALL_MC_REPS, seed, t=t,
+                                      replicate_offset=off)
+            ops.append(mc_op(cfg, range(0, SMALL_MC_REPS, 100)))
+    # every graph once per run: round r takes the masks congruent to r
+    for n in SMALL_NS:
+        for g in inputs["graphs"][n][r::inputs["rounds"]]:
+            ops.extend(morse_ops(g, min(3, n - 1)))
+    return ops
 
 
 def warm_small(seed: int):
-    # fill the n <= 6 count cache the way a long n=5 simulation would
+    # empty the n <= 6 count cache, then fill it the way a long n=5
+    # simulation would
+    cache = getattr(montecarlo, "_small_graph_counts", None)
+    if cache is not None and hasattr(cache, "cache_clear"):
+        cache.cache_clear()
     for kind, d, t in SMALL_MC:
         montecarlo.simulate_raw(montecarlo.MCConfig(kind, 5, 0.5, d, 3000, seed, t=t,
                                                     replicate_offset=1 << 62))
@@ -243,43 +248,46 @@ def warm_small(seed: int):
 # analysis
 
 
-CRIT_BOUND_LADDER = (100, 140, 180, 220, 270, 320)
-DISC_N = 4000
-DISC_DRAWS = 3
+# Each round runs, once per spec, the calls that verify.matched_normal_report
+# (`cliquestats simulate --check`) makes after simulate_raw, in its order:
+# analytic mean and sd, [critical: empirical covariance of W], the bound pair,
+# the moment report, a matched normal sample of the same size, and the smooth
+# and convex discrepancies between W and it.  W stands in for the
+# standardized counts and is drawn for each round during set-up, so no
+# replicate kernel runs.  The specs are those of mc-large-n, except that critical d=2 takes n
+# from CRIT_LADDER (100..320, where crit_bound is slow) instead of 40.
+ANALYSIS_REPS = 20000  # the sample size of the discrepancy baseline in ROADMAP.md
+CRIT_LADDER = (100, 320, 160, 240, 130, 280)
 GOLDEN = 0.6180339887498949
 
 
 def analysis_rounds(seconds: float) -> int:
-    return max(1, round(seconds * 0.3))
+    return max(1, round(seconds * 0.2))
 
 
-def closed_form_schedule(r: int) -> tuple:
-    """(p, [(n, k) of each crit_variance call], crit_bound n) of round r.
-    Independent of the seed, so the pinned values hold at every seed; no two
-    calls of a run share an input.  The ten crit_variance calls cost about
-    the same, so p90 falls inside their cluster, not between singletons."""
+def analysis_schedule(r: int) -> tuple:
+    """(p, [(kind, n, d, t) of each check]) of round r.  Independent of the
+    seed, so the pinned closed forms hold at every seed, and of the run's
+    length, so a shorter run's pins are those of a longer one's first rounds.
+    No two rounds share an input."""
     p = round(0.3 + 0.4 * ((r * GOLDEN) % 1.0), 6)
-    variances = ([(220 + 10 * j + r, 1) for j in range(8)]
-                 + [(150 + 10 * j + r, 2) for j in range(2)])
-    ladder = CRIT_BOUND_LADDER
-    return p, variances, ladder[r % len(ladder)] + r // len(ladder)
+    crit_n = CRIT_LADDER[r % len(CRIT_LADDER)] + r // len(CRIT_LADDER)
+    specs = [(kind, crit_n if (kind, n, d) == ("critical", 40, 2) else n, d, t)
+             for kind, n, d, t in MC_LARGE_SPECS]
+    return p, specs
 
 
-def disc_plan(r: int) -> list:
-    """(d, with convex) discrepancy cases of round r, each on a fresh matched
-    normal draw.  Convex at d=3 costs seconds at the seed commit, so it runs
-    on every third round only."""
-    return [(d, True) for d in (1, 2) for _ in range(DISC_DRAWS)] + [(3, r % 3 == 0)]
-
-
-def analysis_samples(seed: int) -> dict:
-    """Correlated normal sample sets W[d], drawn during set-up, and the
-    empirical covariance each matched normal is drawn from."""
-    out = {}
-    for d in (1, 2, 3):
-        corr = np.full((d, d), 0.3) + 0.7 * np.eye(d)
-        w = _derived_rng(seed, 100 + d).standard_normal((DISC_N, d)) @ np.linalg.cholesky(corr).T
-        out[d] = (w, montecarlo.empirical_cov(w))
+def analysis_prepare(seed: int, rounds: int) -> list:
+    """Correlated normal sample sets W[d], one per dimension and round, so
+    that no two rounds share a sample."""
+    out = []
+    for r in range(rounds):
+        ws = {}
+        for d in (1, 2, 3):
+            corr = np.full((d, d), 0.3) + 0.7 * np.eye(d)
+            z = _derived_rng(seed, 100 + d, r).standard_normal((ANALYSIS_REPS, d))
+            ws[d] = z @ np.linalg.cholesky(corr).T
+        out.append(ws)
     return out
 
 
@@ -314,6 +322,12 @@ def halfspace_max(w, z, seed: int) -> float:
                for u, c in family.halfspaces)
 
 
+def covariance_close(c, w) -> bool:
+    x = w - w.mean(axis=0)
+    ref = x.T @ x / (len(w) - 1)
+    return c.shape == ref.shape and bool(np.all(np.abs(c - ref) <= 1e-12 * np.abs(ref).max()))
+
+
 def mvn_plausible(z, cov, n: int) -> bool:
     if z.shape != (n, cov.shape[0]) or not np.all(np.isfinite(z)):
         return False
@@ -321,59 +335,92 @@ def mvn_plausible(z, cov, n: int) -> bool:
     return gap <= 8.0 * math.sqrt(2.0 / n) * float(np.diag(cov).max())
 
 
-def closed_form_ops(r: int) -> list:
-    """The crit_variance and crit_bound calls of round r, checked against
-    their pins."""
-    p, variances, nb = closed_form_schedule(r)
-    ops = [Op(moments, "crit_variance", (n, k, p),
-              pin=Pin("any_seed", "crit_variance/%d/%d/%r" % (n, k, p), lambda v: [v],
-                      REL_TOL_CLOSED))
-           for n, k in variances]
-    ops.append(Op(bounds, "crit_bound", (nb, 2, p),
-                  pin=Pin("any_seed", "crit_bound/%d/2/%r" % (nb, p),
-                          lambda b: [b.smooth.value, b.convex.value], REL_TOL_CLOSED)))
-    return ops
+def correlation(cov) -> np.ndarray:
+    """The matched normal's target for clique and link counts, as
+    matched_normal_report builds it from the closed-form covariances."""
+    d = len(cov)
+    sd = [math.sqrt(cov[i][i]) for i in range(d)]
+    return np.array([[cov[i][j] / (sd[i] * sd[j]) for j in range(d)] for i in range(d)])
 
 
-def discrepancy_ops(w, cov, n: int, zseed: int, key: str, with_convex: bool) -> list:
-    """Draw a matched normal sample of size n for W, then estimate the smooth
-    (and convex) discrepancy between the two."""
-    mvn = Op(montecarlo, "mvn_samples", (cov, n, zseed),
-             check=lambda z: mvn_plausible(z, cov, n),
+def bound_op(kind: str, n: int, d: int, t, p: float) -> Op:
+    if kind == "critical":
+        func, args = "crit_bound", (n, d, p)
+    elif kind == "clique":
+        func, args = "clique_bound", (n, d, p)
+    else:
+        func, args = "link_bound", (n, len(t), d, p)
+    return Op(bounds, func, args,
+              pin=Pin("any_seed", "%s/%s" % (func, "/".join(map(repr, args))),
+                      lambda b: [b.smooth.value, b.convex.value], REL_TOL_CLOSED))
+
+
+def check_ops(kind: str, n: int, d: int, t, p: float, w, zseed: int, cseed: int,
+              key: str) -> list:
+    """The analysis calls of one matched-normal check of (kind, n, d, t) at
+    p against the sample W, in the order matched_normal_report makes them."""
+    spec = "%s/%d/%d/%r" % (kind, n, d, p)
+    cfg = montecarlo.MCConfig(kind, n, p, d, len(w), DEFAULT_SEED, t=t)
+    ops = [Op(montecarlo, "analytic_mean_sd", (cfg,),
+              pin=Pin("any_seed", "mean_sd/" + spec,
+                      lambda ms: [*ms[0].tolist(), *ms[1].tolist()], REL_TOL_CLOSED))]
+    emp = None
+    if kind == "critical":
+        emp = Op(montecarlo, "empirical_cov", (w,), check=lambda c: covariance_close(c, w))
+        ops.append(emp)
+    bound = bound_op(kind, n, d, t, p)
+    ops.append(bound)
+    if kind == "critical":
+        # off-diagonals come from W's covariance; the pin holds the
+        # closed-form mean and variances
+        report = Op(moments, "statistic_cov_matrix",
+                    lambda: ("critical", n, d, p, 1,
+                             (emp.out.tolist(), "empirical") if d > 1 else None),
+                    check=lambda rep: all(rep.cov[i][j] == emp.out[i][j]
+                                          for i in range(d) for j in range(d) if i != j),
+                    pin=Pin("any_seed", "moments/" + spec,
+                            lambda rep: rep.mean + [rep.cov[i][i] for i in range(d)],
+                            REL_TOL_CLOSED))
+    else:
+        report = Op(moments, "statistic_cov_matrix", (kind, n, d, p, len(t) or 1),
+                    pin=Pin("any_seed", "moments/%s/%d" % (spec, len(t)),
+                            lambda rep: rep.mean + [v for row in rep.cov for v in row],
+                            REL_TOL_CLOSED))
+    ops.append(report)
+
+    def target():
+        return emp.out if kind == "critical" else correlation(report.out.cov)
+
+    reps = len(w)
+    mvn = Op(montecarlo, "mvn_samples", lambda: (target(), reps, zseed),
+             check=lambda z: mvn_plausible(z, target(), reps),
              pin=Pin("default_seed", "mvn/" + key, digest),
-             replicates=n, throughput=True)
+             replicates=reps, throughput=True)
     smooth = Op(montecarlo, "smooth_discrepancy", lambda: (w, mvn.out),
+                kwargs=lambda: {"bound": bound.out.smooth},
                 check=lambda rep: (rep.estimate, rep.stderr) == smooth_reference(w, mvn.out),
                 throughput=True)
-    ops = [mvn, smooth]
-    if with_convex:
-        # the two d=3 convex calls of a run take seconds each; kept out of
-        # replicates_per_s so that two timings do not decide it
-        ops.append(Op(montecarlo, "convex_discrepancy", lambda: (w, mvn.out),
-                      kwargs={"seed": zseed},
-                      check=lambda rep: (0.0 <= rep.estimate <= 1.0 and rep.estimate
-                                         >= halfspace_max(w, mvn.out, zseed)),
-                      pin=Pin("default_seed", "convex/" + key,
-                              lambda rep: [rep.estimate, rep.stderr]),
-                      throughput=w.shape[1] < 3))
+    convex = Op(montecarlo, "convex_discrepancy", lambda: (w, mvn.out),
+                kwargs=lambda: {"bound": bound.out.convex, "seed": cseed},
+                check=lambda rep: (0.0 <= rep.estimate <= 1.0
+                                   and rep.estimate >= halfspace_max(w, mvn.out, cseed)),
+                pin=Pin("default_seed", "convex/" + key,
+                        lambda rep: [rep.estimate, rep.stderr]),
+                throughput=True)
+    return ops + [mvn, smooth, convex]
+
+
+def analysis_ops(seed: int, r: int, samples: list) -> list:
+    p, specs = analysis_schedule(r)
+    seeds = _derived_rng(seed, 3, r).integers(0, 1 << 62, size=(len(specs), 2))
+    ops = []
+    for (kind, n, d, t), (zseed, cseed) in zip(specs, seeds.tolist()):
+        key = "%d/%d/%s/%d/%d/%d" % (seed, r, kind, n, d, zseed)
+        ops.extend(check_ops(kind, n, d, t, p, samples[r][d], zseed, cseed, key))
     return ops
 
 
-def build_analysis(seed: int, rounds: int, samples: dict) -> list:
-    rng = _derived_rng(seed, 3)
-    out = []
-    for r in range(rounds):
-        ops = closed_form_ops(r)
-        for d, with_convex in disc_plan(r):
-            w, cov = samples[d]
-            zseed = int(rng.integers(0, 1 << 63))
-            key = "%d/%d/%d/%d" % (seed, d, DISC_N, zseed)
-            ops.extend(discrepancy_ops(w, cov, DISC_N, zseed, key, with_convex))
-        out.append(ops)
-    return out
-
-
-def warm_analysis():
+def warm_analysis(seed: int):
     moments.crit_variance(30, 1, 0.5)
     bounds.crit_bound(20, 2, 0.5)
     for d in (1, 2, 3):
@@ -389,32 +436,24 @@ def warm_analysis():
 class Workload:
     """Set-up and work list of one workload."""
 
-    def __init__(self, rounds, prepare, build, warm):
+    def __init__(self, rounds, prepare, round_ops, warm):
         self.rounds = rounds
         self._prepare = prepare
-        self._build = build
+        self._round_ops = round_ops
         self._warm = warm
 
-    def setup(self, seed: int, rounds: int) -> list:
-        """Build the inputs and warm up; returns the work list by round."""
+    def setup(self, seed: int, rounds: int):
+        """Warm up and build the inputs that the whole run keeps."""
         self._warm(seed)
-        return self._build(seed, rounds, self._prepare(seed))
+        return self._prepare(seed, rounds)
 
-
-def _clear_small_cache(seed):
-    cache = getattr(montecarlo, "_small_graph_counts", None)
-    if cache is not None and hasattr(cache, "cache_clear"):
-        cache.cache_clear()
-    warm_small(seed)
+    def ops(self, seed: int, r: int, inputs) -> list:
+        """The operations of round r, built from the set-up's inputs."""
+        return self._round_ops(seed, r, inputs)
 
 
 WORKLOADS = {
-    "mc-large-n": Workload(
-        mc_large_rounds, lambda seed: None, build_mc_large, warm_mc_large),
-    "small-graphs": Workload(
-        small_rounds, lambda seed: small_graph_lists(),
-        build_small, _clear_small_cache),
-    "analysis": Workload(
-        analysis_rounds, analysis_samples,
-        build_analysis, lambda seed: warm_analysis()),
+    "mc-large-n": Workload(mc_large_rounds, mc_large_prepare, mc_large_ops, warm_mc_large),
+    "small-graphs": Workload(small_rounds, small_prepare, small_ops, warm_small),
+    "analysis": Workload(analysis_rounds, analysis_prepare, analysis_ops, warm_analysis),
 }
