@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 from math import comb
 
-from .moments import (comb0, crit_variance, clique_cov, link_cov, link_mu,
-                      component_sizes)
+from .moments import comb0, crit_mu, crit_variance, sigma
 
 VACUOUS_AT = 2.0
 
@@ -168,11 +167,6 @@ def _subset_neighborhood_size(n: int, size_a: int, size_b: int, min_overlap: int
                for m in range(min_overlap, min(size_a, size_b) + 1))
 
 
-def _mu_crit(i: int, a: int, p: float) -> float:
-    return p ** comb(i + 1, 2) * ((1.0 - p ** (i + 1)) ** (a - 1)
-                                  - (1.0 - p ** i) ** (a - 1))
-
-
 def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedInstance:
     """Fully enumerated dissociated-sum instance for one of the three count
     vectors, with Bernoulli moment bounds.  Indices are (phi, i) pairs.
@@ -181,40 +175,25 @@ def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedIns
     critical and link share >= 1 (summands also read edges incident to the
     rest of the graph / to t).
     """
+    from .kinds import statistic  # the registry is built on this module
+    stat = statistic(kind)
     t = tuple(sorted(t))
+    ts = len(t)
     ground = [v for v in range(1, n + 1) if v not in t]
-    sizes = component_sizes(kind, d)
-    min_overlap = 2 if kind == "clique" else 1
     index_sets = []
-    for i, size in enumerate(sizes, start=1):
+    for i, size in enumerate(stat.sizes(d), start=1):
         index_sets.append([(phi, i) for phi in itertools.combinations(ground, size)])
-
-    if kind == "clique":
-        sigma = [math.sqrt(clique_cov(n, i, i, p)) for i in range(1, d + 1)]
-        mu = lambda phi, i: p ** comb(len(phi), 2)
-    elif kind == "link":
-        ts = len(t)
-        sigma = [math.sqrt(link_cov(n, ts, i, i, p)) for i in range(0, d)]
-        mu = lambda phi, i: link_mu(ts, len(phi) - 1, p)
-    elif kind == "critical":
-        sigma = [math.sqrt(crit_variance(n, i, p)) for i in range(1, d + 1)]
-        mu = lambda phi, i: _mu_crit(i, min(phi), p)
-    else:
-        raise ValueError("unknown kind %r" % kind)
-
-    by_comp = {i: index_sets[i - 1] for i in range(1, d + 1)}
+    sd = sigma(stat.variances(n, d, p, ts))
 
     def neighborhood(s, j):
-        phi, _ = s
-        ps = set(phi)
-        need = min_overlap
-        return [u for u in by_comp[j] if len(ps.intersection(u[0])) >= need]
+        ps = set(s[0])
+        return [u for u in index_sets[j - 1] if len(ps.intersection(u[0])) >= stat.min_overlap]
 
     def abs_moment(s, t_, u):
-        m1 = mu(s[0], s[1])
-        m2 = mu(t_[0], t_[1])
+        m1 = stat.mu(s[0], s[1], p, ts)
+        m2 = stat.mu(t_[0], t_[1], p, ts)
         val = (math.sqrt(m1 * m2 * (1.0 - m1) * (1.0 - m2))
-               / (sigma[s[1] - 1] * sigma[t_[1] - 1] * sigma[u[1] - 1]))
+               / (sd[s[1] - 1] * sd[t_[1] - 1] * sd[u[1] - 1]))
         return val, val
 
     return DissociatedInstance(d, index_sets, neighborhood, abs_moment)
@@ -237,7 +216,7 @@ def _pairs_with_minima(n: int, i: int, a: int, j: int, b: int) -> int:
     return total - disj
 
 
-def crit_bound(n: int, d: int, p: float, sigmas=None) -> BoundPair:
+def crit_bound(n: int, d: int, p: float) -> BoundPair:
     """Grouped evaluation of the dissociated-sum bound for the critical-count
     vector: sum over component triples and the two minima, with exact pair
     counts, exact neighbourhood sizes, Bernoulli moment bounds, and exact
@@ -248,14 +227,13 @@ def crit_bound(n: int, d: int, p: float, sigmas=None) -> BoundPair:
         raise ValueError("need d+1 <= n")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0,1)")
-    if sigmas is None:
-        sigmas = [math.sqrt(crit_variance(n, k, p)) for k in range(1, d + 1)]
+    sigmas = sigma([crit_variance(n, k, p) for k in range(1, d + 1)])
     dmax = [[_subset_neighborhood_size(n, l + 1, k + 1, 1)
              for k in range(1, d + 1)] for l in range(1, d + 1)]
     mu = [[0.0] * (n + 1) for _ in range(d + 1)]
     for i in range(1, d + 1):
         for a in range(1, n - i + 1):
-            mu[i][a] = _mu_crit(i, a, p)
+            mu[i][a] = crit_mu(i, a, p)
     total = 0.0
     total_same_min = 0.0
     for i in range(1, d + 1):

@@ -20,6 +20,7 @@ from . import montecarlo as mc
 from . import oracle as orc
 from . import verify as vf
 from .graphs import Graph, GnpParams, sample_gnp
+from .kinds import KINDS, statistic
 from .morse import critical_counts_direct, lex_matching
 
 SEED_ENV = "CLIQUESTATS_SEED"
@@ -30,7 +31,10 @@ class UsageError(ValueError):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+    try:
+        return int(os.environ.get(SEED_ENV, "0"))
+    except ValueError:
+        raise UsageError("%s must be an integer" % SEED_ENV) from None
 
 
 def _emit(args, payload: dict, text: str | None = None):
@@ -66,45 +70,32 @@ def _need(args, *names):
 
 def cmd_moments(args) -> int:
     _need(args, "n", "p")
-    kind = args.kind
-    if kind == "critical" and args.d > 1:
+    offdiag = None
+    if statistic(args.kind).cov is None and args.d > 1:
         if args.n <= 6:
-            em = orc.exact_moments("critical", args.n, args.p, args.d)
+            em = orc.exact_moments(args.kind, args.n, args.p, args.d)
             offdiag = (em.cov, "exact-oracle")
         else:
             raw = mc.simulate_raw(mc.MCConfig(
-                "critical", args.n, args.p, args.d,
+                args.kind, args.n, args.p, args.d,
                 args.replicates or 20_000, args.master_seed))
             offdiag = (mc.empirical_cov(raw).tolist(), "empirical")
-        rep = mo.statistic_cov_matrix("critical", args.n, args.d, args.p,
-                                      oracle_offdiag=offdiag)
-    elif kind == "link":
-        rep = mo.statistic_cov_matrix("link", args.n, args.d, args.p,
-                                      t_size=args.t_size)
-    else:
-        rep = mo.statistic_cov_matrix(kind, args.n, args.d, args.p)
+    rep = mo.statistic_cov_matrix(args.kind, args.n, args.d, args.p,
+                                  t_size=args.t_size, oracle_offdiag=offdiag)
     _emit(args, {"report": _report_dict(rep)})
     return 0
 
 
 def cmd_bounds(args) -> int:
     th = args.theorem
-    if th == "convex":
+    if th in KINDS:
+        _need(args, "n", "p")
+        pair = statistic(th).bound(args.n, args.d, args.p, args.t_size)
+        reports = [pair.smooth, pair.convex]
+    elif th == "convex":
         if args.smooth_b is None:
             raise UsageError("--smooth-b required for the convex transfer")
         reports = [bd.convex_bound(args.d, args.smooth_b)]
-    elif th == "clique":
-        _need(args, "n", "p")
-        pair = bd.clique_bound(args.n, args.d, args.p)
-        reports = [pair.smooth, pair.convex]
-    elif th == "link":
-        _need(args, "n", "p")
-        pair = bd.link_bound(args.n, args.t_size, args.d, args.p)
-        reports = [pair.smooth, pair.convex]
-    elif th == "critical":
-        _need(args, "n", "p")
-        pair = bd.crit_bound(args.n, args.d, args.p)
-        reports = [pair.smooth, pair.convex]
     elif th in ("ustat", "ustat-no-x"):
         if not args.k_vec or not args.alpha_vec or args.beta is None:
             raise UsageError("ustat bounds need --k-vec, --alpha-vec, --beta")
@@ -120,21 +111,18 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     _need(args, "n", "p")
-    t = tuple(range(1, args.t_size + 1)) if args.kind == "link" else ()
+    stat = statistic(args.kind)
+    t = tuple(range(1, args.t_size + 1)) if stat.needs_t else ()
     cfg = mc.MCConfig(args.kind, args.n, args.p, args.d, args.replicates,
                       args.master_seed, t=t, standardization=args.standardization)
     if args.check:
         _emit(args, {"run": vf.matched_normal_report(cfg, threads=args.threads)})
         return 0
     raw = mc.simulate_raw(cfg, threads=args.threads)
-    if cfg.standardization == "analytic":
-        mean, sd = mc.analytic_mean_sd(cfg)
-    else:
-        mean, sd = raw.mean(axis=0), raw.std(axis=0, ddof=1)
-    std = (raw - mean) / sd
-    sizes = mo.component_sizes(cfg.kind, cfg.d)
+    std = mc.standardize(raw, cfg)
     if args.format == "csv":
-        header = ",".join(["T%d" % s for s in sizes] + ["W%d" % (i + 1) for i in range(cfg.d)])
+        header = ",".join(["T%d" % s for s in stat.sizes(cfg.d)]
+                          + ["W%d" % (i + 1) for i in range(cfg.d)])
         lines = [header]
         for r in range(raw.shape[0]):
             lines.append(",".join("%.10g" % v for v in list(raw[r]) + list(std[r])))
@@ -221,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None)
 
     pm = sub.add_parser("moments", help="closed-form / oracle moment report")
-    pm.add_argument("--kind", choices=mc.KINDS, required=True)
+    pm.add_argument("--kind", choices=KINDS, required=True)
     common(pm)
     pm.add_argument("--t-size", type=int, default=1)
     pm.add_argument("--replicates", type=int, default=None,
@@ -231,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="explicit error-bound reports")
     pb.add_argument("--theorem",
-                    choices=["clique", "link", "critical", "convex", "ustat", "ustat-no-x"],
+                    choices=[*KINDS, "convex", "ustat", "ustat-no-x"],
                     required=True)
     common(pb)
     pb.add_argument("--t-size", type=int, default=1)
@@ -242,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=cmd_bounds)
 
     ps = sub.add_parser("simulate", help="seeded Monte Carlo sample dump")
-    ps.add_argument("--kind", choices=mc.KINDS, required=True)
+    ps.add_argument("--kind", choices=KINDS, required=True)
     common(ps)
     ps.add_argument("--t-size", type=int, default=1)
     ps.add_argument("--replicates", type=int, default=1000)
@@ -279,17 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # UsageError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

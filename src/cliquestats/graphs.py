@@ -142,8 +142,13 @@ class GnpParams:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0,1]")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Philox keys are two 64-bit words, so a seed must fit in one."""
+    if not 0 <= int(seed) < 2 ** 64:
+        raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 def gnp_generator(seed: int, stream: int = 0) -> np.random.Generator:
@@ -157,16 +162,18 @@ def gnp_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def gnp_mask(rng: np.random.Generator, n: int, p: float) -> int:
+    """Edge mask of one G(n,p) draw: one uniform variate per pair in
+    lexicographic pair order, pair b (bit b) an edge iff its variate is < p."""
+    bits = rng.random(comb(n, 2)) < p
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
 def sample_gnp(params: GnpParams, stream: int = 0) -> Graph:
     """Draw one graph from G(n,p): each pair present independently with
-    probability p, one uniform variate per pair in lexicographic pair order."""
-    m = comb(params.n, 2)
+    probability p."""
     rng = gnp_generator(int(params.seed), stream)
-    u = rng.random(m)
-    mask = 0
-    for b in np.flatnonzero(u < params.p):
-        mask |= 1 << int(b)
-    return Graph(params.n, mask)
+    return Graph(params.n, gnp_mask(rng, params.n, params.p))
 
 
 def all_graphs(n: int):

@@ -1,0 +1,182 @@
+"""The statistic registry: one entry per count vector with its component
+sizes and argument checks, its scalar count kernel (graph -> vector) and
+Monte Carlo replicate kernel, its closed-form moments, its bound pair and its
+dissociated-sum pieces.  The rest of the library looks kinds up here instead
+of branching on them."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from math import comb
+from typing import Callable
+
+import numpy as np
+
+from .bounds import clique_bound, crit_bound, link_bound
+from .graphs import Graph, clique_count, gnp_mask, link_count
+from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
+                      crit_variance, link_cov, link_mean, link_mu)
+from .morse import critical_counts_formula
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """One count vector.  Component c = 0..d-1 counts subsets of size
+    first_size + c, of dimension k = first_size + c - 1."""
+
+    name: str
+    first_size: int
+    needs_t: bool  # counts inside the link of a fixed vertex subset t
+    min_overlap: int  # summands sharing fewer vertices are independent
+    count: Callable  # (Graph, d, t) -> tuple of d ints
+    replicate: Callable  # (MCConfig, generator) -> list of d numbers
+    mean: Callable  # (n, t_size, k, p) -> float
+    var: Callable  # (n, t_size, k, p) -> float
+    cov: Callable | None  # (n, t_size, k, l, p) -> float, None: no closed form
+    bound: Callable  # (n, d, p, t_size) -> BoundPair
+    mu: Callable  # (phi, component index i, p, t_size) -> P(summand phi is 1)
+
+    def sizes(self, d: int) -> list[int]:
+        return list(range(self.first_size, self.first_size + d))
+
+    def dims(self, d: int) -> list[int]:
+        return [s - 1 for s in self.sizes(d)]
+
+    def check(self, n: int, d: int, t) -> None:
+        """Reject d or t when the largest component does not fit in n."""
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        if self.needs_t:
+            if not t:
+                raise ValueError("kind=%s needs a nonempty fixed subset t" % self.name)
+            if len(set(t)) != len(t) or not all(1 <= v <= n for v in t):
+                raise ValueError("t must be distinct vertices in 1..n")
+            if d > n - len(t):
+                raise ValueError("d exceeds the room left by t")
+        elif d + 1 > n:
+            raise ValueError("need d+1 <= n")
+
+    def means(self, n: int, d: int, p: float, t_size: int) -> list[float]:
+        return [self.mean(n, t_size, k, p) for k in self.dims(d)]
+
+    def variances(self, n: int, d: int, p: float, t_size: int) -> list[float]:
+        return [self.var(n, t_size, k, p) for k in self.dims(d)]
+
+    def cov_matrix(self, n: int, d: int, p: float, t_size: int):
+        """Closed-form covariance matrix, or None without a cross covariance."""
+        if self.cov is None:
+            return None
+        dims = self.dims(d)
+        return [[self.cov(n, t_size, k, l, p) for l in dims] for k in dims]
+
+    def moment_report(self, n: int, d: int, p: float, t_size: int,
+                      oracle_offdiag=None) -> MomentReport:
+        """See moments.statistic_cov_matrix; the closed forms check n, d and
+        t_size."""
+        if d < 1:
+            raise ValueError("d must be >= 1")
+        params = {"n": n, "d": d, "p": p}
+        if self.needs_t:
+            params["t_size"] = t_size
+        mean = self.means(n, d, p, t_size)
+        cov = self.cov_matrix(n, d, p, t_size)
+        provenance = "analytic"
+        if cov is None:
+            var = self.variances(n, d, p, t_size)
+            if d > 1:
+                if oracle_offdiag is None:
+                    raise ValueError("%s off-diagonal covariances need an oracle "
+                                     "or empirical estimate for d > 1" % self.name)
+                offmat, provenance = oracle_offdiag
+            cov = [[var[i] if i == j else offmat[i][j] for j in range(d)]
+                   for i in range(d)]
+        return MomentReport(self.name, params, mean, cov, provenance)
+
+
+@lru_cache(maxsize=1 << 16)
+def _small_graph_counts(kind: str, n: int, mask: int, d: int, t: tuple) -> tuple:
+    return STATS[kind].count(Graph(n, mask), d, t)
+
+
+def _critical_replicate(cfg, rng) -> list:
+    mask = gnp_mask(rng, cfg.n, cfg.p)
+    if cfg.n <= 6:
+        return list(_small_graph_counts("critical", cfg.n, mask, cfg.d, ()))
+    return list(critical_counts_formula(Graph(cfg.n, mask), cfg.d).counts)
+
+
+def _clique_replicate(cfg, rng) -> list:
+    n = cfg.n
+    mask = gnp_mask(rng, n, cfg.p)
+    if n <= 6:
+        return list(_small_graph_counts("clique", n, mask, cfg.d, ()))
+    out = [float(mask.bit_count())]
+    if cfg.d >= 2:
+        m = comb(n, 2)
+        bits = np.unpackbits(np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), np.uint8),
+                             count=m, bitorder="little")
+        A = np.zeros((n, n), dtype=np.float32)
+        A[np.triu_indices(n, 1)] = bits
+        A += A.T
+        out.append(float(np.einsum("ij,ij->", A @ A, A)) / 6.0)
+    if cfg.d >= 3:
+        g = Graph(n, mask)
+        out.extend(clique_count(g, size) for size in range(4, cfg.d + 2))
+    return out
+
+
+def _link_replicate(cfg, rng) -> list:
+    # Vertex u outside t is a common neighbour iff all |t| cross edges are
+    # present, an event of probability p^|t| independent across u; the count
+    # formula never reads any other edge outside the common neighbourhood,
+    # so sampling the collapsed bundles is distribution-identical to
+    # evaluating the formula on a full G(n,p) draw.
+    ts = len(cfg.t)
+    m = int(np.count_nonzero(rng.random(cfg.n - ts) < cfg.p ** ts))
+    out = [m]
+    if cfg.d == 1:
+        return out
+    if m == 0:
+        return out + [0] * (cfg.d - 1)
+    inner = Graph(m, gnp_mask(rng, m, cfg.p))
+    out.extend(clique_count(inner, size) for size in range(2, cfg.d + 1))
+    return out
+
+
+STATS = {s.name: s for s in (
+    Statistic(
+        "critical", first_size=2, needs_t=False, min_overlap=1,
+        count=lambda g, d, t: critical_counts_formula(g, d).counts,
+        replicate=_critical_replicate,
+        mean=lambda n, ts, k, p: crit_mean(n, k, p),
+        var=lambda n, ts, k, p: crit_variance(n, k, p),
+        cov=None,
+        bound=lambda n, d, p, ts: crit_bound(n, d, p),
+        mu=lambda phi, i, p, ts: crit_mu(i, min(phi), p)),
+    Statistic(
+        "link", first_size=1, needs_t=True, min_overlap=1,
+        count=lambda g, d, t: tuple(link_count(g, t, s) for s in range(1, d + 1)),
+        replicate=_link_replicate,
+        mean=lambda n, ts, k, p: link_mean(n, ts, k, p),
+        var=lambda n, ts, k, p: link_cov(n, ts, k, k, p),
+        cov=lambda n, ts, k, l, p: link_cov(n, ts, k, l, p),
+        bound=lambda n, d, p, ts: link_bound(n, ts, d, p),
+        mu=lambda phi, i, p, ts: link_mu(ts, len(phi) - 1, p)),
+    Statistic(
+        "clique", first_size=2, needs_t=False, min_overlap=2,
+        count=lambda g, d, t: tuple(clique_count(g, s) for s in range(2, d + 2)),
+        replicate=_clique_replicate,
+        mean=lambda n, ts, k, p: clique_mean(n, k + 1, p),
+        var=lambda n, ts, k, p: clique_cov(n, k, k, p),
+        cov=lambda n, ts, k, l, p: clique_cov(n, k, l, p),
+        bound=lambda n, d, p, ts: clique_bound(n, d, p),
+        mu=lambda phi, i, p, ts: p ** comb(len(phi), 2)),
+)}
+KINDS = tuple(STATS)
+
+
+def statistic(kind: str) -> Statistic:
+    if kind not in STATS:
+        raise ValueError("kind must be one of %s (got %r)" % (KINDS, kind))
+    return STATS[kind]

@@ -48,6 +48,21 @@ def eta(a: int, k: int, p: float) -> float:
     return (1.0 - p ** (k + 1)) ** (a - 1) - (1.0 - p ** k) ** (a - 1)
 
 
+def crit_mu(k: int, a: int, p: float) -> float:
+    """Probability that a given size-(k+1) subset with minimum vertex a is a
+    critical k-simplex."""
+    return p ** math.comb(k + 1, 2) * eta(a, k, p)
+
+
+def sigma(variances) -> list[float]:
+    """Standard deviations of the given variances.  A zero one leaves its
+    component impossible to standardize, so it is an error."""
+    sd = [math.sqrt(v) for v in variances]
+    if 0.0 in sd:
+        raise ValueError("a component has zero variance; cannot standardize")
+    return sd
+
+
 def crit_mean(n: int, k: int, p: float) -> float:
     """Exact expected number of critical k-simplices (size k+1)."""
     _check_crit_args(n, k)
@@ -296,11 +311,8 @@ class MomentReport:
 def component_sizes(kind: str, d: int) -> list[int]:
     """Subset sizes of the d vector components: links start at vertices,
     critical/clique counts start at edges."""
-    if kind == "link":
-        return list(range(1, d + 1))
-    if kind in ("critical", "clique"):
-        return list(range(2, d + 2))
-    raise ValueError("unknown kind %r" % kind)
+    from .kinds import statistic  # the registry is built on this module
+    return statistic(kind).sizes(d)
 
 
 def statistic_cov_matrix(kind: str, n: int, d: int, p: float, t_size: int = 1,
@@ -311,35 +323,5 @@ def statistic_cov_matrix(kind: str, n: int, d: int, p: float, t_size: int = 1,
     the off-diagonal entries must be supplied (exact-oracle or empirical) via
     ``oracle_offdiag``, a tuple (matrix, provenance).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    params = {"n": n, "d": d, "p": p}
-    if kind == "clique":
-        dims = range(1, d + 1)
-        if d + 1 > n:
-            raise ValueError("need d+1 <= n")
-        mean = [clique_mean(n, i + 1, p) for i in dims]
-        cov = [[clique_cov(n, i, j, p) for j in dims] for i in dims]
-        return MomentReport(kind, params, mean, cov, "analytic")
-    if kind == "link":
-        params["t_size"] = t_size
-        dims = range(0, d)
-        mean = [link_mean(n, t_size, i, p) for i in dims]
-        cov = [[link_cov(n, t_size, i, j, p) for j in dims] for i in dims]
-        return MomentReport(kind, params, mean, cov, "analytic")
-    if kind == "critical":
-        ks = range(1, d + 1)
-        if d + 1 > n:
-            raise ValueError("need d+1 <= n")
-        mean = [crit_mean(n, k, p) for k in ks]
-        var = [crit_variance(n, k, p) for k in ks]
-        if d == 1:
-            return MomentReport(kind, params, mean, [[var[0]]], "analytic")
-        if oracle_offdiag is None:
-            raise ValueError("critical off-diagonal covariances need an oracle "
-                             "or empirical estimate for d > 1")
-        offmat, provenance = oracle_offdiag
-        cov = [[var[i] if i == j else offmat[i][j] for j in range(d)]
-               for i in range(d)]
-        return MomentReport(kind, params, mean, cov, provenance)
-    raise ValueError("unknown kind %r" % kind)
+    from .kinds import statistic
+    return statistic(kind).moment_report(n, d, p, t_size, oracle_offdiag)

@@ -14,17 +14,13 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from math import comb
 
 import numpy as np
 
 from .bounds import BoundReport
 from . import moments
-from .graphs import Graph, clique_count, gnp_generator
-from .morse import critical_counts_formula
-
-KINDS = ("critical", "link", "clique")
+from .graphs import check_seed, gnp_generator
+from .kinds import KINDS, _small_graph_counts, statistic  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -40,117 +36,51 @@ class MCConfig:
     replicate_offset: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError("kind must be one of %s" % (KINDS,))
+        stat = statistic(self.kind)
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0,1]")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.kind == "link":
-            if not self.t:
-                raise ValueError("kind=link needs a nonempty fixed subset t")
-            if len(set(self.t)) != len(self.t) or not all(1 <= v <= self.n for v in self.t):
-                raise ValueError("t must be distinct vertices in 1..n")
-            if self.d > self.n - len(self.t):
-                raise ValueError("d exceeds the room left by t")
-        elif self.d + 1 > self.n:
-            raise ValueError("need d+1 <= n")
+        stat.check(self.n, self.d, self.t)
         if self.standardization not in ("analytic", "empirical"):
             raise ValueError("standardization must be analytic or empirical")
+        check_seed(self.master_seed)
 
 
 def analytic_mean_sd(cfg: MCConfig):
     """Per-component mean and standard deviation from the closed forms."""
-    if cfg.kind == "clique":
-        mean = [moments.clique_mean(cfg.n, i + 1, cfg.p) for i in range(1, cfg.d + 1)]
-        var = [moments.clique_cov(cfg.n, i, i, cfg.p) for i in range(1, cfg.d + 1)]
-    elif cfg.kind == "link":
-        ts = len(cfg.t)
-        mean = [moments.link_mean(cfg.n, ts, i, cfg.p) for i in range(cfg.d)]
-        var = [moments.link_cov(cfg.n, ts, i, i, cfg.p) for i in range(cfg.d)]
-    else:
-        mean = [moments.crit_mean(cfg.n, k, cfg.p) for k in range(1, cfg.d + 1)]
-        var = [moments.crit_variance(cfg.n, k, cfg.p) for k in range(1, cfg.d + 1)]
-    sd = [math.sqrt(v) for v in var]
-    if any(s == 0.0 for s in sd):
-        raise ValueError("a component has zero analytic variance; cannot standardize")
+    stat = statistic(cfg.kind)
+    mean = stat.means(cfg.n, cfg.d, cfg.p, len(cfg.t))
+    sd = moments.sigma(stat.variances(cfg.n, cfg.d, cfg.p, len(cfg.t)))
     return np.array(mean), np.array(sd)
 
 
-@lru_cache(maxsize=1 << 16)
-def _small_graph_counts(kind: str, n: int, mask: int, d: int, t: tuple) -> tuple:
-    g = Graph(n, mask)
-    if kind == "critical":
-        return critical_counts_formula(g, d).counts
-    return tuple(clique_count(g, size) for size in range(2, d + 2))
+def standardize(raw: np.ndarray, cfg: MCConfig) -> np.ndarray:
+    """Raw count rows centred and scaled per component by the closed-form or
+    the sample mean and standard deviation, as cfg.standardization says."""
+    if cfg.standardization == "analytic":
+        mean, sd = analytic_mean_sd(cfg)
+    else:
+        mean = raw.mean(axis=0)
+        sd = np.array(moments.sigma(raw.var(axis=0, ddof=1)))
+    return (raw - mean) / sd
 
 
-def _pair_bits_to_mask(bits: np.ndarray) -> int:
-    mask = 0
-    for b in np.flatnonzero(bits):
-        mask |= 1 << int(b)
-    return mask
-
-
-def _raw_clique_counts(cfg: MCConfig, rng) -> list:
-    n = cfg.n
-    u = rng.random(comb(n, 2))
-    bits = u < cfg.p
-    if n <= 6:
-        return list(_small_graph_counts("clique", n, _pair_bits_to_mask(bits), cfg.d, ()))
-    A = np.zeros((n, n), dtype=np.float32)
-    iu = np.triu_indices(n, 1)
-    A[iu] = bits
-    A += A.T
-    out = [float(bits.sum())]
-    if cfg.d >= 2:
-        out.append(float(np.einsum("ij,ij->", A @ A, A)) / 6.0)
-    if cfg.d >= 3:
-        g = Graph(n, _pair_bits_to_mask(bits))
-        out.extend(clique_count(g, size) for size in range(4, cfg.d + 2))
-    return out
-
-
-def _raw_critical_counts(cfg: MCConfig, rng) -> list:
-    n = cfg.n
-    u = rng.random(comb(n, 2))
-    mask = _pair_bits_to_mask(u < cfg.p)
-    if n <= 6:
-        return list(_small_graph_counts("critical", n, mask, cfg.d, ()))
-    return list(critical_counts_formula(Graph(n, mask), cfg.d).counts)
-
-
-def _raw_link_counts(cfg: MCConfig, rng) -> list:
-    # Vertex u outside t is a common neighbour iff all |t| cross edges are
-    # present, an event of probability p^|t| independent across u; the count
-    # formula never reads any other edge outside the common neighbourhood,
-    # so sampling the collapsed bundles is distribution-identical to
-    # evaluating the formula on a full G(n,p) draw.
-    ts = len(cfg.t)
-    m = int(np.count_nonzero(rng.random(cfg.n - ts) < cfg.p ** ts))
-    out = [m]
-    if cfg.d == 1:
-        return out
-    if m == 0:
-        return out + [0] * (cfg.d - 1)
-    u = rng.random(comb(m, 2))
-    inner = Graph(m, _pair_bits_to_mask(u < cfg.p))
-    out.extend(clique_count(inner, size) for size in range(2, cfg.d + 1))
-    return out
-
-
-_RAW = {"clique": _raw_clique_counts, "critical": _raw_critical_counts,
-        "link": _raw_link_counts}
+def parallel_map(fn, jobs, threads: int) -> list:
+    """[fn(job) for job in jobs], spread over ``threads`` worker processes
+    when threads > 1.  fn and the jobs must pickle."""
+    if threads <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _raw_chunk(cfg: MCConfig) -> np.ndarray:
-    raw = _RAW[cfg.kind]
+    replicate = statistic(cfg.kind).replicate
     rows = np.empty((cfg.replicates, cfg.d))
     for r in range(cfg.replicates):
         rng = gnp_generator(cfg.master_seed, cfg.replicate_offset + r)
-        rows[r] = raw(cfg, rng)
+        rows[r] = replicate(cfg, rng)
     return rows
 
 
@@ -167,22 +97,12 @@ def simulate_raw(cfg: MCConfig, threads: int = 1) -> np.ndarray:
     chunks = [replace(cfg, replicates=int(hi - lo),
                       replicate_offset=cfg.replicate_offset + int(lo))
               for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(_raw_chunk, chunks))
-    return np.vstack(parts)
+    return np.vstack(parallel_map(_raw_chunk, chunks, threads))
 
 
 def simulate_vectors(cfg: MCConfig) -> np.ndarray:
     """Standardized count vectors (replicates x d)."""
-    rows = simulate_raw(cfg)
-    if cfg.standardization == "analytic":
-        mean, sd = analytic_mean_sd(cfg)
-    else:
-        mean = rows.mean(axis=0)
-        sd = rows.std(axis=0, ddof=1)
-        if np.any(sd == 0.0):
-            raise ValueError("degenerate sample; empirical standardization impossible")
-    return (rows - mean) / sd
+    return standardize(simulate_raw(cfg), cfg)
 
 
 def empirical_cov(samples: np.ndarray) -> np.ndarray:

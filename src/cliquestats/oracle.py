@@ -8,9 +8,9 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import Graph, all_graphs, link_count, clique_count
-from .moments import MomentReport, component_sizes
-from .morse import critical_counts_formula
+from .graphs import all_graphs
+from .kinds import statistic
+from .moments import MomentReport
 
 
 @dataclass
@@ -29,27 +29,14 @@ class ExactDistribution:
             "probabilities": self.probabilities}, indent=2)
 
 
-def _count_vector(kind: str, g: Graph, d: int, t):
-    if kind == "critical":
-        return critical_counts_formula(g, d).counts
-    if kind == "clique":
-        return tuple(clique_count(g, size) for size in range(2, d + 2))
-    if kind == "link":
-        return tuple(link_count(g, t, size) for size in range(1, d + 1))
-    raise ValueError("unknown kind %r" % kind)
-
-
 def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDistribution:
     """Accumulate the exact pmf of the count vector over all graphs on n
     vertices.  Per-graph weights come from a precomputed table p^e (1-p)^(m-e)
     indexed by edge count, which is exact in double precision at this scale."""
-    if kind == "link":
-        if t is None:
-            raise ValueError("kind=link needs the fixed subset t")
+    stat = statistic(kind)
+    if t is not None:
         t = tuple(sorted(t))
-    elif kind in ("critical", "clique"):
-        if d + 1 > n:
-            raise ValueError("need d+1 <= n")
+    stat.check(n, d, t)
     m = comb(n, 2)
     wtable = [p ** e * (1.0 - p) ** (m - e) for e in range(m + 1)]
     masses: dict = {}
@@ -57,7 +44,7 @@ def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDist
         w = wtable[g.edge_count]
         if w == 0.0:
             continue
-        v = _count_vector(kind, g, d, t)
+        v = stat.count(g, d, t)
         masses[v] = masses.get(v, 0.0) + w
     support = sorted(masses)
     params = {"n": n, "p": p, "d": d}
@@ -69,10 +56,9 @@ def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDist
 def exact_moments(kind: str, n: int, p: float, d: int, t=None) -> MomentReport:
     """Mean vector and full covariance matrix from the exact distribution."""
     dist = exact_distribution(kind, n, p, d, t)
-    dim = len(component_sizes(kind, d))
     mean = [math.fsum(w * v[a] for v, w in zip(dist.support, dist.probabilities))
-            for a in range(dim)]
+            for a in range(d)]
     cov = [[math.fsum(w * (v[a] - mean[a]) * (v[b] - mean[b])
                       for v, w in zip(dist.support, dist.probabilities))
-            for b in range(dim)] for a in range(dim)]
+            for b in range(d)] for a in range(d)]
     return MomentReport(kind, dist.params, mean, cov, "exact-oracle")

@@ -19,6 +19,7 @@ from . import moments as mo
 from . import montecarlo as mc
 from . import oracle as orc
 from .graphs import Graph, GnpParams, sample_gnp
+from .kinds import statistic
 from .morse import (critical_counts_direct, critical_counts_formula,
                     lex_matching, verify_acyclic)
 
@@ -59,35 +60,20 @@ def suite_oracle(n_max: int = 5, ps=(0.2, 0.5, 0.8), d_max: int = 3) -> list:
     results = []
     for n in range(2, n_max + 1):
         for p in ps:
-            d = min(d_max, n - 1)
-            em = orc.exact_moments("critical", n, p, d)
-            ok = all(_rel_close(em.mean[k - 1], mo.crit_mean(n, k, p))
-                     for k in range(1, d + 1))
-            ok = ok and all(_rel_close(em.cov[k - 1][k - 1], mo.crit_variance(n, k, p))
-                            for k in range(1, d + 1))
-            results.append(_gate("oracle critical mean/var n=%d p=%.1f" % (n, p), ok))
-
-            em = orc.exact_moments("clique", n, p, d)
-            ok = all(_rel_close(em.mean[i - 1], mo.clique_mean(n, i + 1, p))
-                     for i in range(1, d + 1))
-            ok = ok and all(
-                _rel_close(em.cov[i - 1][j - 1], mo.clique_cov(n, i, j, p))
-                for i in range(1, d + 1) for j in range(1, d + 1))
-            results.append(_gate("oracle clique moments n=%d p=%.1f" % (n, p), ok))
-
-            for t in ((2,), (1, 3)):
+            for kind, t in (("critical", ()), ("clique", ()), ("link", (2,)), ("link", (1, 3))):
                 if len(t) >= n:
                     continue
-                dl = min(d_max, n - len(t))
-                em = orc.exact_moments("link", n, p, dl, t=t)
-                ts = len(t)
-                ok = all(_rel_close(em.mean[i], mo.link_mean(n, ts, i, p))
-                         for i in range(dl))
-                ok = ok and all(
-                    _rel_close(em.cov[i][j], mo.link_cov(n, ts, i, j, p))
-                    for i in range(dl) for j in range(dl))
-                results.append(_gate(
-                    "oracle link moments n=%d p=%.1f t=%s" % (n, p, t), ok))
+                stat = statistic(kind)
+                d = min(d_max, n - len(t) + 1 - stat.first_size)  # top size fits
+                em = orc.exact_moments(kind, n, p, d, t=t or None)
+                # off-diagonals without a closed form are the oracle's own
+                rep = stat.moment_report(n, d, p, len(t), (em.cov, em.provenance))
+                ok = all(_rel_close(a, b) for a, b in zip(em.mean, rep.mean))
+                ok = ok and all(_rel_close(em.cov[i][j], rep.cov[i][j])
+                                for i in range(d) for j in range(d))
+                name = "oracle %s %s n=%d p=%.1f" % (
+                    kind, "mean/var" if stat.cov is None else "moments", n, p)
+                results.append(_gate(name + (" t=%s" % (t,) if t else ""), ok))
     return results
 
 
@@ -125,23 +111,17 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     The enumeration partitions the edge-bitmask space, so worker counts do
     not change the result.
     """
-    import math as _math
-    from concurrent.futures import ProcessPoolExecutor
-
     results = []
+    parts = max(threads, 1)
     for n in enum_ns:
         d = min(3, n - 1)
-        total = 1 << _math.comb(n, 2)
-        if threads > 1:
-            edges = [total * i // threads for i in range(threads + 1)]
-            jobs = [(n, d, lo, hi, check_acyclic)
-                    for lo, hi in zip(edges, edges[1:]) if hi > lo]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_equiv_mask_range, jobs))
-            bad_eq = sum(p[0] for p in parts)
-            bad_acy = sum(p[1] for p in parts)
-        else:
-            bad_eq, bad_acy = _equiv_mask_range((n, d, 0, total, check_acyclic))
+        total = 1 << math.comb(n, 2)
+        edges = [total * i // parts for i in range(parts + 1)]
+        jobs = [(n, d, lo, hi, check_acyclic)
+                for lo, hi in zip(edges, edges[1:]) if hi > lo]
+        counts = mc.parallel_map(_equiv_mask_range, jobs, threads)
+        bad_eq = sum(c[0] for c in counts)
+        bad_acy = sum(c[1] for c in counts)
         results.append(_gate("morse equivalence all %d graphs n=%d" % (total, n),
                              bad_eq == 0, "%d mismatches" % bad_eq))
         if check_acyclic:
@@ -205,28 +185,27 @@ def suite_bound_spots() -> list:
 # suite: rates  (acceptance criterion 6)
 
 
-def _clique_corr(n: int, d: int, p: float) -> np.ndarray:
-    sd = [math.sqrt(mo.clique_cov(n, i, i, p)) for i in range(1, d + 1)]
-    return np.array([[mo.clique_cov(n, i, j, p) / (sd[i - 1] * sd[j - 1])
-                      for j in range(1, d + 1)] for i in range(1, d + 1)])
+def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
+    """Standardized simulation W against a normal sample with the closed-form
+    correlation, or with W's own covariance where there is none: returns
+    that covariance and the smooth and convex discrepancy reports."""
+    w = mc.standardize(mc.simulate_raw(cfg, threads=threads), cfg)
+    cov = statistic(cfg.kind).cov_matrix(cfg.n, cfg.d, cfg.p, len(cfg.t))
+    if cov is None:
+        corr = mc.empirical_cov(w)
+    else:
+        sd = np.array(mo.sigma(np.diag(cov)))
+        corr = np.array(cov) / np.outer(sd, sd)
+    z = mc.mvn_samples(corr, cfg.replicates, cfg.master_seed + 1)
+    return (corr,
+            mc.smooth_discrepancy(w, z, bound=pair.smooth if pair else None),
+            mc.convex_discrepancy(w, z, bound=pair.convex if pair else None,
+                                  seed=cfg.master_seed + 2))
 
 
 def _matched_discrepancies(kind: str, n: int, p: float, d: int, reps: int,
                            seed: int, t=()):
-    cfg = mc.MCConfig(kind, n, p, d, reps, seed, t=t)
-    w = mc.simulate_vectors(cfg)
-    if kind == "clique":
-        corr = _clique_corr(n, d, p)
-    elif kind == "link":
-        ts = len(t)
-        sd = [math.sqrt(mo.link_cov(n, ts, i, i, p)) for i in range(d)]
-        corr = np.array([[mo.link_cov(n, ts, i, j, p) / (sd[i] * sd[j])
-                          for j in range(d)] for i in range(d)])
-    else:
-        raise ValueError("matched pipeline needs analytic covariance")
-    z = mc.mvn_samples(corr, reps, seed + 1)
-    return (mc.smooth_discrepancy(w, z),
-            mc.convex_discrepancy(w, z, seed=seed + 2))
+    return _match_normal(mc.MCConfig(kind, n, p, d, reps, seed, t=t))[1:]
 
 
 def _ratio_gate(name, r_small, r_big, ratio) -> GateResult:
@@ -286,30 +265,12 @@ def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
     and check them against the applicable bound."""
     import json
 
-    raw = mc.simulate_raw(cfg, threads=threads)
-    mean, sd = mc.analytic_mean_sd(cfg)
-    w = (raw - mean) / sd
-    if cfg.kind == "clique":
-        corr = _clique_corr(cfg.n, cfg.d, cfg.p)
-        pair = bd.clique_bound(cfg.n, cfg.d, cfg.p)
-        moments_rep = mo.statistic_cov_matrix("clique", cfg.n, cfg.d, cfg.p)
-    elif cfg.kind == "link":
-        ts = len(cfg.t)
-        sdv = [math.sqrt(mo.link_cov(cfg.n, ts, i, i, cfg.p)) for i in range(cfg.d)]
-        corr = np.array([[mo.link_cov(cfg.n, ts, i, j, cfg.p) / (sdv[i] * sdv[j])
-                          for j in range(cfg.d)] for i in range(cfg.d)])
-        pair = bd.link_bound(cfg.n, ts, cfg.d, cfg.p)
-        moments_rep = mo.statistic_cov_matrix("link", cfg.n, cfg.d, cfg.p, t_size=ts)
-    else:
-        emp = mc.empirical_cov(w)
-        corr = emp
-        pair = bd.crit_bound(cfg.n, cfg.d, cfg.p)
-        offd = (emp.tolist(), "empirical") if cfg.d > 1 else None
-        moments_rep = mo.statistic_cov_matrix("critical", cfg.n, cfg.d, cfg.p,
-                                              oracle_offdiag=offd)
-    z = mc.mvn_samples(corr, cfg.replicates, cfg.master_seed + 1)
-    sm = mc.smooth_discrepancy(w, z, bound=pair.smooth)
-    cx = mc.convex_discrepancy(w, z, bound=pair.convex, seed=cfg.master_seed + 2)
+    stat = statistic(cfg.kind)
+    ts = len(cfg.t)
+    pair = stat.bound(cfg.n, cfg.d, cfg.p, ts)
+    corr, sm, cx = _match_normal(cfg, threads, pair)
+    # off-diagonals without a closed form are W's empirical ones
+    moments_rep = stat.moment_report(cfg.n, cfg.d, cfg.p, ts, (corr.tolist(), "empirical"))
     return {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in cfg.__dict__.items()},
@@ -425,8 +386,8 @@ def suite_oracle_mc(n: int = 5, p: float = 0.5, reps: int = 1_000_000,
         raw = mc.simulate_raw(mc.MCConfig(kind, n, p, d, r, seed, t=t))
         ok = True
         detail = []
-        for a in range(raw.shape[1]):
-            sd = math.sqrt(em.cov[a][a])
+        sds = mo.sigma(em.cov[a][a] for a in range(d))
+        for a, sd in enumerate(sds):
             gap = abs(raw[:, a].mean() - em.mean[a])
             tol = 5.0 * sd / math.sqrt(r) + 1e-12
             ok = ok and gap <= tol

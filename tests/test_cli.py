@@ -1,12 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 RUN = [sys.executable, "-m", "cliquestats.cli"]
 
 
-def run_cli(*args):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True)
+def run_cli(*args, env=None):
+    return subprocess.run(RUN + list(args), capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
 
 
 def test_moments_clique_example():
@@ -128,3 +130,32 @@ def test_verify_output_embeds_spec(tmp_path):
     assert payload["suite"] == "bound-spots"
     assert payload["passed"] is True
     assert payload["spec"]["command"] == "verify"
+
+
+def test_bounds_critical_zero_variance_exit2():
+    # no critical 2-simplex exists on 3 vertices, so its variance is 0
+    res = run_cli("bounds", "--theorem", "critical", "--n", "3", "--d", "2", "--p", "0.5")
+    assert res.returncode == 2
+    assert "zero variance" in res.stderr
+
+
+def test_simulate_empirical_degenerate_exit2():
+    # every replicate of K4 has 6 edges: no sample variance to scale by
+    res = run_cli("simulate", "--kind", "clique", "--n", "4", "--p", "1.0", "--d", "1",
+                  "--standardization", "empirical", "--format", "csv")
+    assert res.returncode == 2
+    assert "nan" not in res.stdout
+
+
+def test_simulate_negative_seed_exit2():
+    res = run_cli("simulate", "--kind", "clique", "--n", "8", "--p", "0.5",
+                  "--master-seed", "-1")
+    assert res.returncode == 2
+    assert "seed" in res.stderr
+
+
+def test_non_integer_seed_env_exit2():
+    res = run_cli("simulate", "--kind", "clique", "--n", "8", "--p", "0.5",
+                  env={"CLIQUESTATS_SEED": "abc"})
+    assert res.returncode == 2
+    assert "CLIQUESTATS_SEED" in res.stderr

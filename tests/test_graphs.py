@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph,
                                 all_graphs, clique_count, cliques,
-                                graph_probability, link_count, sample_gnp)
+                                gnp_generator, gnp_mask, graph_probability,
+                                link_count, sample_gnp)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 
@@ -161,3 +162,15 @@ def test_adjacency_symmetric_and_loopless(n, seed):
             if i != j:
                 assert g.has_edge(i, j) == g.has_edge(j, i)
     assert clique_count(g, 2) == g.edge_count
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+def test_gnp_mask_matches_bitwise_packing(n):
+    # reference: one shift per present pair, from the same draws
+    for stream in range(5):
+        u = gnp_generator(7, stream).random(math.comb(n, 2))
+        want = 0
+        for b in range(len(u)):
+            if u[b] < 0.3:
+                want |= 1 << b
+        assert gnp_mask(gnp_generator(7, stream), n, 0.3) == want

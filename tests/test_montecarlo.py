@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cliquestats import bounds as bd
+from cliquestats import moments as mo
 from cliquestats import montecarlo as mc
 from cliquestats import oracle as orc
+from cliquestats import verify as vf
 
 
 def test_config_validation():
@@ -21,6 +23,10 @@ def test_config_validation():
         mc.MCConfig("clique", 5, 0.5, 2, 10, 0, standardization="other")
     with pytest.raises(ValueError):
         mc.MCConfig("betti", 5, 0.5, 2, 10, 0)
+    with pytest.raises(ValueError):
+        mc.MCConfig("clique", 5, 0.5, 2, 10, -1)
+    with pytest.raises(ValueError):
+        mc.MCConfig("clique", 5, 0.5, 2, 10, 2 ** 64)
 
 
 def test_complete_graph_counts_constant():
@@ -191,3 +197,20 @@ def test_bound_check_verdicts():
 def test_analytic_zero_variance_rejected():
     with pytest.raises(ValueError):
         mc.simulate_vectors(mc.MCConfig("clique", 10, 1.0, 2, 10, 0))
+
+
+def test_simulate_raw_two_workers_bit_identical():
+    cfg = mc.MCConfig("critical", 12, 0.5, 2, 400, 77)
+    assert np.array_equal(mc.simulate_raw(cfg, threads=2), mc.simulate_raw(cfg))
+
+
+def test_check_report_honors_empirical_standardization():
+    cfg = mc.MCConfig("clique", 8, 0.5, 2, 2000, 3, standardization="empirical")
+    report = vf.matched_normal_report(cfg)
+    cov = np.array(mo.statistic_cov_matrix("clique", 8, 2, 0.5).cov)
+    sd = np.sqrt(np.diag(cov))
+    z = mc.mvn_samples(cov / np.outer(sd, sd), 2000, 4)
+    want = mc.smooth_discrepancy(mc.simulate_vectors(cfg), z)
+    assert report["discrepancies"]["smooth"]["estimate"] == want.estimate
+    analytic = vf.matched_normal_report(mc.MCConfig("clique", 8, 0.5, 2, 2000, 3))
+    assert analytic["discrepancies"]["smooth"]["estimate"] != want.estimate

@@ -204,3 +204,9 @@ def test_critical_vector_accessors():
 def test_matching_dump_order():
     out = lex_matching(FIG2, 3).dump().splitlines()
     assert out == ["2 -> 1,2", "3 -> 2,3", "4 -> 1,4", "5 -> 3,5", "4,5 -> 3,4,5"]
+
+
+def test_morse_equivalence_suite_two_workers_match_serial():
+    from cliquestats.verify import suite_morse_equivalence
+    kwargs = dict(random_graphs=20, random_n=8, seed=3, enum_ns=(5,))
+    assert suite_morse_equivalence(threads=2, **kwargs) == suite_morse_equivalence(**kwargs)
