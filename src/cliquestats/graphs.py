@@ -109,15 +109,22 @@ class Graph:
 
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+        """Parse the fixture format; a malformed line is named by its number."""
+        rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
+                if ln.strip()]
         if not rows:
             raise ValueError("empty graph file")
-        n = int(rows[0])
-        edges = []
-        for ln in rows[1:]:
-            i, j = ln.split()
-            edges.append((int(i), int(j)))
-        return cls.from_edges(n, edges)
+        values = []
+        for k, (no, fields) in enumerate(rows):
+            try:
+                ints = tuple(int(f) for f in fields)
+            except ValueError:
+                ints = ()
+            if len(ints) != (2 if k else 1):
+                raise ValueError("graph file line %d: expected %s, got %r" % (
+                    no, "two vertex numbers" if k else "a vertex count", " ".join(fields)))
+            values.append(ints)
+        return cls.from_edges(values[0][0], values[1:])
 
 
 def _bits(mask: int) -> list[int]:

@@ -116,7 +116,7 @@ def _clique_replicate(cfg, rng) -> list:
         m = comb(n, 2)
         bits = np.unpackbits(np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), np.uint8),
                              count=m, bitorder="little")
-        A = np.zeros((n, n), dtype=np.float32)
+        A = np.zeros((n, n))  # float64: the trace below is exact below 2^53
         A[np.triu_indices(n, 1)] = bits
         A += A.T
         out.append(float(np.einsum("ij,ij->", A @ A, A)) / 6.0)

@@ -308,13 +308,6 @@ class MomentReport:
             "cov": self.cov, "provenance": self.provenance}, indent=2)
 
 
-def component_sizes(kind: str, d: int) -> list[int]:
-    """Subset sizes of the d vector components: links start at vertices,
-    critical/clique counts start at edges."""
-    from .kinds import statistic  # the registry is built on this module
-    return statistic(kind).sizes(d)
-
-
 def statistic_cov_matrix(kind: str, n: int, d: int, p: float, t_size: int = 1,
                          oracle_offdiag=None) -> MomentReport:
     """Assemble the mean vector and covariance matrix for one statistic.
@@ -323,5 +316,5 @@ def statistic_cov_matrix(kind: str, n: int, d: int, p: float, t_size: int = 1,
     the off-diagonal entries must be supplied (exact-oracle or empirical) via
     ``oracle_offdiag``, a tuple (matrix, provenance).
     """
-    from .kinds import statistic
+    from .kinds import statistic  # the registry is built on this module
     return statistic(kind).moment_report(n, d, p, t_size, oracle_offdiag)

@@ -22,6 +22,10 @@ from . import moments
 from .graphs import check_seed, gnp_generator
 from .kinds import KINDS, _small_graph_counts, statistic  # noqa: F401 (re-exported)
 
+PSD_TOL = 1e-9  # relative to the trace: how negative an eigenvalue may round
+QUANTILE_CUTS = 9  # per axis of the rectangle grid, and per halfspace direction
+HALFSPACE_DIRECTIONS = 16
+
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -116,10 +120,10 @@ def empirical_cov(samples: np.ndarray) -> np.ndarray:
     return (c + c.T) / 2.0
 
 
-def psd_sqrt(cov: np.ndarray, tol_scale: float = 1e-9) -> np.ndarray:
+def psd_sqrt(cov: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root by eigendecomposition.
 
-    Eigenvalues in [-tol_scale*trace, 0) clamp to 0, so rank-deficient
+    Eigenvalues in [-PSD_TOL*trace, 0) clamp to 0, so rank-deficient
     covariances are supported; anything more negative is an error.
     """
     cov = np.asarray(cov, dtype=float)
@@ -128,7 +132,7 @@ def psd_sqrt(cov: np.ndarray, tol_scale: float = 1e-9) -> np.ndarray:
     if not np.allclose(cov, cov.T, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
         raise ValueError("covariance must be symmetric")
     w, v = np.linalg.eigh((cov + cov.T) / 2.0)
-    tol = tol_scale * max(float(np.trace(cov)), 0.0)
+    tol = PSD_TOL * max(float(np.trace(cov)), 0.0)
     if np.any(w < -tol):
         raise ValueError("covariance is not PSD within tolerance "
                          "(min eigenvalue %g, tol %g)" % (float(w.min()), -tol))
@@ -190,22 +194,24 @@ def _logistic(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def smooth_discrepancy(w_samples, z_samples, family=None,
+def _columns(w_samples, z_samples):
+    """Both sample sets as float arrays of shape (rows, d), d >= 1 and equal;
+    1-D input is one column."""
+    w, z = (np.asarray(s, dtype=float) for s in (w_samples, z_samples))
+    w, z = (s[:, None] if s.ndim == 1 else s for s in (w, z))
+    if w.ndim != 2 or z.ndim != 2 or w.shape[1] != z.shape[1]:
+        raise ValueError("sample sets have different dimensions")
+    if w.shape[1] == 0:
+        raise ValueError("sample sets have no columns")
+    return w, z
+
+
+def smooth_discrepancy(w_samples, z_samples,
                        bound: BoundReport | None = None) -> DiscrepancyReport:
     """Max over the test-function family of |mean h(W) - mean h(Z)| with the
     pooled standard error of the argmax function."""
-    w = np.asarray(w_samples, dtype=float)
-    z = np.asarray(z_samples, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if z.ndim == 1:
-        z = z[:, None]
-    if w.shape[1] != z.shape[1]:
-        raise ValueError("sample sets have different dimensions")
-    if family is None:
-        family = smooth_family(w.shape[1])
-    if not family:
-        raise ValueError("empty test-function family")
+    w, z = _columns(w_samples, z_samples)
+    family = smooth_family(w.shape[1])
     best = (-1.0, 0.0)
     for a, c in family:
         hw = _logistic(w @ a + c)
@@ -235,14 +241,17 @@ class ConvexFamily:
         return "%d rectangles + %d halfspaces" % (rects, len(self.halfspaces))
 
 
-def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0,
-                  quantiles: int = 9, n_halfspaces: int = 16) -> ConvexFamily:
+def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
+    """Rectangles between QUANTILE_CUTS pooled quantiles per axis, and
+    halfspaces {x : <u,x> <= c} at as many quantiles of the projection on
+    each of HALFSPACE_DIRECTIONS unit directions drawn from stream 2^32 of
+    the seed."""
     pooled = np.vstack([w, z])
-    qs = np.linspace(0.0, 1.0, quantiles + 2)[1:-1]
+    qs = np.linspace(0.0, 1.0, QUANTILE_CUTS + 2)[1:-1]
     grid = [np.quantile(pooled[:, i], qs) for i in range(pooled.shape[1])]
     rng = gnp_generator(seed, 2 ** 32)
     halfspaces = []
-    for _ in range(n_halfspaces):
+    for _ in range(HALFSPACE_DIRECTIONS):
         u = rng.standard_normal(pooled.shape[1])
         u /= np.linalg.norm(u)
         proj = pooled @ u
@@ -252,10 +261,10 @@ def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0,
 
 
 def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
-    """Probability of every grid rectangle, via the cumulative cell histogram.
-
-    Returns an array indexed by (lo_1, hi_1, ..., lo_d, hi_d) with lo < hi
-    over grid levels 0..len(grid_i)+1 meaning (-inf, cuts..., +inf)."""
+    """The cumulative cell histogram of the samples on the grid, padded with
+    a zero layer in front of each axis: entry (l_1, ..., l_d) is
+    P(X_i <= level l_i for all i) over grid levels 0..len(grid_i)+1 meaning
+    (-inf, cuts..., +inf)."""
     d = samples.shape[1]
     shape = tuple(len(g) + 1 for g in grid)
     idx = tuple(np.searchsorted(grid[i], samples[:, i], side="right")
@@ -266,56 +275,47 @@ def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
     cum = hist
     for axis in range(d):
         cum = np.cumsum(cum, axis=axis)
-    # pad with a zero layer in front of each axis: cumpad[levels] = P(X_i <= cut_level)
     pad = np.zeros(tuple(s + 1 for s in shape))
     pad[tuple(slice(1, None) for _ in range(d))] = cum
     return pad
 
 
-def _all_rectangles(shape):
-    ranges = [list(itertools.combinations(range(s), 2)) for s in shape]
-    return itertools.product(*ranges)
+def _rect_blocks(cum: np.ndarray):
+    """Probabilities of the rectangles (lo_1, hi_1) x ... x (lo_d, hi_d),
+    lo_i < hi_i, from the padded cumulative array; one flat block per
+    first-axis interval, in itertools.product order of the intervals.
+
+    Each probability is the inclusion-exclusion sum over the 2^d corners,
+    added from 0.0 in itertools.product order with sign -1 per lo end, so
+    it is bit-identical to summing corner by corner."""
+    ends = [np.triu_indices(s, 1) for s in cum.shape]
+    terms = [((-1) ** corner.count(0), corner[0],
+              np.ix_(*(e[b] for e, b in zip(ends[1:], corner[1:]))))
+             for corner in itertools.product((0, 1), repeat=cum.ndim)]
+    for first in zip(*ends[0]):
+        block = 0.0
+        for sign, b, rest in terms:
+            block = block + sign * cum[first[b]][rest]
+        yield np.ravel(block)
 
 
-def convex_discrepancy(w_samples, z_samples, family: ConvexFamily | None = None,
-                       bound: BoundReport | None = None,
+def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,
                        seed: int = 0) -> DiscrepancyReport:
     """Max over the convex family of |P(W in A) - P(Z in A)| with the binomial
-    standard error of the argmax set."""
-    w = np.asarray(w_samples, dtype=float)
-    z = np.asarray(z_samples, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    if z.ndim == 1:
-        z = z[:, None]
-    if w.shape[1] != z.shape[1]:
-        raise ValueError("sample sets have different dimensions")
-    if family is None:
-        family = convex_family(w, z, seed=seed)
-    if not family.halfspaces and not family.grid:
-        raise ValueError("empty convex family")
-    d = w.shape[1]
-    cw = _rect_probs(w, family.grid)
-    cz = _rect_probs(z, family.grid)
-    nw, nz = len(w), len(z)
+    standard error of the argmax set (the first one, in family order)."""
+    w, z = _columns(w_samples, z_samples)
+    family = convex_family(w, z, seed=seed)
+    rects = zip(_rect_blocks(_rect_probs(w, family.grid)),
+                _rect_blocks(_rect_probs(z, family.grid)))
+    halfspaces = tuple(np.array([np.mean(s @ u <= c) for u, c in family.halfspaces])
+                       for s in (w, z))
     best = (-1.0, 0.0)
-
-    def consider(pw, pz):
-        nonlocal best
-        est = abs(pw - pz)
-        if est > best[0]:
-            se = math.sqrt(pw * (1.0 - pw) / nw + pz * (1.0 - pz) / nz)
-            best = (est, se)
-
-    for rect in _all_rectangles(tuple(len(g) + 2 for g in family.grid)):
-        pw = pz = 0.0
-        for corner in itertools.product(*[(lo, hi) for lo, hi in rect]):
-            sign = (-1) ** sum(c == rect[i][0] for i, c in enumerate(corner))
-            pw += sign * cw[corner]
-            pz += sign * cz[corner]
-        consider(pw, pz)
-    for u, c in family.halfspaces:
-        consider(float(np.mean(w @ u <= c)), float(np.mean(z @ u <= c)))
+    for pw, pz in itertools.chain(rects, [halfspaces]):
+        est = np.abs(pw - pz)
+        i = int(np.argmax(est))
+        if est[i] > best[0]:
+            best = (float(est[i]), math.sqrt(pw[i] * (1.0 - pw[i]) / len(w)
+                                             + pz[i] * (1.0 - pz[i]) / len(z)))
     return DiscrepancyReport(best[0], best[1], family.description, bound)
 
 

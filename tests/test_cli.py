@@ -99,6 +99,20 @@ def test_morse_demo_graph_file(tmp_path):
     assert "critical counts (sizes 2..3): [1, 0]" in res.stdout
 
 
+def test_morse_demo_malformed_graph_file_names_line(tmp_path):
+    gf = tmp_path / "g.txt"
+    gf.write_text("5\n1 2\n2 3 4\n")
+    res = run_cli("morse-demo", "--graph-file", str(gf))
+    assert res.returncode == 2
+    assert "line 3" in res.stderr
+
+
+def test_simulate_check_largest_seed_exit0():
+    res = run_cli("simulate", "--kind", "clique", "--n", "8", "--p", "0.5",
+                  "--replicates", "200", "--master-seed", str(2 ** 64 - 1), "--check")
+    assert res.returncode == 0, res.stderr
+
+
 def test_simulate_check_artifact(tmp_path):
     out = tmp_path / "run.json"
     res = run_cli("simulate", "--kind", "link", "--n", "40", "--p", "0.5",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -92,6 +93,14 @@ def test_clique_counts_match_graph_module():
         assert raw[r, 1] == clique_count(g, 3)
 
 
+def test_triangle_counts_exact_beyond_float32():
+    # 6 x triangles > 2^24 here, where a float32 trace rounds
+    from cliquestats.graphs import GnpParams, clique_count, sample_gnp
+    raw = mc.simulate_raw(mc.MCConfig("clique", 400, 0.9, 2, 3, 5))
+    for r in range(3):
+        assert raw[r, 1] == clique_count(sample_gnp(GnpParams(400, 0.9, 5), stream=r), 3)
+
+
 def test_link_simulation_matches_oracle_moments():
     n, p, d, t = 5, 0.5, 2, (2,)
     em = orc.exact_moments("link", n, p, d, t=t)
@@ -183,6 +192,66 @@ def test_convex_family_contains_full_space():
         rects *= m * (m - 1) // 2
     assert rects == 55 ** 2
     assert len(fam.halfspaces) == 16 * 9
+
+
+def _convex_reference(w, z, seed=0):
+    """The scalar convex estimator: every grid rectangle's probability summed
+    corner by corner, then every halfspace, keeping the first maximum."""
+    w, z = (np.asarray(s, dtype=float).reshape(len(s), -1) for s in (w, z))
+    family = mc.convex_family(w, z, seed=seed)
+    cw = mc._rect_probs(w, family.grid)
+    cz = mc._rect_probs(z, family.grid)
+    best = (-1.0, 0.0)
+
+    def consider(pw, pz):
+        nonlocal best
+        est = abs(pw - pz)
+        if est > best[0]:
+            best = (est, math.sqrt(pw * (1.0 - pw) / len(w) + pz * (1.0 - pz) / len(z)))
+
+    ranges = [list(itertools.combinations(range(len(g) + 2), 2)) for g in family.grid]
+    for rect in itertools.product(*ranges):
+        pw = pz = 0.0
+        for corner in itertools.product(*[(lo, hi) for lo, hi in rect]):
+            sign = (-1) ** sum(c == rect[i][0] for i, c in enumerate(corner))
+            pw += sign * cw[corner]
+            pz += sign * cz[corner]
+        consider(pw, pz)
+    for u, c in family.halfspaces:
+        consider(float(np.mean(w @ u <= c)), float(np.mean(z @ u <= c)))
+    return best
+
+
+def _convex_cases():
+    rng = np.random.Generator(np.random.Philox(key=np.array([11, 0], dtype=np.uint64)))
+    for d in (1, 2, 3):
+        w = rng.standard_normal((1500, d))
+        z = 1.2 * rng.standard_normal((1200, d)) + 0.1
+        yield pytest.param(w, z, 0, id="d=%d" % d)
+        # rounding to a 0.5 grid ties samples with each other and the cuts
+        yield pytest.param(np.round(2 * w) / 2, np.round(2 * z) / 2, 3, id="d=%d-ties" % d)
+        # few tied rows: many sets share the largest gap, with different
+        # stderrs, so the pick among equal gaps shows
+        yield pytest.param(np.round(2 * w[:16]) / 2, np.round(2 * z[:16]) / 2, 1,
+                           id="d=%d-16-rows-ties" % d)
+    x = rng.standard_normal((1000, 1))
+    yield pytest.param(np.hstack([x, x]), rng.standard_normal((1000, 2)), 7,
+                       id="duplicated-column")
+    yield pytest.param(rng.standard_normal(800), rng.standard_normal(900), 0, id="1-D")
+
+
+@pytest.mark.parametrize("w, z, seed", list(_convex_cases()))
+def test_convex_discrepancy_matches_scalar_reference(w, z, seed):
+    rep = mc.convex_discrepancy(w, z, seed=seed)
+    assert (rep.estimate, rep.stderr) == _convex_reference(w, z, seed)
+
+
+@pytest.mark.parametrize("estimator", [mc.smooth_discrepancy, mc.convex_discrepancy])
+def test_discrepancy_rejects_bad_shapes(estimator):
+    with pytest.raises(ValueError):
+        estimator(np.zeros((5, 0)), np.zeros((5, 0)))
+    with pytest.raises(ValueError):
+        estimator(np.zeros((5, 2)), np.zeros((5, 3)))
 
 
 def test_bound_check_verdicts():
