@@ -160,13 +160,6 @@ def uniform_bound(d: int, sizes, alpha, beta) -> BoundReport:
 # built-in instances over vertex subsets
 
 
-def _subset_neighborhood_size(n: int, size_a: int, size_b: int, min_overlap: int) -> int:
-    """Number of size_b subsets of [n] meeting a fixed size_a subset in at
-    least min_overlap vertices."""
-    return sum(comb0(size_a, m) * comb0(n - size_a, size_b - m)
-               for m in range(min_overlap, min(size_a, size_b) + 1))
-
-
 def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedInstance:
     """Fully enumerated dissociated-sum instance for one of the three count
     vectors, with Bernoulli moment bounds.  Indices are (phi, i) pairs.
@@ -205,15 +198,13 @@ def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedIns
 
 def _pairs_with_minima(n: int, i: int, a: int, j: int, b: int) -> int:
     """Number of pairs (phi, psi), |phi| = i+1 with min a, |psi| = j+1 with
-    min b, that share at least one vertex."""
-    total = comb0(n - a, i) * comb0(n - b, j)
+    min b, that share at least one vertex.  For a < b, phi misses psi iff its
+    i vertices above a avoid the j+1 vertices of psi, which all lie above a."""
     if a == b:
-        return total
+        return comb0(n - a, i) * comb0(n - b, j)
     if a > b:
         a, b, i, j = b, a, j, i
-    disj = sum(comb0(b - a - 1, i - f) * comb0(n - b, f) * comb0(n - b - f, j)
-               for f in range(0, min(i, n - b) + 1))
-    return total - disj
+    return comb0(n - b, j) * (comb0(n - a, i) - comb0(n - a - 1 - j, i))
 
 
 def crit_bound(n: int, d: int, p: float) -> BoundPair:
@@ -228,34 +219,31 @@ def crit_bound(n: int, d: int, p: float) -> BoundPair:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0,1)")
     sigmas = sigma([crit_variance(n, k, p) for k in range(1, d + 1)])
-    dmax = [[_subset_neighborhood_size(n, l + 1, k + 1, 1)
+    # size-(k+1) subsets meeting a fixed size-(l+1) subset
+    dmax = [[comb(n, k + 1) - comb(n - l - 1, k + 1)
              for k in range(1, d + 1)] for l in range(1, d + 1)]
-    mu = [[0.0] * (n + 1) for _ in range(d + 1)]
-    for i in range(1, d + 1):
-        for a in range(1, n - i + 1):
-            mu[i][a] = crit_mu(i, a, p)
+    # sqrt(mu (1 - mu)) of a size-(i+1) subset with minimum a, at [i - 1][a - 1]
+    spread = [[math.sqrt(m * (1.0 - m))
+               for m in (crit_mu(i, a, p) for a in range(1, n - i + 1))]
+              for i in range(1, d + 1)]
     total = 0.0
     total_same_min = 0.0
     for i in range(1, d + 1):
         for j in range(1, d + 1):
+            acc = diag = 0.0
+            for a, fa in enumerate(spread[i - 1], start=1):
+                if fa == 0.0:
+                    continue
+                for b, fb in enumerate(spread[j - 1], start=1):
+                    if fb == 0.0:
+                        continue
+                    term = _pairs_with_minima(n, i, a, j, b) * fa * fb
+                    acc += term
+                    if a == b:
+                        diag += term
             for k in range(1, d + 1):
                 inv_sigma = 1.0 / (sigmas[i - 1] * sigmas[j - 1] * sigmas[k - 1])
                 weight = 1.5 * dmax[i - 1][k - 1] + 2.0 * dmax[j - 1][k - 1]
-                acc = diag = 0.0
-                for a in range(1, n - i + 1):
-                    mia = mu[i][a]
-                    if mia == 0.0:
-                        continue
-                    fa = math.sqrt(mia * (1.0 - mia))
-                    for b in range(1, n - j + 1):
-                        mjb = mu[j][b]
-                        if mjb == 0.0:
-                            continue
-                        term = (_pairs_with_minima(n, i, a, j, b)
-                                * fa * math.sqrt(mjb * (1.0 - mjb)))
-                        acc += term
-                        if a == b:
-                            diag += term
                 total += inv_sigma * weight * acc
                 total_same_min += inv_sigma * weight * diag
     value = total / 3.0

@@ -104,7 +104,7 @@ def crit_variance(n: int, k: int, p: float) -> float:
     for a in range(1, n - k + 1):
         e[a] = eta(a, k, p)
 
-    v12 = 0.0
+    v12 = v3 = 0.0
     for m in range(1, k + 1):
         pm = p ** (-math.comb(m, 2))
         # joint-factor bases, indexed by which of the four products is taken
@@ -136,17 +136,12 @@ def crit_variance(n: int, k: int, p: float) -> float:
                                     + (1.0 - pk) ** (j - i - q) * q0_out ** q * bm0)
                     v12 += base * (C(k, m - 1) * (a_plus - ee)
                                    + C(k, m) * (a_minus - ee))
-
-    v3 = 0.0
-    for m in range(1, k + 1):
-        pm = p ** (-math.comb(m, 2))
-        pp = 1.0 - 2.0 * pk1 + p ** (2 * k + 2 - m)
-        mm = 1.0 - 2.0 * pk + p ** (2 * k + 1 - m)
+        # same-minimum pairs; this sum's cross base rounds apart from cross_hi
         cross = 1.0 - pk - pk1 + p ** (2 * k + 2 - m)
         cnt = C(k, m - 1)
         for i in range(1, n - k + 1):
             v3 += (C(n - i, 2 * k + 1 - m) * C(2 * k + 1 - m, k) * cnt
-                   * (pm * (pp ** (i - 1) + mm ** (i - 1) - 2.0 * cross ** (i - 1))
+                   * (pm * (pp ** (i - 1) + mm_in ** (i - 1) - 2.0 * cross ** (i - 1))
                       - e[i] ** 2))
 
     v4 = math.fsum(C(n - i, k) * (e[i] - p ** ck1 * e[i] ** 2)

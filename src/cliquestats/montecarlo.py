@@ -195,14 +195,16 @@ def _logistic(u: np.ndarray) -> np.ndarray:
 
 
 def _columns(w_samples, z_samples):
-    """Both sample sets as float arrays of shape (rows, d), d >= 1 and equal;
-    1-D input is one column."""
+    """Both sample sets as float arrays of shape (rows, d), d >= 1 and equal,
+    rows >= 2 (a standard error needs two); 1-D input is one column."""
     w, z = (np.asarray(s, dtype=float) for s in (w_samples, z_samples))
     w, z = (s[:, None] if s.ndim == 1 else s for s in (w, z))
     if w.ndim != 2 or z.ndim != 2 or w.shape[1] != z.shape[1]:
         raise ValueError("sample sets have different dimensions")
     if w.shape[1] == 0:
         raise ValueError("sample sets have no columns")
+    if min(len(w), len(z)) < 2:
+        raise ValueError("each sample set needs at least 2 rows")
     return w, z
 
 

@@ -18,7 +18,7 @@ from . import bounds as bd
 from . import moments as mo
 from . import montecarlo as mc
 from . import oracle as orc
-from .graphs import Graph, GnpParams, sample_gnp
+from .graphs import Graph, GnpParams, gnp_generator, gnp_mask, sample_gnp
 from .kinds import statistic
 from .morse import (critical_counts_direct, critical_counts_formula,
                     lex_matching, verify_acyclic)
@@ -86,10 +86,12 @@ def _equiv_on_graph(g: Graph, d: int) -> tuple[bool, bool]:
     return eq, verify_acyclic(lex_matching(g, min(d + 2, g.n)), g)
 
 
-def _equiv_mask_range(job) -> tuple[int, int]:
-    n, d, lo, hi = job
+def _equiv_tally(job) -> tuple[int, int]:
+    """Equivalence and acyclicity failures over the n-vertex graphs with the
+    given edge masks."""
+    n, d, masks = job
     bad_eq = bad_acy = 0
-    for mask in range(lo, hi):
+    for mask in masks:
         eq, acy = _equiv_on_graph(Graph(n, mask), d)
         bad_eq += not eq
         bad_acy += not acy
@@ -103,33 +105,26 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     n in {5,6} and on seeded G(12, 1/2) samples; lexicographical matchings
     verified acyclic on the same corpus.
 
-    The enumeration partitions the edge-bitmask space, so worker counts do
-    not change the result.
+    Each corpus, a range or list of edge masks, is split into one job per
+    worker, so worker counts do not change the result.
     """
-    results = []
+    params = GnpParams(random_n, 0.5, seed)
+    corpora = [("all %d graphs n=%d" % (1 << math.comb(n, 2), n), "all graphs n=%d" % n,
+                n, min(3, n - 1), range(1 << math.comb(n, 2))) for n in enum_ns]
+    name = "%d random graphs n=%d" % (random_graphs, random_n)
+    corpora.append((name, name, random_n, 3,
+                    [gnp_mask(gnp_generator(params.seed, r), params.n, params.p)
+                     for r in range(random_graphs)]))
     parts = max(threads, 1)
-    for n in enum_ns:
-        d = min(3, n - 1)
-        total = 1 << math.comb(n, 2)
-        edges = [total * i // parts for i in range(parts + 1)]
-        jobs = [(n, d, lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-        counts = mc.parallel_map(_equiv_mask_range, jobs, threads)
-        bad_eq = sum(c[0] for c in counts)
-        bad_acy = sum(c[1] for c in counts)
-        results.append(_gate("morse equivalence all %d graphs n=%d" % (total, n),
-                             bad_eq == 0, "%d mismatches" % bad_eq))
-        results.append(_gate("acyclicity all graphs n=%d" % n, bad_acy == 0))
-    bad_eq = bad_acy = 0
-    for r in range(random_graphs):
-        g = sample_gnp(GnpParams(random_n, 0.5, seed), stream=r)
-        eq, acy = _equiv_on_graph(g, 3)
-        bad_eq += not eq
-        bad_acy += not acy
-    results.append(_gate(
-        "morse equivalence %d random graphs n=%d" % (random_graphs, random_n),
-        bad_eq == 0, "%d mismatches" % bad_eq))
-    results.append(_gate("acyclicity %d random graphs n=%d"
-                         % (random_graphs, random_n), bad_acy == 0))
+    jobs = [(n, d, masks[len(masks) * i // parts:len(masks) * (i + 1) // parts])
+            for _, _, n, d, masks in corpora for i in range(parts)]
+    counts = mc.parallel_map(_equiv_tally, jobs, threads)
+    results = []
+    for c, (eq_name, acy_name, *_) in enumerate(corpora):
+        bad_eq, bad_acy = map(sum, zip(*counts[c * parts:(c + 1) * parts]))
+        results.append(_gate("morse equivalence " + eq_name, bad_eq == 0,
+                             "%d mismatches" % bad_eq))
+        results.append(_gate("acyclicity " + acy_name, bad_acy == 0))
     return results
 
 

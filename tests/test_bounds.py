@@ -237,3 +237,127 @@ def test_subset_instance_neighborhood_rules():
     inst = bd.subset_instance(5, 1, 0.5, "critical")
     hood = inst.neighborhood(((1, 2), 1), 1)
     assert all(len(set(phi) & {1, 2}) >= 1 for phi, _ in hood)
+
+
+# ---------------------------------------------------------------------------
+# closed-form pair counts against enumeration, and crit_bound against the
+# scalar loop it replaced
+
+
+def _subsets_with_min(n, size, a):
+    return [(a,) + rest for rest in itertools.combinations(range(a + 1, n + 1), size - 1)]
+
+
+def test_pairs_with_minima_matches_enumeration():
+    for n in range(2, 10):
+        for i in range(1, 4):
+            for j in range(1, 4):
+                for a in range(1, n + 1):
+                    for b in range(1, n + 1):
+                        want = sum(1 for phi in _subsets_with_min(n, i + 1, a)
+                                   for psi in _subsets_with_min(n, j + 1, b)
+                                   if set(phi) & set(psi))
+                        assert bd._pairs_with_minima(n, i, a, j, b) == want, (n, i, a, j, b)
+
+
+def test_neighborhood_count_matches_enumeration():
+    # crit_bound's dmax: size-(k+1) subsets of [n] meeting a fixed size-(l+1) one
+    for n in range(2, 10):
+        for l in range(1, 4):
+            for k in range(1, 4):
+                if l + 1 > n:
+                    continue
+                fixed = set(range(1, l + 2))
+                want = sum(1 for s in itertools.combinations(range(1, n + 1), k + 1)
+                           if fixed.intersection(s))
+                assert math.comb(n, k + 1) - math.comb(n - l - 1, k + 1) == want
+
+
+def _reference_pairs_with_minima(n, i, a, j, b):
+    total = mo.comb0(n - a, i) * mo.comb0(n - b, j)
+    if a == b:
+        return total
+    if a > b:
+        a, b, i, j = b, a, j, i
+    disj = sum(mo.comb0(b - a - 1, i - f) * mo.comb0(n - b, f) * mo.comb0(n - b - f, j)
+               for f in range(0, min(i, n - b) + 1))
+    return total - disj
+
+
+def _reference_crit_bound(n, d, p):
+    """The per-k scalar loop crit_bound replaced: the f-sum pair count, the
+    subset-neighbourhood sum, and the (a, b) sums redone for every k."""
+    sigmas = mo.sigma([mo.crit_variance(n, k, p) for k in range(1, d + 1)])
+    dmax = [[sum(mo.comb0(l + 1, m) * mo.comb0(n - l - 1, k + 1 - m)
+                 for m in range(1, min(l + 1, k + 1) + 1))
+             for k in range(1, d + 1)] for l in range(1, d + 1)]
+    mu = [[0.0] * (n + 1) for _ in range(d + 1)]
+    for i in range(1, d + 1):
+        for a in range(1, n - i + 1):
+            mu[i][a] = mo.crit_mu(i, a, p)
+    total = 0.0
+    total_same_min = 0.0
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            for k in range(1, d + 1):
+                inv_sigma = 1.0 / (sigmas[i - 1] * sigmas[j - 1] * sigmas[k - 1])
+                weight = 1.5 * dmax[i - 1][k - 1] + 2.0 * dmax[j - 1][k - 1]
+                acc = diag = 0.0
+                for a in range(1, n - i + 1):
+                    mia = mu[i][a]
+                    if mia == 0.0:
+                        continue
+                    fa = math.sqrt(mia * (1.0 - mia))
+                    for b in range(1, n - j + 1):
+                        mjb = mu[j][b]
+                        if mjb == 0.0:
+                            continue
+                        term = (_reference_pairs_with_minima(n, i, a, j, b)
+                                * fa * math.sqrt(mjb * (1.0 - mjb)))
+                        acc += term
+                        if a == b:
+                            diag += term
+                total += inv_sigma * weight * acc
+                total_same_min += inv_sigma * weight * diag
+    value = total / 3.0
+    params = {"n": n, "d": d, "p": p,
+              "same_min_share": total_same_min / total if total else 0.0}
+    smooth = bd.BoundReport("critical-count-smooth", value, bd.SMOOTH, -1.0, params)
+    cvx = bd.BoundReport("critical-count-convex", bd.convex_bound(d, value).value,
+                         bd.CONVEX, -0.25, params)
+    return smooth, cvx
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 16, 23, 31])
+def test_crit_bound_matches_scalar_reference(n):
+    for d in range(1, min(4, n - 1) + 1):
+        for p in (0.05, 0.3, 0.5, 0.61, 0.9):
+            try:
+                want = _reference_crit_bound(n, d, p)
+            except ValueError:  # a zero variance
+                with pytest.raises(ValueError):
+                    bd.crit_bound(n, d, p)
+                continue
+            pair = bd.crit_bound(n, d, p)
+            assert pair.smooth.to_json() == want[0].to_json(), (n, d, p)
+            assert pair.convex.to_json() == want[1].to_json(), (n, d, p)
+
+
+# crit_variance(n, k, p).hex() before its two m loops became one
+CRIT_VARIANCE_HEX = {
+    0.3: {7: ("0x1.2c1b0f894cda4p+0", "0x1.05f4dd836a22ap-4", "0x1.38d52f2c6a3a8p-12"),
+          30: ("0x1.dccbab2df5ca1p+4", "0x1.292321c15fdfep+6", "0x1.04a30a3a227d6p+2"),
+          100: ("0x1.043d8dfec9391p+9", "0x1.738027026e66ap+12", "0x1.872e514c0b430p+13")},
+    0.5: {7: ("0x1.b30d9c0000000p+0", "0x1.35b0827800000p-1", "0x1.97294cbc00000p-6"),
+          30: ("0x1.06c4997208db2p+6", "0x1.a84db7c4c4142p+8", "0x1.7d1266a8f9a51p+9"),
+          100: ("0x1.b87effafe4b50p+9", "0x1.42d221d7da6e9p+16", "0x1.e10f7bf5b1a84p+19")},
+    0.7: {7: ("0x1.378a1d1129b2ap+1", "0x1.18bf1dd4ee6cep+1", "0x1.b894a8ec8f3fcp-2"),
+          30: ("0x1.4891f58ee794dp+6", "0x1.46f9ae73d24c3p+11", "0x1.1c4fa813bbb2dp+14"),
+          100: ("0x1.fe9c0814338bbp+9", "0x1.ae692274ff5e6p+18", "0x1.43b6f785a99f9p+25")},
+}
+
+
+@pytest.mark.parametrize("p", sorted(CRIT_VARIANCE_HEX))
+def test_crit_variance_bits_pinned(p):
+    for n, hexes in CRIT_VARIANCE_HEX[p].items():
+        assert [mo.crit_variance(n, k, p).hex() for k in (1, 2, 3)] == list(hexes), n

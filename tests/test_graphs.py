@@ -164,6 +164,21 @@ def test_adjacency_symmetric_and_loopless(n, seed):
     assert clique_count(g, 2) == g.edge_count
 
 
+@st.composite
+def graphs_on_at_most_9(draw):
+    n = draw(st.integers(1, 9))
+    return Graph(n, draw(st.integers(0, (1 << math.comb(n, 2)) - 1)))
+
+
+@given(graphs_on_at_most_9(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_clique_counts_invariant_under_relabelling(g, data):
+    perm = data.draw(st.permutations(range(1, g.n + 1)))
+    h = Graph.from_edges(g.n, [(perm[i - 1], perm[j - 1]) for i, j in g.edges()])
+    sizes = range(1, g.n + 1)
+    assert [clique_count(h, k) for k in sizes] == [clique_count(g, k) for k in sizes]
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
 def test_gnp_mask_matches_bitwise_packing(n):
     # reference: one shift per present pair, from the same draws

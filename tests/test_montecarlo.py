@@ -252,6 +252,10 @@ def test_discrepancy_rejects_bad_shapes(estimator):
         estimator(np.zeros((5, 0)), np.zeros((5, 0)))
     with pytest.raises(ValueError):
         estimator(np.zeros((5, 2)), np.zeros((5, 3)))
+    with pytest.raises(ValueError):
+        estimator(np.zeros((0, 2)), np.zeros((5, 2)))
+    with pytest.raises(ValueError):
+        estimator(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
 def test_bound_check_verdicts():

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import GnpParams, Graph, all_graphs, cliques, sample_gnp
+from cliquestats.graphs import (GnpParams, Graph, all_graphs, clique_count, cliques,
+                                sample_gnp)
 from cliquestats.morse import (CriticalVector, Matching, critical_counts_direct,
                                critical_counts_formula, is_vertex_critical,
                                lex_matching, truncated_critical_count,
@@ -206,7 +207,36 @@ def test_matching_dump_order():
     assert out == ["2 -> 1,2", "3 -> 2,3", "4 -> 1,4", "5 -> 3,5", "4,5 -> 3,4,5"]
 
 
-def test_morse_equivalence_suite_two_workers_match_serial():
-    from cliquestats.verify import suite_morse_equivalence
-    kwargs = dict(random_graphs=20, random_n=8, seed=3, enum_ns=(5,))
-    assert suite_morse_equivalence(threads=2, **kwargs) == suite_morse_equivalence(**kwargs)
+@st.composite
+def graphs_on_at_most_9(draw):
+    n = draw(st.integers(1, 9))
+    return Graph(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+
+
+def _euler(counts):
+    return sum((-1) ** k * c for k, c in enumerate(counts))
+
+
+@given(graphs_on_at_most_9())
+@settings(max_examples=40, deadline=None)
+def test_weak_morse_equality_on_full_complex(g):
+    # sum_k (-1)^k critical k-simplices = sum_k (-1)^k k-simplices
+    critical = [sum(is_vertex_critical(g, v) for v in range(1, g.n + 1))]
+    critical += critical_counts_direct(g, g.n - 1).counts
+    assert _euler(critical) == _euler(clique_count(g, size) for size in range(1, g.n + 1))
+
+
+def test_morse_equivalence_suite_two_workers_match_serial(monkeypatch):
+    from cliquestats import verify
+    kwargs = dict(random_graphs=21, random_n=8, seed=3, enum_ns=(5,))
+    serial = verify.suite_morse_equivalence(**kwargs)
+    assert verify.suite_morse_equivalence(threads=2, **kwargs) == serial
+    assert [r.name for r in serial[2:]] == ["morse equivalence 21 random graphs n=8",
+                                            "acyclicity 21 random graphs n=8"]
+    # flag every graph with an odd edge count: both corpora are tallied over
+    # all their chunks (the forked workers see the patch)
+    monkeypatch.setattr(verify, "_equiv_on_graph", lambda g, d: (g.edge_count % 2 == 0, True))
+    odd = sum(sample_gnp(GnpParams(8, 0.5, 3), r).edge_count % 2 for r in range(21))
+    for threads in (1, 2):
+        rows = verify.suite_morse_equivalence(threads=threads, **kwargs)
+        assert [r.detail for r in rows] == ["512 mismatches", "", "%d mismatches" % odd, ""]
