@@ -35,7 +35,7 @@ class BoundReport:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:  # NaN too
             raise ValueError("bound value must be nonnegative")
 
     @property
@@ -71,7 +71,7 @@ def moment_bound(mu1: float, mu2: float, c1: float, c2: float, c3: float) -> flo
 
 def convex_bound(d: int, smooth_b: float) -> BoundReport:
     """Transfer a smooth-class bound to the convex-set class."""
-    if smooth_b < 0:
+    if not smooth_b >= 0:  # NaN too
         raise ValueError("smooth bound must be nonnegative")
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -277,6 +277,8 @@ def link_bound(n: int, t_size: int, d: int, p: float) -> BoundPair:
 
 def clique_bound(n: int, d: int, p: float) -> BoundPair:
     """Printed constant for the clique-count vector, with the n rates folded in."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0.0 < p < 1.0:

@@ -25,6 +25,17 @@ from .morse import critical_counts_direct, lex_matching
 
 SEED_ENV = "CLIQUESTATS_SEED"
 
+# The verify flags each suite takes, by argparse dest, and the suite keyword
+# each one sets; a suite missing here takes none of them.
+VERIFY_FLAGS = {
+    "oracle": {"n_max": "n_max"},
+    "morse-equivalence": {"graphs": "random_graphs", "n": "random_n",
+                          "seed": "seed", "threads": "threads"},
+    "rates": {"replicates": "reps"},
+    "oracle-mc": {"replicates": "reps"},
+}
+VERIFY_OPTS = sorted({f for flags in VERIFY_FLAGS.values() for f in flags})
+
 
 class UsageError(ValueError):
     pass
@@ -37,16 +48,24 @@ def _default_seed() -> int:
         raise UsageError("%s must be an integer" % SEED_ENV) from None
 
 
+def _write(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, payload: dict, text: str | None = None):
+    """Write the JSON report to -o, or to stdout; text, when given, goes to
+    stdout in the JSON's place."""
     payload = {"version": __version__, "spec": _spec_echo(args), **payload}
     out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-        if text:
-            print(text)
-    else:
-        sys.stdout.write(text + "\n" if text else out)
+        _write(args.output, out)
+    if text or not args.output:
+        _write(None, text + "\n" if text else out)
 
 
 def _spec_echo(args) -> dict:
@@ -126,12 +145,7 @@ def cmd_simulate(args) -> int:
         lines = [header]
         for r in range(raw.shape[0]):
             lines.append(",".join("%.10g" % v for v in list(raw[r]) + list(std[r])))
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(args.output, "\n".join(lines) + "\n")
         return 0
     cov = mc.empirical_cov(std)
     _emit(args, {
@@ -144,20 +158,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "oracle" and args.n_max:
-        kwargs["n_max"] = args.n_max
-    if args.suite == "morse-equivalence":
-        if args.graphs:
-            kwargs["random_graphs"] = args.graphs
-        if args.n:
-            kwargs["random_n"] = args.n
-        kwargs["seed"] = args.seed if args.seed is not None else 1
-        if args.threads > 1:
-            kwargs["threads"] = args.threads
-    if args.suite in ("rates", "oracle-mc") and args.replicates:
-        kwargs["reps"] = args.replicates
-    results = vf.run_suite(args.suite, **kwargs)
+    takes = VERIFY_FLAGS.get(args.suite, {})
+    given = [f for f in VERIFY_OPTS if getattr(args, f) is not None]
+    if args.threads == 1:  # the default, kept for the spec echo
+        given.remove("threads")
+    refused = [f for f in given if f not in takes]
+    if refused:
+        raise UsageError("suite %s does not take %s" % (
+            args.suite, ", ".join("--" + f.replace("_", "-") for f in refused)))
+    results = vf.run_suite(args.suite, **{takes[f]: getattr(args, f) for f in given})
     lines = [r.row() for r in results]
     ok = all(r.ok for r in results)
     payload = {"suite": args.suite,
@@ -180,12 +189,7 @@ def cmd_morse_demo(args) -> int:
     crit = critical_counts_direct(g, min(args.d, g.n - 1))
     lines = [m.dump(), "",
              "critical counts (sizes 2..%d): %s" % (crit.d + 1, list(crit.counts))]
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -199,13 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "normal-approximation bounds, simulation, verification.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, n=True, p_flag=True, d=True):
-        if n:
-            p.add_argument("--n", type=int, required=False)
-        if p_flag:
-            p.add_argument("--p", type=float, required=False)
-        if d:
-            p.add_argument("--d", type=int, default=1)
+    def common(p):
+        p.add_argument("--n", type=int, required=False)
+        p.add_argument("--p", type=float, required=False)
+        p.add_argument("--d", type=int, default=1)
         p.add_argument("-o", "--output", default=None)
 
     pm = sub.add_parser("moments", help="closed-form / oracle moment report")
@@ -245,12 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=sorted(vf.SUITES) + ["all"], required=True)
-    pv.add_argument("--n-max", type=int, default=None)
-    pv.add_argument("--graphs", type=int, default=None)
-    pv.add_argument("--n", type=int, default=None)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--replicates", type=int, default=None)
-    pv.add_argument("--threads", type=int, default=1)
+    for flag in VERIFY_OPTS:
+        pv.add_argument("--" + flag.replace("_", "-"), type=int,
+                        default=1 if flag == "threads" else None)
     pv.add_argument("-o", "--output", default=None)
     pv.set_defaults(func=cmd_verify)
 

@@ -89,9 +89,6 @@ class Graph:
     def edge_count(self) -> int:
         return self.edge_mask.bit_count()
 
-    def neighbors(self, v: int) -> list[int]:
-        return _bits(self.adj[v])
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edge_mask == other.edge_mask
 
@@ -125,15 +122,6 @@ class Graph:
                     no, "two vertex numbers" if k else "a vertex count", " ".join(fields)))
             values.append(ints)
         return cls.from_edges(values[0][0], values[1:])
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)

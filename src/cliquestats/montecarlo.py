@@ -20,7 +20,7 @@ import numpy as np
 from .bounds import BoundReport
 from . import moments
 from .graphs import check_seed, gnp_generator
-from .kinds import KINDS, _small_graph_counts, statistic  # noqa: F401 (re-exported)
+from .kinds import _small_graph_counts, statistic  # noqa: F401 (re-exported)
 
 PSD_TOL = 1e-9  # relative to the trace: how negative an eigenvalue may round
 QUANTILE_CUTS = 9  # per axis of the rectangle grid, and per halfspace direction

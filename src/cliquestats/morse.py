@@ -133,11 +133,16 @@ def critical_counts_formula(g: Graph, d: int) -> CriticalVector:
     return CriticalVector(counts)
 
 
+def critical_minima(g: Graph, k: int) -> list[int]:
+    """min(s) of every critical size-k simplex s, by the indicator sum."""
+    return [s[0] for s in cliques(g, k) if _crit_indicator(g, s)]
+
+
 def truncated_critical_count(g: Graph, k: int, K: int) -> int:
     """The size-k critical-count sum restricted to simplices with min(s) <= K."""
     if not 1 <= K <= g.n - k + 1:
         raise ValueError("K must lie in [1, n-k+1]")
-    return sum(_crit_indicator(g, s) for s in cliques(g, k) if s[0] <= K)
+    return sum(m <= K for m in critical_minima(g, k))
 
 
 def is_vertex_critical(g: Graph, v: int) -> bool:

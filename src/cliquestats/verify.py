@@ -21,7 +21,7 @@ from . import oracle as orc
 from .graphs import Graph, GnpParams, gnp_generator, gnp_mask, sample_gnp
 from .kinds import statistic
 from .morse import (critical_counts_direct, critical_counts_formula,
-                    lex_matching, verify_acyclic)
+                    critical_minima, lex_matching, verify_acyclic)
 
 REL_TOL_ORACLE = 1e-10
 
@@ -57,6 +57,8 @@ def _rel_close(a: float, b: float, tol: float = REL_TOL_ORACLE) -> bool:
 
 def suite_oracle(n_max: int = 5, ps=(0.2, 0.5, 0.8), d_max: int = 3) -> list:
     """Analytic moments vs exhaustive enumeration, relative 1e-10."""
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
     results = []
     for n in range(2, n_max + 1):
         for p in ps:
@@ -108,6 +110,10 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     Each corpus, a range or list of edge masks, is split into one job per
     worker, so worker counts do not change the result.
     """
+    if random_graphs < 1:
+        raise ValueError("random_graphs must be >= 1")
+    if random_n < 4:  # the random corpus checks sizes up to 4
+        raise ValueError("random_n must be >= 4")
     params = GnpParams(random_n, 0.5, seed)
     corpora = [("all %d graphs n=%d" % (1 << math.comb(n, 2), n), "all graphs n=%d" % n,
                 n, min(3, n - 1), range(1 << math.comb(n, 2))) for n in enum_ns]
@@ -174,9 +180,11 @@ def suite_bound_spots() -> list:
 
 def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
     """Standardized simulation W against a normal sample with the closed-form
-    correlation, or with W's own covariance where there is none: returns
-    that covariance and the smooth and convex discrepancy reports."""
-    w = mc.standardize(mc.simulate_raw(cfg, threads=threads), cfg)
+    correlation, or with W's own covariance where there is none: returns the
+    raw count rows, that covariance and the smooth and convex discrepancy
+    reports."""
+    raw = mc.simulate_raw(cfg, threads=threads)
+    w = mc.standardize(raw, cfg)
     cov = statistic(cfg.kind).cov_matrix(cfg.n, cfg.d, cfg.p, len(cfg.t))
     if cov is None:
         corr = mc.empirical_cov(w)
@@ -185,15 +193,10 @@ def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
         corr = np.array(cov) / np.outer(sd, sd)
     # the auxiliary seeds wrap so that the largest 64-bit master seed works
     z = mc.mvn_samples(corr, cfg.replicates, (cfg.master_seed + 1) % 2 ** 64)
-    return (corr,
+    return (raw, corr,
             mc.smooth_discrepancy(w, z, bound=pair.smooth if pair else None),
             mc.convex_discrepancy(w, z, bound=pair.convex if pair else None,
                                   seed=(cfg.master_seed + 2) % 2 ** 64))
-
-
-def _matched_discrepancies(kind: str, n: int, p: float, d: int, reps: int,
-                           seed: int, t=()):
-    return _match_normal(mc.MCConfig(kind, n, p, d, reps, seed, t=t))[1:]
 
 
 def _ratio_gate(name, r_small, r_big, ratio) -> GateResult:
@@ -213,12 +216,13 @@ def _strict_decrease_gate(name, r_small, r_big) -> GateResult:
                  (r_small.estimate, r_big.estimate, drop, slack))
 
 
-def suite_rates(reps: int = 100_000, seed: int = 20240) -> list:
+def suite_rates(reps: int = 100_000) -> list:
     """Decay-rate and non-vacuous-bound checks for the three statistics."""
     results = []
+    seed = 20240
 
-    sm40, cx40 = _matched_discrepancies("clique", 40, 0.5, 2, reps, seed)
-    sm80, cx80 = _matched_discrepancies("clique", 80, 0.5, 2, reps, seed + 10)
+    sm40, cx40 = _match_normal(mc.MCConfig("clique", 40, 0.5, 2, reps, seed))[2:]
+    sm80, cx80 = _match_normal(mc.MCConfig("clique", 80, 0.5, 2, reps, seed + 10))[2:]
     results.append(_ratio_gate("clique d=2 smooth ratio<=0.75 n=40->80", sm40, sm80, 0.75))
     results.append(_ratio_gate("clique d=2 convex rate<=2^-1/4 n=40->80",
                                cx40, cx80, 2.0 ** -0.25))
@@ -227,14 +231,16 @@ def suite_rates(reps: int = 100_000, seed: int = 20240) -> list:
                               mc.bound_check(sm40, b40),
                               "est %.3g vs bound %.3g" % (sm40.estimate, b40.value)))
 
-    sm1, _ = _matched_discrepancies("clique", 100, 0.5, 1, reps // 2, seed + 20)
+    sm1 = _match_normal(mc.MCConfig("clique", 100, 0.5, 1, reps // 2, seed + 20))[2]
     b1 = bd.clique_bound(100, 1, 0.5).smooth
     results.append(GateResult("clique d=1 non-vacuous bound check n=100",
                               mc.bound_check(sm1, b1),
                               "est %.3g vs bound %.3g" % (sm1.estimate, b1.value)))
 
-    lsm100, lcx100 = _matched_discrepancies("link", 100, 0.5, 1, reps, seed + 30, t=(1,))
-    lsm400, lcx400 = _matched_discrepancies("link", 400, 0.5, 1, reps, seed + 40, t=(1,))
+    lsm100, lcx100 = _match_normal(
+        mc.MCConfig("link", 100, 0.5, 1, reps, seed + 30, t=(1,)))[2:]
+    lsm400, lcx400 = _match_normal(
+        mc.MCConfig("link", 400, 0.5, 1, reps, seed + 40, t=(1,)))[2:]
     results.append(_ratio_gate("link d=1 smooth no-increase n=100->400",
                                lsm100, lsm400, 1.0))
     results.append(_strict_decrease_gate("link d=1 convex decrease n=100->400",
@@ -256,9 +262,10 @@ def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
     stat = statistic(cfg.kind)
     ts = len(cfg.t)
     pair = stat.bound(cfg.n, cfg.d, cfg.p, ts)
-    corr, sm, cx = _match_normal(cfg, threads, pair)
-    # off-diagonals without a closed form are W's empirical ones
-    moments_rep = stat.moment_report(cfg.n, cfg.d, cfg.p, ts, (corr.tolist(), "empirical"))
+    raw, _, sm, cx = _match_normal(cfg, threads, pair)
+    # off-diagonals without a closed form are the raw rows' empirical ones
+    moments_rep = stat.moment_report(cfg.n, cfg.d, cfg.p, ts,
+                                     (mc.empirical_cov(raw).tolist(), "empirical"))
     return {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in cfg.__dict__.items()},
@@ -276,7 +283,8 @@ def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
 # suite: variance-order  (acceptance criterion 7)
 
 
-def suite_variance_order(ns=(100, 200, 400), k: int = 1, p: float = 0.5) -> list:
+def suite_variance_order() -> list:
+    ns, k, p = (100, 200, 400), 1, 0.5
     results = []
     cexact = [mo.crit_variance(n, k, p) / n ** (2 * k) for n in ns]
     clower = [mo.crit_variance_lower(n, k, p) / n ** (2 * k) for n in ns]
@@ -300,17 +308,14 @@ def suite_variance_order(ns=(100, 200, 400), k: int = 1, p: float = 0.5) -> list
 # suite: truncation  (acceptance criterion 8)
 
 
-def suite_truncation(n: int = 30, k: int = 1, p: float = 0.5,
-                     Ks=(5, 10, 20), reps: int = 10_000, seed: int = 808) -> list:
-    from .graphs import cliques
-    from .morse import _crit_indicator
-
+def suite_truncation() -> list:
+    n, k, p, reps, seed = 30, 1, 0.5, 10_000, 808
+    Ks = (5, 10, 20)
     results = []
     exceed = {K: 0 for K in Ks}
     for r in range(reps):
         g = sample_gnp(GnpParams(n, p, seed), stream=r)
-        mins = [s[0] for s in cliques(g, k + 1) if _crit_indicator(g, s)]
-        top = max(mins, default=0)
+        top = max(critical_minima(g, k + 1), default=0)
         for K in Ks:
             if top > K:  # full count minus K-truncated count >= 1
                 exceed[K] += 1
@@ -332,7 +337,8 @@ def suite_truncation(n: int = 30, k: int = 1, p: float = 0.5,
 # suite: degenerate-sigma  (acceptance criterion 9)
 
 
-def suite_degenerate_sigma(seed: int = 4242) -> list:
+def suite_degenerate_sigma() -> list:
+    seed = 4242
     results = []
     rank1 = np.array([[1.0, 1.0], [1.0, 1.0]])
     s = mc.mvn_samples(rank1, 2000, seed)
@@ -362,9 +368,9 @@ def suite_degenerate_sigma(seed: int = 4242) -> list:
 # extra suite: oracle-mc (statistical cross-check of the simulator)
 
 
-def suite_oracle_mc(n: int = 5, p: float = 0.5, reps: int = 1_000_000,
-                    seed: int = 515) -> list:
+def suite_oracle_mc(reps: int = 1_000_000) -> list:
     """Empirical moments converge to exhaustive-oracle moments, 5-sigma gates."""
+    n, p, seed = 5, 0.5, 515
     results = []
     plans = [("critical", 2, (), reps),
              ("clique", 2, (), reps // 5),

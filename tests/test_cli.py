@@ -1,7 +1,13 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from cliquestats import cli
+from cliquestats import verify as vf
 
 RUN = [sys.executable, "-m", "cliquestats.cli"]
 
@@ -173,3 +179,49 @@ def test_non_integer_seed_env_exit2():
                   env={"CLIQUESTATS_SEED": "abc"})
     assert res.returncode == 2
     assert "CLIQUESTATS_SEED" in res.stderr
+
+
+def test_bounds_clique_n0_exit2(capsys):
+    assert cli.main(["bounds", "--theorem", "clique", "--n", "0", "--d", "1",
+                     "--p", "0.5"]) == 2
+    assert "n must be >= 1" in capsys.readouterr().err
+
+
+def test_bounds_convex_nan_exit2(capsys):
+    assert cli.main(["bounds", "--theorem", "convex", "--d", "1",
+                     "--smooth-b", "nan"]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,flag", [
+    (suite, flag) for suite in [*vf.SUITES, "all"] for flag in cli.VERIFY_OPTS
+    if flag not in cli.VERIFY_FLAGS.get(suite, {})])
+def test_verify_flag_the_suite_does_not_take_exit2(suite, flag, capsys, monkeypatch):
+    monkeypatch.setattr(vf, "run_suite", lambda *a, **k: pytest.fail("a gate ran"))
+    opt = "--" + flag.replace("_", "-")
+    assert cli.main(["verify", "--suite", suite, opt, "2"]) == 2
+    err = capsys.readouterr().err
+    assert "does not take " + opt in err
+
+
+def test_verify_flag_table_matches_suite_signatures():
+    for suite, flags in cli.VERIFY_FLAGS.items():
+        params = inspect.signature(vf.SUITES[suite]).parameters
+        assert set(flags.values()) <= set(params), suite
+
+
+@pytest.mark.parametrize("args", [
+    ["--suite", "oracle", "--n-max", "1"],
+    ["--suite", "morse-equivalence", "--graphs", "0"],
+    ["--suite", "morse-equivalence", "--graphs", "-5"],
+    ["--suite", "morse-equivalence", "--n", "3"],
+])
+def test_verify_value_that_runs_no_gate_exit2(args, capsys):
+    assert cli.main(["verify", *args]) == 2
+    assert "must be >= " in capsys.readouterr().err
+
+
+def test_verify_oracle_n_max_2_exit0(capsys):
+    assert cli.main(["verify", "--suite", "oracle", "--n-max", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "oracle critical" in out and out.endswith("suite oracle: PASS\n")

@@ -287,3 +287,13 @@ def test_check_report_honors_empirical_standardization():
     assert report["discrepancies"]["smooth"]["estimate"] == want.estimate
     analytic = vf.matched_normal_report(mc.MCConfig("clique", 8, 0.5, 2, 2000, 3))
     assert analytic["discrepancies"]["smooth"]["estimate"] != want.estimate
+
+
+def test_check_report_prints_raw_covariance_off_diagonal():
+    # critical has no closed-form cross covariance: the report's off-diagonal
+    # is the raw rows' sample covariance, on the scale of its diagonal
+    cfg = mc.MCConfig("critical", 10, 0.5, 2, 500, 5)
+    cov = vf.matched_normal_report(cfg)["moments"]["cov"]
+    want = mc.empirical_cov(mc.simulate_raw(cfg))
+    assert cov[0][1] == cov[1][0] == want[0, 1]
+    assert cov[0][0] == mo.crit_variance(10, 1, 0.5)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from cliquestats.graphs import (GnpParams, Graph, all_graphs, clique_count, cliques,
                                 sample_gnp)
 from cliquestats.morse import (CriticalVector, Matching, critical_counts_direct,
-                               critical_counts_formula, is_vertex_critical,
+                               critical_counts_formula, critical_minima,
+                               is_vertex_critical,
                                lex_matching, truncated_critical_count,
                                verify_acyclic)
 
@@ -76,6 +77,15 @@ def test_equivalence_random_n12(p):
         g = sample_gnp(GnpParams(12, p, 21), stream=seed)
         assert critical_counts_direct(g, 3).counts == \
             critical_counts_formula(g, 3).counts
+
+
+def test_critical_minima_match_unmatched_simplices():
+    for seed in range(20):
+        g = sample_gnp(GnpParams(9, 0.5, 5), stream=seed)
+        matched = lex_matching(g, 5).simplices()
+        for k in (2, 3, 4):
+            want = [s[0] for s in cliques(g, k) if s not in matched]
+            assert critical_minima(g, k) == want
 
 
 def test_truncated_counts():
