@@ -179,6 +179,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_morse_demo(args) -> int:
+    if args.d < 1 or (args.max_size is not None and args.max_size < 1):
+        raise UsageError("--d and --max-size must be >= 1")
     if args.graph_file:
         with open(args.graph_file, encoding="utf-8") as fh:
             g = Graph.from_text(fh.read())

@@ -1,5 +1,5 @@
 """Graphs on vertex set {1..n}: G(n,p) sampling, exhaustive enumeration,
-clique and link-clique counting.
+clique listing, and one clique walk that counts cliques and link cliques.
 
 Edges are stored one bit per unordered pair, in lexicographic pair order
 ((1,2), (1,3), ..., (1,n), (2,3), ...).  Adjacency rows are n-bit masks
@@ -36,10 +36,11 @@ class Graph:
     """Immutable undirected graph on vertices 1..n.
 
     ``edge_mask`` packs edge presence in lexicographic pair order; ``adj[v]``
-    is the neighbour bitmask of vertex v (bit u set iff u~v, 1-indexed bits).
+    is the neighbour bitmask of vertex v (bit u set iff u~v, 1-indexed bits)
+    and ``vertex_mask`` has bits 1..n set.
     """
 
-    __slots__ = ("n", "edge_mask", "adj")
+    __slots__ = ("n", "edge_mask", "adj", "vertex_mask")
 
     def __init__(self, n: int, edge_mask: int = 0):
         if n < 1:
@@ -49,6 +50,7 @@ class Graph:
             raise ValueError("edge mask out of range for n=%d" % n)
         self.n = n
         self.edge_mask = edge_mask
+        self.vertex_mask = (1 << (n + 1)) - 2
         adj = [0] * (n + 1)
         bit = 0
         for i in range(1, n + 1):
@@ -220,21 +222,45 @@ def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     return out
 
 
+def clique_walk(adj, cand, top: int, minima=None) -> list[int]:
+    """Counts of the cliques of every size 0..top inside mask cand, from one
+    walk: s = P + {v} grows by C(s) = C(P) & adj[v] & below(v), the vertices
+    of cand below min(s) adjacent to all of s.  With minima (top + 1 lists),
+    min(s) goes to minima[|s|] for each critical s: size >= 2, C(s) empty
+    and C(P) & below(v) not.  Without it, size top is C(P).bit_count() alone."""
+    counts = [1] + [0] * top
+
+    def grow(c, size):  # c = C(P) for a clique P of this size
+        counts[size + 1] += c.bit_count()
+        mask = c if size + 1 < top or minima is not None else 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            child = c & adj[low.bit_length() - 1] & (low - 1)
+            if child and size + 1 < top:
+                grow(child, size + 1)
+            elif minima is not None and not child and size and c & (low - 1):
+                minima[size + 1].append(low.bit_length() - 1)
+
+    if top > 0:
+        grow(cand, 0)
+    return counts
+
+
 def clique_count(g: Graph, k: int) -> int:
-    return _count_cliques_in(g.adj, ((1 << (g.n + 1)) - 1) & ~1, k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return clique_walk(g.adj, g.vertex_mask, k)[k]
 
 
-def _count_cliques_in(adj, cand_mask, k) -> int:
-    if k == 1:
-        return cand_mask.bit_count()
-    total = 0
-    mask = cand_mask
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        mask ^= low
-        total += _count_cliques_in(adj, cand_mask & adj[v] & ~((1 << (v + 1)) - 1), k - 1)
-    return total
+def link_candidates(g: Graph, t) -> int:
+    """Mask of the vertices outside t adjacent to every vertex of t."""
+    if any(not 1 <= v <= g.n for v in t):
+        raise ValueError("t has vertices outside 1..n")
+    cand = g.vertex_mask
+    for v in t:
+        cand &= g.adj[v] & ~(1 << v)
+    return cand
 
 
 def link_count(g: Graph, t, k: int) -> int:
@@ -245,12 +271,4 @@ def link_count(g: Graph, t, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    t = tuple(sorted(set(t)))
-    if any(not 1 <= v <= g.n for v in t):
-        raise ValueError("t has vertices outside 1..n")
-    cand = ((1 << (g.n + 1)) - 1) & ~1
-    for v in t:
-        cand &= g.adj[v]
-    for v in t:
-        cand &= ~(1 << v)
-    return _count_cliques_in(g.adj, cand, k)
+    return clique_walk(g.adj, link_candidates(g, t), k)[k]

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
-from .graphs import Graph, clique_count, gnp_mask, link_count
+from .graphs import Graph, clique_walk, gnp_mask, link_candidates
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
 from .morse import critical_counts_formula
@@ -99,20 +99,21 @@ def _small_graph_counts(kind: str, n: int, mask: int, d: int, t: tuple) -> tuple
     return STATS[kind].count(Graph(n, mask), d, t)
 
 
-def _critical_replicate(cfg, rng) -> list:
+def _graph_replicate(cfg, rng) -> list:
+    """One G(n,p) draw counted by the kind's kernel, through the cache at n <= 6."""
     mask = gnp_mask(rng, cfg.n, cfg.p)
     if cfg.n <= 6:
-        return list(_small_graph_counts("critical", cfg.n, mask, cfg.d, ()))
-    return list(critical_counts_formula(Graph(cfg.n, mask), cfg.d).counts)
+        return list(_small_graph_counts(cfg.kind, cfg.n, mask, cfg.d, ()))
+    return list(STATS[cfg.kind].count(Graph(cfg.n, mask), cfg.d, ()))
 
 
 def _clique_replicate(cfg, rng) -> list:
+    if cfg.n <= 6 or cfg.d >= 3:
+        return _graph_replicate(cfg, rng)
     n = cfg.n
     mask = gnp_mask(rng, n, cfg.p)
-    if n <= 6:
-        return list(_small_graph_counts("clique", n, mask, cfg.d, ()))
     out = [float(mask.bit_count())]
-    if cfg.d >= 2:
+    if cfg.d == 2:  # the dense trace skips building a Graph
         m = comb(n, 2)
         bits = np.unpackbits(np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), np.uint8),
                              count=m, bitorder="little")
@@ -120,9 +121,6 @@ def _clique_replicate(cfg, rng) -> list:
         A[np.triu_indices(n, 1)] = bits
         A += A.T
         out.append(float(np.einsum("ij,ij->", A @ A, A)) / 6.0)
-    if cfg.d >= 3:
-        g = Graph(n, mask)
-        out.extend(clique_count(g, size) for size in range(4, cfg.d + 2))
     return out
 
 
@@ -134,21 +132,17 @@ def _link_replicate(cfg, rng) -> list:
     # evaluating the formula on a full G(n,p) draw.
     ts = len(cfg.t)
     m = int(np.count_nonzero(rng.random(cfg.n - ts) < cfg.p ** ts))
-    out = [m]
-    if cfg.d == 1:
-        return out
-    if m == 0:
-        return out + [0] * (cfg.d - 1)
+    if cfg.d == 1 or m == 0:
+        return [m] + [0] * (cfg.d - 1)
     inner = Graph(m, gnp_mask(rng, m, cfg.p))
-    out.extend(clique_count(inner, size) for size in range(2, cfg.d + 1))
-    return out
+    return clique_walk(inner.adj, inner.vertex_mask, cfg.d)[1:]
 
 
 STATS = {s.name: s for s in (
     Statistic(
         "critical", first_size=2, needs_t=False, min_overlap=1,
         count=lambda g, d, t: critical_counts_formula(g, d).counts,
-        replicate=_critical_replicate,
+        replicate=_graph_replicate,
         mean=lambda n, ts, k, p: crit_mean(n, k, p),
         var=lambda n, ts, k, p: crit_variance(n, k, p),
         cov=None,
@@ -156,7 +150,7 @@ STATS = {s.name: s for s in (
         mu=lambda phi, i, p, ts: crit_mu(i, min(phi), p)),
     Statistic(
         "link", first_size=1, needs_t=True, min_overlap=1,
-        count=lambda g, d, t: tuple(link_count(g, t, s) for s in range(1, d + 1)),
+        count=lambda g, d, t: tuple(clique_walk(g.adj, link_candidates(g, t), d)[1:]),
         replicate=_link_replicate,
         mean=lambda n, ts, k, p: link_mean(n, ts, k, p),
         var=lambda n, ts, k, p: link_cov(n, ts, k, k, p),
@@ -165,7 +159,7 @@ STATS = {s.name: s for s in (
         mu=lambda phi, i, p, ts: link_mu(ts, len(phi) - 1, p)),
     Statistic(
         "clique", first_size=2, needs_t=False, min_overlap=2,
-        count=lambda g, d, t: tuple(clique_count(g, s) for s in range(2, d + 2)),
+        count=lambda g, d, t: tuple(clique_walk(g.adj, g.vertex_mask, d + 1)[2:]),
         replicate=_clique_replicate,
         mean=lambda n, ts, k, p: clique_mean(n, k + 1, p),
         var=lambda n, ts, k, p: clique_cov(n, k, k, p),

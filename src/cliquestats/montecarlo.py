@@ -95,7 +95,9 @@ def simulate_raw(cfg: MCConfig, threads: int = 1) -> np.ndarray:
     range across workers and stacking in index order reproduces the serial
     result bit for bit.
     """
-    if threads <= 1 or cfg.replicates < 4 * threads:
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    if threads == 1 or cfg.replicates < 4 * threads:
         return _raw_chunk(cfg)
     edges = np.linspace(0, cfg.replicates, threads + 1, dtype=int)
     chunks = [replace(cfg, replicates=int(hi - lo),

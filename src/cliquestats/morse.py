@@ -4,16 +4,16 @@ counting, by direct matching construction and by the product-indicator sum.
 Vertices of a simplex are kept as sorted tuples.  For a clique s, the set
 I(s) = {j < min(s) : s+{j} is a clique} decides the upward match: s pairs
 with s+{min I(s)} whenever I(s) is nonempty.  Criticality for sizes >= 2 is
-what the counting formula covers; vertex criticality is a separate helper
-(vertex v is critical iff it has no smaller-labelled neighbour), outside the
-CLT-statistics scope.
+what the counting formula covers, read off one clique walk (clique_walk);
+vertex criticality is a separate helper (vertex v is critical iff it has no
+smaller-labelled neighbour), outside the CLT-statistics scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, cliques
+from .graphs import Graph, clique_walk, cliques
 
 
 @dataclass(frozen=True)
@@ -107,35 +107,22 @@ def critical_counts_direct(g: Graph, d: int) -> CriticalVector:
     return CriticalVector(counts)
 
 
-def _crit_indicator(g: Graph, s: tuple) -> int:
-    """Z_s * (Y+ - Y-) for a clique s: 1 iff no j < min(s) completes s to a
-    larger clique but some j < min(s) completes s minus its minimum."""
-    below = _below_mask(s[0])
-    a_full = below
-    for v in s:
-        a_full &= g.adj[v]
-    if a_full:
-        return 0
-    a_minus = below
-    for v in s[1:]:
-        a_minus &= g.adj[v]
-    return 1 if a_minus else 0
-
-
 def critical_counts_formula(g: Graph, d: int) -> CriticalVector:
-    """Evaluate the product-indicator sum for each size 2..d+1.
-
-    Subsets that are not cliques contribute 0, so the sum runs over cliques.
-    """
-    counts = tuple(
-        sum(_crit_indicator(g, s) for s in cliques(g, size))
-        for size in _crit_sizes(d, g.n))
-    return CriticalVector(counts)
+    """The product-indicator sum for each size 2..d+1.  Subsets that are not
+    cliques contribute 0, so the sum runs over the cliques of one walk."""
+    sizes = _crit_sizes(d, g.n)
+    minima = [[] for _ in range(d + 2)]
+    clique_walk(g.adj, g.vertex_mask, d + 1, minima)
+    return CriticalVector(tuple(len(minima[size]) for size in sizes))
 
 
 def critical_minima(g: Graph, k: int) -> list[int]:
-    """min(s) of every critical size-k simplex s, by the indicator sum."""
-    return [s[0] for s in cliques(g, k) if _crit_indicator(g, s)]
+    """min(s) of every critical size-k simplex s, in ascending order."""
+    if not 2 <= k <= g.n:
+        raise ValueError("k must lie in [2, n]")
+    minima = [[] for _ in range(k + 1)]
+    clique_walk(g.adj, g.vertex_mask, k, minima)
+    return sorted(minima[k])
 
 
 def truncated_critical_count(g: Graph, k: int, K: int) -> int:

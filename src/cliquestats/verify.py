@@ -114,6 +114,8 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
         raise ValueError("random_graphs must be >= 1")
     if random_n < 4:  # the random corpus checks sizes up to 4
         raise ValueError("random_n must be >= 4")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     params = GnpParams(random_n, 0.5, seed)
     corpora = [("all %d graphs n=%d" % (1 << math.comb(n, 2), n), "all graphs n=%d" % n,
                 n, min(3, n - 1), range(1 << math.comb(n, 2))) for n in enum_ns]
@@ -121,13 +123,12 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     corpora.append((name, name, random_n, 3,
                     [gnp_mask(gnp_generator(params.seed, r), params.n, params.p)
                      for r in range(random_graphs)]))
-    parts = max(threads, 1)
-    jobs = [(n, d, masks[len(masks) * i // parts:len(masks) * (i + 1) // parts])
-            for _, _, n, d, masks in corpora for i in range(parts)]
+    jobs = [(n, d, masks[len(masks) * i // threads:len(masks) * (i + 1) // threads])
+            for _, _, n, d, masks in corpora for i in range(threads)]
     counts = mc.parallel_map(_equiv_tally, jobs, threads)
     results = []
     for c, (eq_name, acy_name, *_) in enumerate(corpora):
-        bad_eq, bad_acy = map(sum, zip(*counts[c * parts:(c + 1) * parts]))
+        bad_eq, bad_acy = map(sum, zip(*counts[c * threads:(c + 1) * threads]))
         results.append(_gate("morse equivalence " + eq_name, bad_eq == 0,
                              "%d mismatches" % bad_eq))
         results.append(_gate("acyclicity " + acy_name, bad_acy == 0))
@@ -218,6 +219,8 @@ def _strict_decrease_gate(name, r_small, r_big) -> GateResult:
 
 def suite_rates(reps: int = 100_000) -> list:
     """Decay-rate and non-vacuous-bound checks for the three statistics."""
+    if reps < 4:  # the clique n=100 check runs reps // 2
+        raise ValueError("reps must be >= 4 (got %d)" % reps)
     results = []
     seed = 20240
 
@@ -370,6 +373,8 @@ def suite_degenerate_sigma() -> list:
 
 def suite_oracle_mc(reps: int = 1_000_000) -> list:
     """Empirical moments converge to exhaustive-oracle moments, 5-sigma gates."""
+    if reps < 10:  # the clique and link checks run reps // 5
+        raise ValueError("reps must be >= 10 (got %d)" % reps)
     n, p, seed = 5, 0.5, 515
     results = []
     plans = [("critical", 2, (), reps),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -114,10 +115,17 @@ def exact_abs_moments_instance(n, d, p):
 
 
 def _crit_ind(g, phi):
-    from cliquestats.morse import _crit_indicator
+    """1 iff phi is a clique of g left unmatched by the lexicographical
+    matching, built one size beyond phi so an upward match is seen."""
     if any(not g.has_edge(a, b) for a, b in itertools.combinations(phi, 2)):
         return 0
-    return _crit_indicator(g, phi)
+    return int(phi not in _matched(g, min(len(phi) + 1, g.n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _matched(g, max_size):
+    from cliquestats.morse import lex_matching
+    return lex_matching(g, max_size).simplices()
 
 
 def test_crit_bound_dominates_generic():

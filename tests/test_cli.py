@@ -225,3 +225,43 @@ def test_verify_oracle_n_max_2_exit0(capsys):
     assert cli.main(["verify", "--suite", "oracle", "--n-max", "2"]) == 0
     out = capsys.readouterr().out
     assert "oracle critical" in out and out.endswith("suite oracle: PASS\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--kind", "clique", "--n", "8", "--p", "0.5", "--replicates", "5",
+     "--threads", "0"],
+    ["simulate", "--kind", "clique", "--n", "8", "--p", "0.5", "--replicates", "5",
+     "--threads", "-1", "--check"],
+    ["verify", "--suite", "morse-equivalence", "--threads", "-2"],
+    ["verify", "--suite", "morse-equivalence", "--threads", "0"],
+])
+def test_threads_below_1_exit2(args, capsys, monkeypatch):
+    from cliquestats import montecarlo as mc
+    monkeypatch.setattr(mc, "_raw_chunk", lambda *a: pytest.fail("a replicate ran"))
+    monkeypatch.setattr(mc, "parallel_map", lambda *a: pytest.fail("a job ran"))
+    assert cli.main(args) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite,reps,least", [
+    ("rates", 3, 4), ("rates", 0, 4), ("oracle-mc", 6, 10), ("oracle-mc", 9, 10)])
+def test_verify_too_few_replicates_exit2_before_simulating(suite, reps, least, capsys,
+                                                          monkeypatch):
+    from cliquestats import montecarlo as mc
+    monkeypatch.setattr(mc, "simulate_raw", lambda *a, **k: pytest.fail("simulated"))
+    assert cli.main(["verify", "--suite", suite, "--replicates", str(reps)]) == 2
+    assert "reps must be >= %d (got %d)" % (least, reps) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--d", "0"], ["--d", "-3"], ["--max-size", "0"],
+                                  ["--max-size", "-1"]])
+def test_morse_demo_size_below_1_exit2(args, capsys):
+    assert cli.main(["morse-demo", "--n", "6", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--d and --max-size must be >= 1" in captured.err
+
+
+def test_morse_demo_max_size_1_exit0(capsys):
+    assert cli.main(["morse-demo", "--n", "6", "--d", "1", "--max-size", "1"]) == 0
+    assert "critical counts (sizes 2..2):" in capsys.readouterr().out

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph,
-                                all_graphs, clique_count, cliques,
+                                all_graphs, clique_count, clique_walk, cliques,
                                 gnp_generator, gnp_mask, graph_probability,
-                                link_count, sample_gnp)
+                                link_candidates, link_count, sample_gnp)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 
@@ -91,6 +91,32 @@ def test_clique_count_matches_listing_and_brute_force():
 def test_clique_count_complete_and_empty(n, k):
     assert clique_count(Graph.complete(n), k) == math.comb(n, k)
     assert clique_count(Graph.empty(n), k) == 0
+
+
+def _walk_corpus():
+    yield from all_graphs(5)
+    for n, p in ((12, 0.5), (12, 0.8), (40, 0.5)):
+        for stream in range(10):
+            yield sample_gnp(GnpParams(n, p, 31), stream=stream)
+
+
+def test_clique_walk_counts_match_listings():
+    # one walk gives every size at once: each must equal the length of the
+    # cliques() listing and clique_count, and on a link mask the literal count
+    for g in _walk_corpus():
+        top = min(g.n, 6)
+        want = [1] + [len(cliques(g, k)) for k in range(1, top + 1)]
+        assert clique_walk(g.adj, g.vertex_mask, top) == want
+        assert [clique_count(g, k) for k in range(1, top + 1)] == want[1:]
+        links = clique_walk(g.adj, link_candidates(g, (1, 3)), 3)
+        assert links[1:] == [link_count(g, (1, 3), k) for k in (1, 2, 3)]
+        assert links[1:] == [brute_link(g, (1, 3), k) for k in (1, 2, 3)]
+
+
+def test_clique_count_rejects_k_below_1():
+    for g, k in ((Graph.complete(4), 0), (Graph.complete(4), -1), (Graph.empty(3), 0)):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            clique_count(g, k)
 
 
 def test_link_count_examples():

@@ -88,6 +88,58 @@ def test_critical_minima_match_unmatched_simplices():
             assert critical_minima(g, k) == want
 
 
+def _crit_indicator_reference(g, s):
+    """The per-clique product indicator the clique walk replaced: 1 iff no
+    j < min(s) completes s to a larger clique but some j < min(s) completes
+    s minus its minimum."""
+    below = (1 << s[0]) - 2
+    a_full = below
+    for v in s:
+        a_full &= g.adj[v]
+    if a_full:
+        return 0
+    a_minus = below
+    for v in s[1:]:
+        a_minus &= g.adj[v]
+    return 1 if a_minus else 0
+
+
+def _assert_walk_matches_reference(g, d_max):
+    minima = {k: [s[0] for s in cliques(g, k) if _crit_indicator_reference(g, s)]
+              for k in range(2, d_max + 2)}
+    for d in range(1, d_max + 1):
+        want = tuple(len(minima[k]) for k in range(2, d + 2))
+        assert critical_counts_formula(g, d).counts == want
+    for k, want in minima.items():
+        assert critical_minima(g, k) == want
+
+
+def test_critical_walk_matches_indicator_reference_exhaustive():
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            _assert_walk_matches_reference(g, n - 1)
+
+
+@pytest.mark.parametrize("n,d_max,graphs", [(12, 3, 40), (40, 3, 10), (100, 1, 5)])
+def test_critical_walk_matches_indicator_reference_random(n, d_max, graphs):
+    for p in (0.3, 0.5, 0.8):
+        for stream in range(graphs):
+            _assert_walk_matches_reference(sample_gnp(GnpParams(n, p, 17), stream=stream), d_max)
+
+
+def test_critical_minima_and_truncation_reject_k_below_2():
+    g = Graph.empty(3)
+    # size-1 criticality is is_vertex_critical's, which marks all of 1..3 here
+    assert [v for v in range(1, 4) if is_vertex_critical(g, v)] == [1, 2, 3]
+    for k in (1, 0, -1):
+        with pytest.raises(ValueError, match=r"k must lie in \[2, n\]"):
+            critical_minima(g, k)
+    with pytest.raises(ValueError, match=r"k must lie in \[2, n\]"):
+        truncated_critical_count(g, 1, 3)
+    with pytest.raises(ValueError):
+        critical_minima(g, 4)
+
+
 def test_truncated_counts():
     g = Graph.from_edges(3, [(1, 3), (2, 3)])
     assert truncated_critical_count(g, 2, 1) == 0
