@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from math import comb
 
-from .moments import comb0, crit_mu, crit_variance, sigma
+from .moments import _check_p_open, comb0, crit_mu, crit_variance, sigma
 
 VACUOUS_AT = 2.0
 
@@ -35,8 +35,8 @@ class BoundReport:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.value >= 0:  # NaN too
-            raise ValueError("bound value must be nonnegative")
+        if not 0 <= self.value < math.inf:  # NaN and inf too
+            raise ValueError("bound value %r is not finite and nonnegative" % self.value)
 
     @property
     def vacuous(self) -> bool:
@@ -216,8 +216,7 @@ def crit_bound(n: int, d: int, p: float) -> BoundPair:
     """
     if d + 1 > n:
         raise ValueError("need d+1 <= n")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0,1)")
+    _check_p_open(p)
     sigmas = sigma([crit_variance(n, k, p) for k in range(1, d + 1)])
     # size-(k+1) subsets meeting a fixed size-(l+1) subset
     dmax = [[comb(n, k + 1) - comb(n - l - 1, k + 1)
@@ -262,8 +261,7 @@ def link_bound(n: int, t_size: int, d: int, p: float) -> BoundPair:
     folded in."""
     if not n > t_size >= 1:
         raise ValueError("need n > t_size >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0,1)")
+    _check_p_open(p)
     b = (7.0 / 6.0 * (2 * d + 1) ** (5 * d + 8.5)
          * (p ** (-t_size) - 1.0) ** -1.5
          * p ** (-(d + 1) * (d + 2 * t_size)))
@@ -281,8 +279,7 @@ def clique_bound(n: int, d: int, p: float) -> BoundPair:
         raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0,1)")
+    _check_p_open(p)
     c = comb(d + 1, 2)
     b = (16.0 / 3.0 * d ** (2 * d + 5) * p ** (-3 * c + 1)
          * (1.0 - p ** c) * (p ** -1 - 1.0) ** -1.5)

@@ -19,7 +19,7 @@ from . import moments as mo
 from . import montecarlo as mc
 from . import oracle as orc
 from . import verify as vf
-from .graphs import Graph, GnpParams, sample_gnp
+from .graphs import MAX_ENUM_VERTICES, Graph, GnpParams, sample_gnp
 from .kinds import KINDS, statistic
 from .morse import critical_counts_direct, lex_matching
 
@@ -74,10 +74,6 @@ def _spec_echo(args) -> dict:
             if k not in skip and v is not None}
 
 
-def _report_dict(rep) -> dict:
-    return json.loads(rep.to_json())
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -91,17 +87,17 @@ def cmd_moments(args) -> int:
     _need(args, "n", "p")
     offdiag = None
     if statistic(args.kind).cov is None and args.d > 1:
-        if args.n <= 6:
+        if args.n <= MAX_ENUM_VERTICES:
             em = orc.exact_moments(args.kind, args.n, args.p, args.d)
             offdiag = (em.cov, "exact-oracle")
         else:
             raw = mc.simulate_raw(mc.MCConfig(
                 args.kind, args.n, args.p, args.d,
-                args.replicates or 20_000, args.master_seed))
+                20_000 if args.replicates is None else args.replicates, args.master_seed))
             offdiag = (mc.empirical_cov(raw).tolist(), "empirical")
     rep = mo.statistic_cov_matrix(args.kind, args.n, args.d, args.p,
                                   t_size=args.t_size, oracle_offdiag=offdiag)
-    _emit(args, {"report": _report_dict(rep)})
+    _emit(args, {"report": json.loads(rep.to_json())})
     return 0
 
 
@@ -109,7 +105,9 @@ def cmd_bounds(args) -> int:
     th = args.theorem
     if th in KINDS:
         _need(args, "n", "p")
-        pair = statistic(th).bound(args.n, args.d, args.p, args.t_size)
+        stat = statistic(th)
+        stat.check(args.n, args.d, tuple(range(1, args.t_size + 1)) if stat.needs_t else ())
+        pair = stat.bound(args.n, args.d, args.p, args.t_size)
         reports = [pair.smooth, pair.convex]
     elif th == "convex":
         if args.smooth_b is None:
@@ -124,7 +122,7 @@ def cmd_bounds(args) -> int:
         reports = [fn(k_vec, alpha, args.beta)]
     else:
         raise UsageError("unknown theorem %r" % th)
-    _emit(args, {"reports": [_report_dict(r) for r in reports]})
+    _emit(args, {"reports": [json.loads(r.to_json()) for r in reports]})
     return 0
 
 
@@ -272,7 +270,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (ValueError, OSError) as exc:  # UsageError is a ValueError
+    except (ValueError, OSError, OverflowError) as exc:  # UsageError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

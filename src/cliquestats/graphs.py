@@ -137,9 +137,14 @@ class GnpParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0,1]")
+        check_p(self.p)
         check_seed(self.seed)
+
+
+def check_p(p: float) -> None:
+    """An edge probability must lie in [0,1]; NaN does not."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0,1]")
 
 
 def check_seed(seed: int) -> None:
@@ -188,8 +193,7 @@ def all_graphs(n: int):
 
 def graph_probability(g: Graph, p: float) -> float:
     """P(G(n,p) = g) = p^edges * (1-p)^missing."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     m = comb(g.n, 2)
     e = g.edge_count
     return p ** e * (1.0 - p) ** (m - e)

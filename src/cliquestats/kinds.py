@@ -1,8 +1,8 @@
 """The statistic registry: one entry per count vector with its component
-sizes and argument checks, its scalar count kernel (graph -> vector) and
-Monte Carlo replicate kernel, its closed-form moments, its bound pair and its
-dissociated-sum pieces.  The rest of the library looks kinds up here instead
-of branching on them."""
+sizes and argument checks, its scalar count kernel (graph -> vector), count
+table (every small graph counted once) and Monte Carlo replicate kernel, its
+closed-form moments, its bound pair and its dissociated-sum pieces.  The rest
+of the library looks kinds up here instead of branching on them."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
-from .graphs import Graph, clique_walk, gnp_mask, link_candidates
+from .graphs import MAX_ENUM_VERTICES, Graph, all_graphs, clique_walk, gnp_mask, link_candidates
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
 from .morse import critical_counts_formula
@@ -45,6 +45,8 @@ class Statistic:
 
     def check(self, n: int, d: int, t) -> None:
         """Reject d or t when the largest component does not fit in n."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if d < 1:
             raise ValueError("d must be >= 1")
         if self.needs_t:
@@ -94,21 +96,25 @@ class Statistic:
         return MomentReport(self.name, params, mean, cov, provenance)
 
 
-@lru_cache(maxsize=1 << 16)
-def _small_graph_counts(kind: str, n: int, mask: int, d: int, t: tuple) -> tuple:
-    return STATS[kind].count(Graph(n, mask), d, t)
+@lru_cache(maxsize=64)  # 64 tables on 6 vertices take at most about 30 MB
+def _small_graph_counts(kind: str, n: int, d: int, t: tuple) -> tuple:
+    """Count vectors of every graph on n vertices by edge mask, equal ones
+    sharing a tuple; kinds without a fixed subset take t = ()."""
+    shared: dict = {}
+    return tuple(shared.setdefault(v, v) for v in
+                 (STATS[kind].count(g, d, t) for g in all_graphs(n)))
 
 
 def _graph_replicate(cfg, rng) -> list:
-    """One G(n,p) draw counted by the kind's kernel, through the cache at n <= 6."""
+    """One G(n,p) draw counted by the kind's kernel, from the count table at small n."""
     mask = gnp_mask(rng, cfg.n, cfg.p)
-    if cfg.n <= 6:
-        return list(_small_graph_counts(cfg.kind, cfg.n, mask, cfg.d, ()))
+    if cfg.n <= MAX_ENUM_VERTICES:
+        return list(_small_graph_counts(cfg.kind, cfg.n, cfg.d, ())[mask])
     return list(STATS[cfg.kind].count(Graph(cfg.n, mask), cfg.d, ()))
 
 
 def _clique_replicate(cfg, rng) -> list:
-    if cfg.n <= 6 or cfg.d >= 3:
+    if cfg.n <= MAX_ENUM_VERTICES or cfg.d >= 3:
         return _graph_replicate(cfg, rng)
     n = cfg.n
     mask = gnp_mask(rng, n, cfg.p)

@@ -26,6 +26,8 @@ import json
 import math
 from dataclasses import dataclass
 
+from .graphs import check_p
+
 
 def comb0(n: int, k: int) -> int:
     """Binomial coefficient with the zero convention for out-of-range args."""
@@ -66,8 +68,7 @@ def sigma(variances) -> list[float]:
 def crit_mean(n: int, k: int, p: float) -> float:
     """Exact expected number of critical k-simplices (size k+1)."""
     _check_crit_args(n, k)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     s = math.fsum(
         comb0(n - l - 1, k) * ((1.0 - p ** (k + 1)) ** l - (1.0 - p ** k) ** l)
         for l in range(0, n - k))
@@ -77,8 +78,7 @@ def crit_mean(n: int, k: int, p: float) -> float:
 def crit_mean_bounds(n: int, k: int, p: float) -> tuple[float, float]:
     """Two-sided bracket for the critical mean."""
     _check_crit_args(n, k)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     c = math.comb(k + 1, 2)
     lo = p ** (c + k) * comb0(n - 2, k) * (1.0 - p)
     hi_exp = c - k - 1
@@ -92,8 +92,7 @@ def crit_mean_bounds(n: int, k: int, p: float) -> tuple[float, float]:
 def crit_variance(n: int, k: int, p: float) -> float:
     """Var of the critical count at size k+1, exact."""
     _check_crit_args(n, k)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     if p in (0.0, 1.0):
         return 0.0  # the count is a.s. 0 at both endpoints
     C = comb0
@@ -227,8 +226,7 @@ def _check_link_args(n: int, t_size: int, k: int):
 def link_mean(n: int, t_size: int, k: int, p: float) -> float:
     """E of the count of k-simplices (size k+1 subsets) in the link of t."""
     _check_link_args(n, t_size, k)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     return comb0(n - t_size, k + 1) * link_mu(t_size, k, p)
 
 
@@ -237,8 +235,7 @@ def link_cov(n: int, t_size: int, k: int, l: int, p: float) -> float:
     _check_link_args(n, t_size, max(k, l))
     if min(k, l) < 0:
         raise ValueError("dimension must be >= 0")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     if p == 0.0 or p == 1.0:
         return 0.0
     if k < l:
@@ -266,8 +263,7 @@ def clique_mean(n: int, k: int, p: float) -> float:
     """Expected number of k-cliques (size k, not dimension)."""
     if not 2 <= k <= n:
         raise ValueError("need 2 <= size <= n")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     return comb0(n, k) * p ** math.comb(k, 2)
 
 
@@ -276,8 +272,7 @@ def clique_cov(n: int, i: int, j: int, p: float) -> float:
     si, sj = i + 1, j + 1
     if not (2 <= si <= n and 2 <= sj <= n):
         raise ValueError("sizes must lie in [2, n]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0,1]")
+    check_p(p)
     if si < sj:
         si, sj = sj, si
     tot = math.comb(si, 2) + math.comb(sj, 2)

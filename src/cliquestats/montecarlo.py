@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from . import moments
-from .graphs import check_seed, gnp_generator
+from .graphs import check_p, check_seed, gnp_generator
 from .kinds import _small_graph_counts, statistic  # noqa: F401 (re-exported)
 
 PSD_TOL = 1e-9  # relative to the trace: how negative an eigenvalue may round
@@ -43,8 +43,7 @@ class MCConfig:
         stat = statistic(self.kind)
         if self.replicates < 2:
             raise ValueError("need at least 2 replicates")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0,1]")
+        check_p(self.p)
         stat.check(self.n, self.d, self.t)
         if self.standardization not in ("analytic", "empirical"):
             raise ValueError("standardization must be analytic or empirical")

@@ -1,5 +1,5 @@
 """Ground truth by exhaustive enumeration: exact distributions and moments of
-the three count vectors over all 2^C(n,2) graphs, n <= 6."""
+the three count vectors over all 2^C(n,2) graphs, n <= 6, from the count tables."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ import math
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import all_graphs
-from .kinds import statistic
+from .graphs import check_p
+from .kinds import _small_graph_counts, statistic
 from .moments import MomentReport
 
 
@@ -31,8 +31,9 @@ class ExactDistribution:
 
 def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDistribution:
     """Accumulate the exact pmf of the count vector over all graphs on n
-    vertices.  Per-graph weights come from a precomputed table p^e (1-p)^(m-e)
-    indexed by edge count, which is exact in double precision at this scale."""
+    vertices in edge-mask order.  Per-graph weights come from a table p^e
+    (1-p)^(m-e) indexed by edge count, exact in double precision here."""
+    check_p(p)
     stat = statistic(kind)
     if t is not None:
         t = tuple(sorted(t))
@@ -40,11 +41,10 @@ def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDist
     m = comb(n, 2)
     wtable = [p ** e * (1.0 - p) ** (m - e) for e in range(m + 1)]
     masses: dict = {}
-    for g in all_graphs(n):
-        w = wtable[g.edge_count]
+    for mask, v in enumerate(_small_graph_counts(kind, n, d, t if stat.needs_t else ())):
+        w = wtable[mask.bit_count()]
         if w == 0.0:
             continue
-        v = stat.count(g, d, t)
         masses[v] = masses.get(v, 0.0) + w
     support = sorted(masses)
     params = {"n": n, "p": p, "d": d}

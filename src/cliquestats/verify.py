@@ -182,8 +182,7 @@ def suite_bound_spots() -> list:
 def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
     """Standardized simulation W against a normal sample with the closed-form
     correlation, or with W's own covariance where there is none: returns the
-    raw count rows, that covariance and the smooth and convex discrepancy
-    reports."""
+    raw count rows and the smooth and convex discrepancy reports."""
     raw = mc.simulate_raw(cfg, threads=threads)
     w = mc.standardize(raw, cfg)
     cov = statistic(cfg.kind).cov_matrix(cfg.n, cfg.d, cfg.p, len(cfg.t))
@@ -194,8 +193,7 @@ def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
         corr = np.array(cov) / np.outer(sd, sd)
     # the auxiliary seeds wrap so that the largest 64-bit master seed works
     z = mc.mvn_samples(corr, cfg.replicates, (cfg.master_seed + 1) % 2 ** 64)
-    return (raw, corr,
-            mc.smooth_discrepancy(w, z, bound=pair.smooth if pair else None),
+    return (raw, mc.smooth_discrepancy(w, z, bound=pair.smooth if pair else None),
             mc.convex_discrepancy(w, z, bound=pair.convex if pair else None,
                                   seed=(cfg.master_seed + 2) % 2 ** 64))
 
@@ -224,8 +222,8 @@ def suite_rates(reps: int = 100_000) -> list:
     results = []
     seed = 20240
 
-    sm40, cx40 = _match_normal(mc.MCConfig("clique", 40, 0.5, 2, reps, seed))[2:]
-    sm80, cx80 = _match_normal(mc.MCConfig("clique", 80, 0.5, 2, reps, seed + 10))[2:]
+    sm40, cx40 = _match_normal(mc.MCConfig("clique", 40, 0.5, 2, reps, seed))[1:]
+    sm80, cx80 = _match_normal(mc.MCConfig("clique", 80, 0.5, 2, reps, seed + 10))[1:]
     results.append(_ratio_gate("clique d=2 smooth ratio<=0.75 n=40->80", sm40, sm80, 0.75))
     results.append(_ratio_gate("clique d=2 convex rate<=2^-1/4 n=40->80",
                                cx40, cx80, 2.0 ** -0.25))
@@ -234,16 +232,16 @@ def suite_rates(reps: int = 100_000) -> list:
                               mc.bound_check(sm40, b40),
                               "est %.3g vs bound %.3g" % (sm40.estimate, b40.value)))
 
-    sm1 = _match_normal(mc.MCConfig("clique", 100, 0.5, 1, reps // 2, seed + 20))[2]
+    sm1 = _match_normal(mc.MCConfig("clique", 100, 0.5, 1, reps // 2, seed + 20))[1]
     b1 = bd.clique_bound(100, 1, 0.5).smooth
     results.append(GateResult("clique d=1 non-vacuous bound check n=100",
                               mc.bound_check(sm1, b1),
                               "est %.3g vs bound %.3g" % (sm1.estimate, b1.value)))
 
     lsm100, lcx100 = _match_normal(
-        mc.MCConfig("link", 100, 0.5, 1, reps, seed + 30, t=(1,)))[2:]
+        mc.MCConfig("link", 100, 0.5, 1, reps, seed + 30, t=(1,)))[1:]
     lsm400, lcx400 = _match_normal(
-        mc.MCConfig("link", 400, 0.5, 1, reps, seed + 40, t=(1,)))[2:]
+        mc.MCConfig("link", 400, 0.5, 1, reps, seed + 40, t=(1,)))[1:]
     results.append(_ratio_gate("link d=1 smooth no-increase n=100->400",
                                lsm100, lsm400, 1.0))
     results.append(_strict_decrease_gate("link d=1 convex decrease n=100->400",
@@ -265,7 +263,7 @@ def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
     stat = statistic(cfg.kind)
     ts = len(cfg.t)
     pair = stat.bound(cfg.n, cfg.d, cfg.p, ts)
-    raw, _, sm, cx = _match_normal(cfg, threads, pair)
+    raw, sm, cx = _match_normal(cfg, threads, pair)
     # off-diagonals without a closed form are the raw rows' empirical ones
     moments_rep = stat.moment_report(cfg.n, cfg.d, cfg.p, ts,
                                      (mc.empirical_cov(raw).tolist(), "empirical"))

@@ -209,6 +209,12 @@ def test_vacuous_flag():
         bd.BoundReport("x", -0.1)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_bound_report_rejects_non_finite_value(value):
+    with pytest.raises(ValueError, match="not finite and nonnegative"):
+        bd.BoundReport("x", value)
+
+
 def test_instance_independence_factorization():
     # disjoint supports under the applicable overlap rule mean the joint
     # indicator expectation factorizes (checked by enumeration)

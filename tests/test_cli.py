@@ -265,3 +265,48 @@ def test_morse_demo_size_below_1_exit2(args, capsys):
 def test_morse_demo_max_size_1_exit0(capsys):
     assert cli.main(["morse-demo", "--n", "6", "--d", "1", "--max-size", "1"]) == 0
     assert "critical counts (sizes 2..2):" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args,message", [
+    ("bounds --theorem clique --n 10 --d 3 --p 1e-300", "out of range"),
+    ("bounds --theorem ustat --k-vec 2,400 --alpha-vec 0.2,0.1 --beta 0.5",
+     "too large to convert"),
+    ("moments --kind link --n 10 --d 2 --t-size 1 --p 1e-200", "out of range"),
+    ("bounds --theorem link --n 100 --t-size 1 --d 30 --p 0.5", "not finite"),
+    ("bounds --theorem convex --d 2 --smooth-b inf", "not finite"),
+    ("bounds --theorem ustat --k-vec 2,3 --alpha-vec 0.2,0.1 --beta inf", "not finite"),
+])
+def test_overflow_and_infinite_values_exit2(args, message, capsys):
+    assert cli.main(args.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("args,message", [
+    ("--theorem clique --n 10 --d 12", "need d+1 <= n"),
+    ("--theorem clique --n 10 --d 10", "need d+1 <= n"),
+    ("--theorem link --n 10 --t-size 1 --d 12", "d exceeds the room left by t"),
+    ("--theorem link --n 10 --t-size 3 --d 8", "d exceeds the room left by t"),
+    ("--theorem critical --n 10 --d 10", "need d+1 <= n"),
+])
+def test_bounds_top_component_beyond_n_exit2(args, message, capsys):
+    assert cli.main(["bounds", *args.split(), "--p", "0.5"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", ["--theorem clique --n 10 --d 9",
+                                  "--theorem link --n 10 --t-size 1 --d 9",
+                                  "--theorem link --n 10 --t-size 3 --d 7"])
+def test_bounds_top_component_that_fits_exit0(args, capsys):
+    assert cli.main(["bounds", *args.split(), "--p", "0.5"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["reports"]) == 2
+
+
+@pytest.mark.parametrize("reps", ["0", "1", "-5"])
+def test_moments_too_few_replicates_exit2(reps, capsys, monkeypatch):
+    from cliquestats import montecarlo as mc
+    monkeypatch.setattr(mc, "_raw_chunk", lambda *a: pytest.fail("a replicate ran"))
+    assert cli.main(["moments", "--kind", "critical", "--n", "8", "--d", "2", "--p", "0.5",
+                     "--replicates", reps]) == 2
+    assert "need at least 2 replicates" in capsys.readouterr().err

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliquestats import bounds as bd
 from cliquestats import moments as mo
+from cliquestats import montecarlo as mc
 from cliquestats import oracle as orc
+from cliquestats.graphs import GnpParams, Graph, graph_probability
 
 
 def test_comb0_conventions():
@@ -210,3 +213,34 @@ def test_moment_report_json():
     import json
     payload = json.loads(rep.to_json())
     assert set(payload) == {"kind", "params", "mean", "cov", "provenance"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: GnpParams(3, p),
+    lambda p: graph_probability(Graph.empty(3), p),
+    lambda p: mc.MCConfig("clique", 5, p, 1, 10, 0),
+    lambda p: orc.exact_distribution("clique", 3, p, 1),
+    lambda p: mo.crit_mean(5, 1, p),
+    lambda p: mo.crit_mean_bounds(5, 1, p),
+    lambda p: mo.crit_variance(5, 1, p),
+    lambda p: mo.link_mean(5, 1, 1, p),
+    lambda p: mo.link_cov(5, 1, 1, 1, p),
+    lambda p: mo.clique_mean(5, 2, p),
+    lambda p: mo.clique_cov(5, 1, 1, p),
+])
+@pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
+def test_p_outside_unit_interval_rejected_with_one_message(call, p):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0,1\]$"):
+        call(p)
+    call(0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: bd.crit_bound(5, 1, p),
+    lambda p: bd.link_bound(5, 1, 1, p),
+    lambda p: bd.clique_bound(5, 1, p),
+])
+@pytest.mark.parametrize("p", [0.0, 1.0, math.nan])
+def test_bounds_need_p_strictly_inside(call, p):
+    with pytest.raises(ValueError, match=r"^p must lie in \(0,1\)$"):
+        call(p)

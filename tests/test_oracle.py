@@ -3,9 +3,15 @@ import math
 
 import pytest
 
+from cliquestats import kinds
 from cliquestats import moments as mo
-from cliquestats.oracle import exact_distribution, exact_moments
-from cliquestats.graphs import EnumerationCapError
+from cliquestats import montecarlo as mc
+from cliquestats import oracle
+from cliquestats.oracle import ExactDistribution, exact_distribution, exact_moments
+from cliquestats.graphs import EnumerationCapError, Graph, all_graphs
+from cliquestats.kinds import STATS, _small_graph_counts
+
+TABLE_KINDS = [("critical", ()), ("clique", ()), ("link", (2,)), ("link", (1, 3))]
 
 
 def test_distribution_critical_n3():
@@ -64,3 +70,66 @@ def test_serialization_sorted_support():
     sup = [tuple(v) for v in payload["support"]]
     assert sup == sorted(sup)
     assert len(payload["probabilities"]) == len(sup)
+
+
+@pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
+def test_oracle_rejects_p_outside_unit_interval(p, monkeypatch):
+    monkeypatch.setattr(oracle, "_small_graph_counts", lambda *a: pytest.fail("counted"))
+    for fn in (exact_distribution, exact_moments):
+        with pytest.raises(ValueError, match=r"p must lie in \[0,1\]"):
+            fn("clique", 4, p, 2)
+
+
+@pytest.mark.parametrize("kind,t", TABLE_KINDS)
+def test_count_table_matches_count_kernel(kind, t):
+    """Every mask and d for n <= 5; at n = 6 a strided subset at the top d."""
+    stat = STATS[kind]
+    for n in range(max((2, *t)), 7):
+        top = n - len(t) + 1 - stat.first_size
+        for d in range(1, top + 1) if n <= 5 else [top]:
+            table = _small_graph_counts(kind, n, d, t)
+            assert len(table) == 2 ** math.comb(n, 2)
+            for mask in range(0, len(table), 1 if n <= 5 else 7):
+                assert table[mask] == stat.count(Graph(n, mask), d, t)
+            # equal count vectors are one object
+            assert len({id(v) for v in table}) == len(set(table))
+
+
+def _per_graph_distribution(kind, n, p, d, t=None):
+    """The oracle as it was before the count table: build every graph and run
+    the kind's count kernel on it, once per call."""
+    stat = kinds.statistic(kind)
+    if t is not None:
+        t = tuple(sorted(t))
+    stat.check(n, d, t)
+    m = math.comb(n, 2)
+    wtable = [p ** e * (1.0 - p) ** (m - e) for e in range(m + 1)]
+    masses = {}
+    for g in all_graphs(n):
+        w = wtable[g.edge_count]
+        if w == 0.0:
+            continue
+        v = stat.count(g, d, t)
+        masses[v] = masses.get(v, 0.0) + w
+    support = sorted(masses)
+    params = {"n": n, "p": p, "d": d}
+    if t is not None:
+        params["t"] = list(t)
+    return ExactDistribution(kind, params, support, [masses[v] for v in support])
+
+
+@pytest.mark.parametrize("kind,t", TABLE_KINDS)
+def test_exact_distribution_matches_per_graph_reference(kind, t):
+    _small_graph_counts.cache_clear()
+    for p in (0.0, 0.2, 0.5, 1.0):  # the table built at p = 0 serves the rest
+        assert (exact_distribution(kind, 5, p, 2, t or None).to_json()
+                == _per_graph_distribution(kind, 5, p, 2, t or None).to_json())
+    info = _small_graph_counts.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_count_table_is_the_montecarlo_cache_hook():
+    # perfbench empties the table cache through montecarlo before warming up
+    assert mc._small_graph_counts is kinds._small_graph_counts
+    assert callable(mc._small_graph_counts.cache_clear)
+    assert callable(mc._small_graph_counts.cache_info)
