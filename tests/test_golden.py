@@ -3,7 +3,8 @@ values, so that a refactor or a kernel swap that changes any printed number
 fails here.
 
 * ``raw``: sha256 of the float64 bytes of ``simulate_raw`` rows, per kind, at
-  n = 5 (through the small-graph count cache), 12 and 40.
+  n = 5 (through the small-graph count cache), 12 and 40, and critical d = 1
+  at n = 100.
 * ``exact``: the exact output bytes of ``moments``, ``bounds`` and
   ``verify`` reports whose numbers come from closed forms alone.
 * ``close``: ``simulate --check`` per kind and the ``simulate`` JSON dump.
@@ -37,6 +38,8 @@ RAW_SPECS = [
     ("critical", 5, 2, (), 400, 11, 0),
     ("critical", 12, 3, (), 300, 12, 7),
     ("critical", 40, 2, (), 200, 13, 0),
+    ("critical", 40, 1, (), 200, 14, 0),
+    ("critical", 100, 1, (), 100, 15, 3),
     ("clique", 5, 3, (), 400, 21, 0),
     ("clique", 12, 3, (), 300, 22, 0),
     ("clique", 40, 2, (), 300, 23, 1000),
