@@ -85,6 +85,8 @@ def _need(args, *names):
 
 def cmd_moments(args) -> int:
     _need(args, "n", "p")
+    if args.replicates is not None and args.replicates < 2:
+        raise UsageError("need at least 2 replicates")
     offdiag = None
     if statistic(args.kind).cov is None and args.d > 1:
         if args.n <= MAX_ENUM_VERTICES:

@@ -9,11 +9,19 @@ Edges are stored one bit per unordered pair, in lexicographic pair order
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 MAX_ENUM_VERTICES = 6
+
+# From this many vertices up, adjacency is built and critical edges are
+# counted in numpy; below it the Python loops are faster.  Measured per
+# graph (2-core VM, numpy 2.4): rows 18.7 us loop vs 21.9 us numpy at n = 12,
+# 34.5 vs 25.4 at n = 16, 2124 vs 110 at n = 100; critical edges of a
+# replicate 28 us walk vs 50 us dense at n = 16, 97 vs 59 at n = 30.
+DENSE_MIN_VERTICES = 16
 
 
 class EnumerationCapError(ValueError):
@@ -51,6 +59,13 @@ class Graph:
         self.n = n
         self.edge_mask = edge_mask
         self.vertex_mask = (1 << (n + 1)) - 2
+        if n >= DENSE_MIN_VERTICES:
+            rows = np.packbits(adjacency_matrix(n, edge_mask), axis=1, bitorder="little")
+            w = rows.shape[1]
+            flat = rows.tobytes()
+            self.adj = tuple(int.from_bytes(flat[i:i + w], "little")
+                             for i in range(0, len(flat), w))
+            return
         adj = [0] * (n + 1)
         bit = 0
         for i in range(1, n + 1):
@@ -169,6 +184,26 @@ def gnp_mask(rng: np.random.Generator, n: int, p: float) -> int:
     lexicographic pair order, pair b (bit b) an edge iff its variate is < p."""
     bits = rng.random(comb(n, 2)) < p
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+@lru_cache(maxsize=64)
+def _pair_index(n: int):
+    """Row and column of every pair bit, in lexicographic pair order."""
+    index = tuple(k + 1 for k in np.triu_indices(n, 1))
+    for k in index:
+        k.flags.writeable = False  # shared by every caller through the cache
+    return index
+
+
+def adjacency_matrix(n: int, edge_mask: int) -> np.ndarray:
+    """The boolean (n+1) x (n+1) symmetric adjacency matrix of an edge mask;
+    row and column 0 are unused, so index v is vertex v."""
+    m = comb(n, 2)
+    bits = np.unpackbits(np.frombuffer(edge_mask.to_bytes((m + 7) // 8, "little"), np.uint8),
+                         count=m, bitorder="little")
+    a = np.zeros((n + 1, n + 1), dtype=bool)
+    a[_pair_index(n)] = bits
+    return a | a.T
 
 
 def sample_gnp(params: GnpParams, stream: int = 0) -> Graph:

@@ -14,10 +14,11 @@ from typing import Callable
 import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
-from .graphs import MAX_ENUM_VERTICES, Graph, all_graphs, clique_walk, gnp_mask, link_candidates
+from .graphs import (DENSE_MIN_VERTICES, MAX_ENUM_VERTICES, Graph, adjacency_matrix,
+                     all_graphs, clique_walk, gnp_mask, link_candidates)
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
-from .morse import critical_counts_formula
+from .morse import critical_counts_formula, critical_edges_dense
 
 
 @dataclass(frozen=True)
@@ -113,19 +114,19 @@ def _graph_replicate(cfg, rng) -> list:
     return list(STATS[cfg.kind].count(Graph(cfg.n, mask), cfg.d, ()))
 
 
+def _critical_replicate(cfg, rng) -> list:
+    if cfg.n < DENSE_MIN_VERTICES or cfg.d > 1:
+        return _graph_replicate(cfg, rng)
+    return [critical_edges_dense(adjacency_matrix(cfg.n, gnp_mask(rng, cfg.n, cfg.p)))]
+
+
 def _clique_replicate(cfg, rng) -> list:
     if cfg.n <= MAX_ENUM_VERTICES or cfg.d >= 3:
         return _graph_replicate(cfg, rng)
-    n = cfg.n
-    mask = gnp_mask(rng, n, cfg.p)
+    mask = gnp_mask(rng, cfg.n, cfg.p)
     out = [float(mask.bit_count())]
     if cfg.d == 2:  # the dense trace skips building a Graph
-        m = comb(n, 2)
-        bits = np.unpackbits(np.frombuffer(mask.to_bytes((m + 7) // 8, "little"), np.uint8),
-                             count=m, bitorder="little")
-        A = np.zeros((n, n))  # float64: the trace below is exact below 2^53
-        A[np.triu_indices(n, 1)] = bits
-        A += A.T
+        A = adjacency_matrix(cfg.n, mask).astype(np.float64)  # trace exact below 2^53
         out.append(float(np.einsum("ij,ij->", A @ A, A)) / 6.0)
     return out
 
@@ -148,7 +149,7 @@ STATS = {s.name: s for s in (
     Statistic(
         "critical", first_size=2, needs_t=False, min_overlap=1,
         count=lambda g, d, t: critical_counts_formula(g, d).counts,
-        replicate=_graph_replicate,
+        replicate=_critical_replicate,
         mean=lambda n, ts, k, p: crit_mean(n, k, p),
         var=lambda n, ts, k, p: crit_variance(n, k, p),
         cov=None,

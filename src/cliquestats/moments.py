@@ -251,6 +251,7 @@ def link_cov(n: int, t_size: int, k: int, l: int, p: float) -> float:
 def link_cov_lower(n: int, t_size: int, k: int, l: int, p: float) -> float:
     """Single-overlap lower bound on the link covariance."""
     _check_link_args(n, t_size, max(k, l))
+    check_p(p)
     if not 0.0 < p < 1.0:
         return 0.0
     if k < l:

@@ -310,3 +310,18 @@ def test_moments_too_few_replicates_exit2(reps, capsys, monkeypatch):
     assert cli.main(["moments", "--kind", "critical", "--n", "8", "--d", "2", "--p", "0.5",
                      "--replicates", reps]) == 2
     assert "need at least 2 replicates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    "--kind clique --n 8 --p 0.5",  # closed-form covariance
+    "--kind critical --n 5 --d 2 --p 0.5",  # exact oracle
+])
+def test_moments_too_few_replicates_exit2_on_every_path(args, capsys, monkeypatch):
+    from cliquestats import montecarlo as mc
+    from cliquestats import moments as mo
+    from cliquestats import oracle as orc
+    for module, name in ((mc, "_raw_chunk"), (orc, "exact_moments"),
+                         (mo, "statistic_cov_matrix")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+    assert cli.main(["moments", *args.split(), "--replicates", "0"]) == 2
+    assert "need at least 2 replicates" in capsys.readouterr().err

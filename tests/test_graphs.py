@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph,
-                                all_graphs, clique_count, clique_walk, cliques,
-                                gnp_generator, gnp_mask, graph_probability,
+from cliquestats.graphs import (DENSE_MIN_VERTICES, EnumerationCapError, GnpParams, Graph,
+                                adjacency_matrix, all_graphs, clique_count, clique_walk,
+                                cliques, gnp_generator, gnp_mask, graph_probability,
                                 link_candidates, link_count, sample_gnp)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
@@ -215,3 +215,30 @@ def test_gnp_mask_matches_bitwise_packing(n):
             if u[b] < 0.3:
                 want |= 1 << b
         assert gnp_mask(gnp_generator(7, stream), n, 0.3) == want
+
+
+def _pair_loop_adj(n, edge_mask):
+    """The per-pair loop Graph used at every n before the numpy rows."""
+    adj = [0] * (n + 1)
+    bit = 0
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if (edge_mask >> bit) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            bit += 1
+    return tuple(adj)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, DENSE_MIN_VERTICES - 1, DENSE_MIN_VERTICES, 40, 100])
+def test_adjacency_rows_and_matrix_match_pair_loop(n):
+    masks = [0, (1 << math.comb(n, 2)) - 1]
+    masks += [gnp_mask(gnp_generator(3, stream), n, p)
+              for p in (0.1, 0.5, 0.9) for stream in range(4)]
+    for mask in masks:
+        want = _pair_loop_adj(n, mask)
+        assert Graph(n, mask).adj == want
+        a = adjacency_matrix(n, mask)
+        assert a.dtype == bool and a.shape == (n + 1, n + 1)
+        assert [[bool(want[u] >> v & 1) for v in range(n + 1)] for u in range(n + 1)] \
+            == a.tolist()

@@ -227,6 +227,7 @@ def test_moment_report_json():
     lambda p: mo.link_cov(5, 1, 1, 1, p),
     lambda p: mo.clique_mean(5, 2, p),
     lambda p: mo.clique_cov(5, 1, 1, p),
+    lambda p: mo.link_cov_lower(10, 1, 1, 1, p),
 ])
 @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
 def test_p_outside_unit_interval_rejected_with_one_message(call, p):

@@ -93,6 +93,18 @@ def test_clique_counts_match_graph_module():
         assert raw[r, 1] == clique_count(g, 3)
 
 
+@pytest.mark.parametrize("n", [20, 40])
+def test_critical_edge_counts_match_scalar_formula(n):
+    # dense critical-edge path vs the clique walk on the same draws
+    from cliquestats.graphs import GnpParams, sample_gnp
+    from cliquestats.morse import critical_counts_formula
+    for p in (0.1, 0.5, 0.9):
+        raw = mc.simulate_raw(mc.MCConfig("critical", n, p, 1, 20, 8, replicate_offset=5))
+        want = [critical_counts_formula(sample_gnp(GnpParams(n, p, 8), stream=5 + r), 1).counts
+                for r in range(20)]
+        assert raw.tolist() == [list(map(float, w)) for w in want]
+
+
 def test_triangle_counts_exact_beyond_float32():
     # 6 x triangles > 2^24 here, where a float32 trace rounds
     from cliquestats.graphs import GnpParams, clique_count, sample_gnp

@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (GnpParams, Graph, all_graphs, clique_count, cliques,
-                                sample_gnp)
+from cliquestats.graphs import (GnpParams, Graph, adjacency_matrix, all_graphs, clique_count,
+                                cliques, sample_gnp)
 from cliquestats.morse import (CriticalVector, Matching, critical_counts_direct,
-                               critical_counts_formula, critical_minima,
+                               critical_counts_formula, critical_edges_dense, critical_minima,
                                is_vertex_critical,
                                lex_matching, truncated_critical_count,
                                verify_acyclic)
@@ -125,6 +125,25 @@ def test_critical_walk_matches_indicator_reference_random(n, d_max, graphs):
     for p in (0.3, 0.5, 0.8):
         for stream in range(graphs):
             _assert_walk_matches_reference(sample_gnp(GnpParams(n, p, 17), stream=stream), d_max)
+
+
+def _assert_dense_edges_match(g):
+    want = critical_counts_formula(g, 1).counts
+    assert critical_counts_direct(g, 1).counts == want
+    assert (critical_edges_dense(adjacency_matrix(g.n, g.edge_mask)),) == want
+
+
+def test_critical_edges_dense_matches_scalar_exhaustive():
+    for n in range(2, 7):
+        for g in all_graphs(n):
+            _assert_dense_edges_match(g)
+
+
+@pytest.mark.parametrize("n,graphs", [(7, 30), (12, 30), (16, 20), (40, 5), (100, 2)])
+def test_critical_edges_dense_matches_scalar_random(n, graphs):
+    for p in (0.1, 0.5, 0.9):
+        for stream in range(graphs):
+            _assert_dense_edges_match(sample_gnp(GnpParams(n, p, 23), stream=stream))
 
 
 def test_critical_minima_and_truncation_reject_k_below_2():
