@@ -16,11 +16,13 @@ import numpy as np
 
 MAX_ENUM_VERTICES = 6
 
-# From this many vertices up, adjacency is built and critical edges are
-# counted in numpy; below it the Python loops are faster.  Measured per
-# graph (2-core VM, numpy 2.4): rows 18.7 us loop vs 21.9 us numpy at n = 12,
-# 34.5 vs 25.4 at n = 16, 2124 vs 110 at n = 100; critical edges of a
-# replicate 28 us walk vs 50 us dense at n = 16, 97 vs 59 at n = 30.
+# From this many vertices up, Graph rows are packed from a numpy adjacency
+# matrix and a critical d = 1 replicate counts its edges by matrix products;
+# below it the Python loops are as fast or faster.  Median us per G(n, 0.5)
+# graph, loop vs numpy (2-core VM, numpy 2.4, one BLAS thread): rows 14.5 vs
+# 17.9 at n = 10, 20.8 vs 19.3 at n = 12, 35.5 vs 21.4 at n = 16, 1909 vs 113
+# at n = 100; critical edges 32 vs 36 at n = 10, 41 vs 42 at n = 14, 57 vs 38
+# at n = 16, 224 vs 45 at n = 40.
 DENSE_MIN_VERTICES = 16
 
 
