@@ -3,8 +3,8 @@ values, so that a refactor or a kernel swap that changes any printed number
 fails here.
 
 * ``raw``: sha256 of the float64 bytes of ``simulate_raw`` rows, per kind, at
-  n = 5 (through the small-graph count cache), 12 and 40, and critical d = 1
-  at n = 100.
+  n = 5 (through the small-graph count cache), 12 and 40, and at n = 100 for
+  critical d = 1, clique d = 1 and link d = 3.
 * ``exact``: the exact output bytes of ``moments``, ``bounds`` and
   ``verify`` reports whose numbers come from closed forms alone.
 * ``close``: ``simulate --check`` per kind and the ``simulate`` JSON dump.
@@ -40,12 +40,16 @@ RAW_SPECS = [
     ("critical", 40, 2, (), 200, 13, 0),
     ("critical", 40, 1, (), 200, 14, 0),
     ("critical", 100, 1, (), 100, 15, 3),
+    ("critical", 40, 3, (), 100, 16, 0),
     ("clique", 5, 3, (), 400, 21, 0),
     ("clique", 12, 3, (), 300, 22, 0),
     ("clique", 40, 2, (), 300, 23, 1000),
+    ("clique", 40, 3, (), 200, 24, 0),
+    ("clique", 100, 1, (), 200, 25, 0),
     ("link", 5, 2, (2,), 400, 31, 0),
     ("link", 12, 3, (1, 3), 300, 32, 0),
     ("link", 40, 2, (1,), 300, 33, 0),
+    ("link", 100, 3, (1,), 200, 34, 0),
 ]
 
 EXACT_ARGS = {
