@@ -103,6 +103,13 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _number_list(text: str, flag: str, kind) -> list:
+    try:
+        return [kind(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError("%s: not a list of %ss: %r" % (flag, kind.__name__, text)) from None
+
+
 def cmd_bounds(args) -> int:
     th = args.theorem
     if th in KINDS:
@@ -118,8 +125,8 @@ def cmd_bounds(args) -> int:
     elif th in ("ustat", "ustat-no-x"):
         if not args.k_vec or not args.alpha_vec or args.beta is None:
             raise UsageError("ustat bounds need --k-vec, --alpha-vec, --beta")
-        k_vec = [int(x) for x in args.k_vec.split(",")]
-        alpha = [float(x) for x in args.alpha_vec.split(",")]
+        k_vec = _number_list(args.k_vec, "--k-vec", int)
+        alpha = _number_list(args.alpha_vec, "--alpha-vec", float)
         fn = bd.ustat_bound if th == "ustat" else bd.ustat_no_x_bound
         reports = [fn(k_vec, alpha, args.beta)]
     else:
@@ -273,6 +280,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except (ValueError, OSError, OverflowError) as exc:  # UsageError is a ValueError
+        if isinstance(exc, OverflowError):  # raised inside a formula: echo the values given
+            exc = "%s: overflow: %s" % (" ".join(sys.argv[1:] if argv is None else argv), exc)
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

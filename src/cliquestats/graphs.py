@@ -1,5 +1,5 @@
 """Graphs on vertex set {1..n}: G(n,p) sampling, exhaustive enumeration,
-clique listing, and one clique walk that counts cliques and link cliques.
+clique listing, and the clique walk, on bitmask rows or level by level.
 
 Edges are stored one bit per unordered pair, in lexicographic pair order
 ((1,2), (1,3), ..., (1,n), (2,3), ...).  Adjacency rows are n-bit masks
@@ -16,14 +16,7 @@ import numpy as np
 
 MAX_ENUM_VERTICES = 6
 
-# From this many vertices up, Graph rows are packed from a numpy adjacency
-# matrix and a critical d = 1 replicate counts its edges by matrix products;
-# below it the Python loops are as fast or faster.  Median us per G(n, 0.5)
-# graph, loop vs numpy (2-core VM, numpy 2.4, one BLAS thread): rows 14.5 vs
-# 17.9 at n = 10, 20.8 vs 19.3 at n = 12, 35.5 vs 21.4 at n = 16, 1909 vs 113
-# at n = 100; critical edges 32 vs 36 at n = 10, 41 vs 42 at n = 14, 57 vs 38
-# at n = 16, 224 vs 45 at n = 40.
-DENSE_MIN_VERTICES = 16
+LEVEL_BLOCK = 256  # rows per clique_levels product: a level holds O(LEVEL_BLOCK n^2) bytes
 
 
 class EnumerationCapError(ValueError):
@@ -61,13 +54,6 @@ class Graph:
         self.n = n
         self.edge_mask = edge_mask
         self.vertex_mask = (1 << (n + 1)) - 2
-        if n >= DENSE_MIN_VERTICES:
-            rows = np.packbits(adjacency_matrix(n, edge_mask), axis=1, bitorder="little")
-            w = rows.shape[1]
-            flat = rows.tobytes()
-            self.adj = tuple(int.from_bytes(flat[i:i + w], "little")
-                             for i in range(0, len(flat), w))
-            return
         adj = [0] * (n + 1)
         bit = 0
         for i in range(1, n + 1):
@@ -189,12 +175,13 @@ def gnp_mask(rng: np.random.Generator, n: int, p: float) -> int:
 
 
 @lru_cache(maxsize=64)
-def _pair_index(n: int):
-    """Row and column of every pair bit, in lexicographic pair order."""
-    index = tuple(k + 1 for k in np.triu_indices(n, 1))
-    for k in index:
-        k.flags.writeable = False  # shared by every caller through the cache
-    return index
+def _triangles(n: int):
+    """Read-only masks of the cells [u, v] and [v, u], 1 <= u < v <= n; those of
+    the first in row-major order are the pairs in lexicographic order."""
+    below = np.tri(n + 1, k=-1, dtype=bool) & (np.arange(n + 1) > 0)  # column 0 unused
+    above = np.ascontiguousarray(below.T)
+    above.flags.writeable = below.flags.writeable = False  # shared through the cache
+    return above, below
 
 
 def adjacency_matrix(n: int, edge_mask: int) -> np.ndarray:
@@ -204,7 +191,7 @@ def adjacency_matrix(n: int, edge_mask: int) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(edge_mask.to_bytes((m + 7) // 8, "little"), np.uint8),
                          count=m, bitorder="little")
     a = np.zeros((n + 1, n + 1), dtype=bool)
-    a[_pair_index(n)] = bits
+    a[_triangles(n)[0]] = bits
     return a | a.T
 
 
@@ -286,6 +273,37 @@ def clique_walk(adj, cand, top: int, minima=None) -> list[int]:
     if top > 0:
         grow(cand, 0)
     return counts
+
+
+def clique_levels(a, top: int, critical: bool = False) -> list[int]:
+    """clique_walk's counts on every vertex of adjacency matrix a, a level at a time:
+    row s of a boolean x is C(s), x @ low^T (float64; low[u] = u's neighbours below
+    u) is |C(s + u)| for each child s + u, and x[s] & low[u] is its row.  Clique
+    counts of sizes 0..top, or critical counts (the walk's rule, from size 2 on)."""
+    n = len(a) - 1
+    above, below = _triangles(n)
+    low = a & below  # C({u}) = low[u]
+    lowt = (a & above).astype(np.float64)  # low^T, as a is symmetric
+    out = [0] * (top + 2) if critical else [1, n, int(np.count_nonzero(low))] + [0] * top
+    last = top - 1 if critical else top - 2  # the deepest level that takes a product
+
+    def level(x, size):  # x: C(s) of the cliques s of this size
+        for i in range(0, len(x), LEVEL_BLOCK):
+            xb = x[i:i + LEVEL_BLOCK]
+            xf = xb.astype(np.float64)
+            prod = xf @ lowt  # exact: no entry exceeds n
+            if critical:  # s + u with C(s + u) empty and min C(s) < u
+                above_first = xb.argmax(axis=1)[:, None] < np.arange(n + 1)
+                out[size + 1] += int(np.count_nonzero(xb & (prod == 0) & above_first))
+            else:
+                out[size + 2] += int(np.vdot(xf, prod))
+            if size < last:
+                s, u = np.nonzero(xb & (prod > 0))
+                level(xb[s] & low[u], size + 1)
+
+    if last >= 1:
+        level(low, 1)
+    return out[:top + 1]
 
 
 def clique_count(g: Graph, k: int) -> int:

@@ -7,18 +7,19 @@ of the library looks kinds up here instead of branching on them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
-from .graphs import (DENSE_MIN_VERTICES, MAX_ENUM_VERTICES, Graph, adjacency_matrix,
-                     all_graphs, clique_walk, gnp_mask, link_candidates)
+from .graphs import (MAX_ENUM_VERTICES, adjacency_matrix, all_graphs, clique_levels,
+                     clique_walk, gnp_mask, link_candidates)
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
-from .morse import critical_counts_formula, critical_edges_dense
+from .morse import critical_counts_formula
 
 
 @dataclass(frozen=True)
@@ -106,50 +107,34 @@ def _small_graph_counts(kind: str, n: int, d: int, t: tuple) -> tuple:
                  (STATS[kind].count(g, d, t) for g in all_graphs(n)))
 
 
-def _graph_replicate(cfg, rng) -> list:
-    """One G(n,p) draw counted by the kind's kernel, from the count table at small n."""
+def _graph_replicate(cfg, rng, critical: bool = False) -> list:
+    """One G(n,p) draw: its count-table row at small n, else clique_levels' counts."""
     mask = gnp_mask(rng, cfg.n, cfg.p)
     if cfg.n <= MAX_ENUM_VERTICES:
         return list(_small_graph_counts(cfg.kind, cfg.n, cfg.d, ())[mask])
-    return list(STATS[cfg.kind].count(Graph(cfg.n, mask), cfg.d, ()))
-
-
-def _critical_replicate(cfg, rng) -> list:
-    if cfg.n < DENSE_MIN_VERTICES or cfg.d > 1:
-        return _graph_replicate(cfg, rng)
-    return [critical_edges_dense(adjacency_matrix(cfg.n, gnp_mask(rng, cfg.n, cfg.p)))]
-
-
-def _clique_replicate(cfg, rng) -> list:
-    if cfg.n <= MAX_ENUM_VERTICES or cfg.d >= 3:
-        return _graph_replicate(cfg, rng)
-    mask = gnp_mask(rng, cfg.n, cfg.p)
-    out = [float(mask.bit_count())]
-    if cfg.d == 2:  # the dense trace skips building a Graph
-        A = adjacency_matrix(cfg.n, mask).astype(np.float64)  # trace exact below 2^53
-        out.append(float(np.einsum("ij,ij->", A @ A, A)) / 6.0)
-    return out
+    if cfg.d == 1 and not critical:  # the edge count needs no matrix
+        return [mask.bit_count()]
+    return clique_levels(adjacency_matrix(cfg.n, mask), cfg.d + 1, critical)[2:]
 
 
 def _link_replicate(cfg, rng) -> list:
     # Vertex u outside t is a common neighbour iff all |t| cross edges are
     # present, an event of probability p^|t| independent across u; the count
-    # formula never reads any other edge outside the common neighbourhood,
-    # so sampling the collapsed bundles is distribution-identical to
-    # evaluating the formula on a full G(n,p) draw.
+    # formula reads no other edge outside the m common neighbours, so counting
+    # a collapsed draw (m, then a G(m, p) clique replicate for sizes 2..d) is
+    # distribution-identical to evaluating the formula on a full G(n,p) draw.
     ts = len(cfg.t)
     m = int(np.count_nonzero(rng.random(cfg.n - ts) < cfg.p ** ts))
     if cfg.d == 1 or m == 0:
         return [m] + [0] * (cfg.d - 1)
-    inner = Graph(m, gnp_mask(rng, m, cfg.p))
-    return clique_walk(inner.adj, inner.vertex_mask, cfg.d)[1:]
+    return [m] + _graph_replicate(SimpleNamespace(kind="clique", n=m, p=cfg.p, d=cfg.d - 1), rng)
 
 
 STATS = {s.name: s for s in (
     Statistic(
         "critical", first_size=2, needs_t=False, min_overlap=1,
         count=lambda g, d, t: critical_counts_formula(g, d).counts,
-        replicate=_critical_replicate,
+        replicate=partial(_graph_replicate, critical=True),
         mean=lambda n, ts, k, p: crit_mean(n, k, p),
         var=lambda n, ts, k, p: crit_variance(n, k, p),
         cov=None,
@@ -167,7 +152,7 @@ STATS = {s.name: s for s in (
     Statistic(
         "clique", first_size=2, needs_t=False, min_overlap=2,
         count=lambda g, d, t: tuple(clique_walk(g.adj, g.vertex_mask, d + 1)[2:]),
-        replicate=_clique_replicate,
+        replicate=_graph_replicate,
         mean=lambda n, ts, k, p: clique_mean(n, k + 1, p),
         var=lambda n, ts, k, p: clique_cov(n, k, k, p),
         cov=lambda n, ts, k, l, p: clique_cov(n, k, l, p),

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Graph, clique_walk, cliques
 
 
@@ -116,17 +114,6 @@ def critical_counts_formula(g: Graph, d: int) -> CriticalVector:
     minima = [[] for _ in range(d + 2)]
     clique_walk(g.adj, g.vertex_mask, d + 1, minima)
     return CriticalVector(tuple(len(minima[size]) for size in sizes))
-
-
-def critical_edges_dense(a) -> int:
-    """Critical edges of adjacency matrix a (as from graphs.adjacency_matrix).
-    Edge u < v is critical iff u and v have no common neighbour below u and v
-    has a neighbour below u: the walk's rule at size 2, from two matrix
-    products (float64, exact below 2^53)."""
-    a = np.asarray(a, dtype=np.float64)
-    common = np.tril(a, -1) @ a
-    below = np.tri(len(a), k=-1) @ a
-    return int(np.count_nonzero(np.triu((a > 0) & (common == 0) & (below > 0), 1)))
 
 
 def critical_minima(g: Graph, k: int) -> list[int]:

@@ -283,6 +283,23 @@ def test_overflow_and_infinite_values_exit2(args, message, capsys):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("args,named", [
+    ("bounds --theorem clique --n 10 --d 3 --p 1e-300", ["bounds", "--p 1e-300"]),
+    ("moments --kind link --n 10 --d 2 --t-size 1 --p 1e-200", ["moments", "--p 1e-200"]),
+    ("bounds --theorem ustat --k-vec 2,400 --alpha-vec 0.1,0.1 --beta 1",
+     ["bounds", "--k-vec 2,400"]),
+    ("bounds --theorem ustat --k-vec 2,x --alpha-vec 0.1,0.1 --beta 1", ["--k-vec", "'2,x'"]),
+    ("bounds --theorem ustat-no-x --k-vec 2,3 --alpha-vec 0.1,y --beta 1",
+     ["--alpha-vec", "'0.1,y'"]),
+])
+def test_bad_number_exit2_names_flag_and_value(args, named, capsys):
+    assert cli.main(args.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert all(s in captured.err for s in named), captured.err
+
+
 @pytest.mark.parametrize("args,message", [
     ("--theorem clique --n 10 --d 12", "need d+1 <= n"),
     ("--theorem clique --n 10 --d 10", "need d+1 <= n"),

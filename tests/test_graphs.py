@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (DENSE_MIN_VERTICES, EnumerationCapError, GnpParams, Graph,
-                                adjacency_matrix, all_graphs, clique_count, clique_walk,
-                                cliques, gnp_generator, gnp_mask, graph_probability,
-                                link_candidates, link_count, sample_gnp)
+from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph, adjacency_matrix,
+                                all_graphs, clique_count, clique_levels, clique_walk, cliques,
+                                gnp_generator, gnp_mask, graph_probability, link_candidates,
+                                link_count, sample_gnp)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 
@@ -218,7 +218,8 @@ def test_gnp_mask_matches_bitwise_packing(n):
 
 
 def _pair_loop_adj(n, edge_mask):
-    """The per-pair loop Graph used at every n before the numpy rows."""
+    """The per-pair loop, kept here as the reference for Graph rows and
+    adjacency_matrix."""
     adj = [0] * (n + 1)
     bit = 0
     for i in range(1, n + 1):
@@ -230,7 +231,7 @@ def _pair_loop_adj(n, edge_mask):
     return tuple(adj)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, DENSE_MIN_VERTICES - 1, DENSE_MIN_VERTICES, 40, 100])
+@pytest.mark.parametrize("n", [1, 2, 6, 15, 16, 40, 100])
 def test_adjacency_rows_and_matrix_match_pair_loop(n):
     masks = [0, (1 << math.comb(n, 2)) - 1]
     masks += [gnp_mask(gnp_generator(3, stream), n, p)
@@ -242,3 +243,27 @@ def test_adjacency_rows_and_matrix_match_pair_loop(n):
         assert a.dtype == bool and a.shape == (n + 1, n + 1)
         assert [[bool(want[u] >> v & 1) for v in range(n + 1)] for u in range(n + 1)] \
             == a.tolist()
+
+
+def _assert_levels_match_walk(g, tops):
+    a = adjacency_matrix(g.n, g.edge_mask)
+    for top in tops:
+        minima = [[] for _ in range(top + 1)]
+        counts = clique_walk(g.adj, g.vertex_mask, top, minima)
+        assert clique_levels(a, top) == counts == clique_walk(g.adj, g.vertex_mask, top)
+        assert clique_levels(a, top, critical=True) == [len(m) for m in minima]
+
+
+def test_clique_levels_match_walk_exhaustive():
+    # every top on up to 5 vertices; full depth, every level, on 6
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            _assert_levels_match_walk(g, range(n + 1) if n < 6 else [n])
+
+
+@pytest.mark.parametrize("n,top", [(7, 7), (12, 5), (16, 4), (40, 3), (100, 2)])
+def test_clique_levels_match_walk_random(n, top):
+    for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+        for stream in range(3):
+            _assert_levels_match_walk(sample_gnp(GnpParams(n, p, 29), stream=stream),
+                                      range(top + 1))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def test_clique_counts_match_graph_module():
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_critical_edge_counts_match_scalar_formula(n):
-    # dense critical-edge path vs the clique walk on the same draws
+    # clique_levels' critical edges vs the clique walk on the same draws
     from cliquestats.graphs import GnpParams, sample_gnp
     from cliquestats.morse import critical_counts_formula
     for p in (0.1, 0.5, 0.9):
@@ -111,6 +112,22 @@ def test_triangle_counts_exact_beyond_float32():
     raw = mc.simulate_raw(mc.MCConfig("clique", 400, 0.9, 2, 3, 5))
     for r in range(3):
         assert raw[r, 1] == clique_count(sample_gnp(GnpParams(400, 0.9, 5), stream=r), 3)
+
+
+def test_critical_replicate_memory_is_bounded():
+    # About 205,000 triangles at n = 120, p = 0.9: products over a whole
+    # level at once would allocate about 470 MB here; in blocks, about 5 MB.
+    from cliquestats.graphs import gnp_generator
+    from cliquestats.kinds import statistic
+    cfg = mc.MCConfig("critical", 120, 0.9, 3, 2, 1)
+    tracemalloc.start()
+    try:
+        row = statistic("critical").replicate(cfg, gnp_generator(1, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row == [0, 164, 11521]
+    assert peak < 64 * 2 ** 20
 
 
 def test_link_simulation_matches_oracle_moments():

@@ -3,12 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquestats.graphs import (GnpParams, Graph, adjacency_matrix, all_graphs, clique_count,
-                                cliques, sample_gnp)
+                                clique_levels, cliques, sample_gnp)
 from cliquestats.morse import (CriticalVector, Matching, critical_counts_direct,
-                               critical_counts_formula, critical_edges_dense, critical_minima,
-                               is_vertex_critical,
-                               lex_matching, truncated_critical_count,
-                               verify_acyclic)
+                               critical_counts_formula, critical_minima, is_vertex_critical,
+                               lex_matching, truncated_critical_count, verify_acyclic)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 FIG2_PAIRS = frozenset({
@@ -130,7 +128,7 @@ def test_critical_walk_matches_indicator_reference_random(n, d_max, graphs):
 def _assert_dense_edges_match(g):
     want = critical_counts_formula(g, 1).counts
     assert critical_counts_direct(g, 1).counts == want
-    assert (critical_edges_dense(adjacency_matrix(g.n, g.edge_mask)),) == want
+    assert tuple(clique_levels(adjacency_matrix(g.n, g.edge_mask), 2, critical=True)[2:]) == want
 
 
 def test_critical_edges_dense_matches_scalar_exhaustive():
@@ -144,6 +142,17 @@ def test_critical_edges_dense_matches_scalar_random(n, graphs):
     for p in (0.1, 0.5, 0.9):
         for stream in range(graphs):
             _assert_dense_edges_match(sample_gnp(GnpParams(n, p, 23), stream=stream))
+
+
+@pytest.mark.parametrize("n", [7, 12, 16])
+def test_clique_levels_critical_matches_direct(n):
+    for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+        for stream in range(4):
+            g = sample_gnp(GnpParams(n, p, 31), stream=stream)
+            a = adjacency_matrix(n, g.edge_mask)
+            for d in (2, 3):
+                want = critical_counts_direct(g, d).counts
+                assert tuple(clique_levels(a, d + 1, critical=True)[2:]) == want
 
 
 def test_critical_minima_and_truncation_reject_k_below_2():
@@ -305,6 +314,19 @@ def test_weak_morse_equality_on_full_complex(g):
     critical = [sum(is_vertex_critical(g, v) for v in range(1, g.n + 1))]
     critical += critical_counts_direct(g, g.n - 1).counts
     assert _euler(critical) == _euler(clique_count(g, size) for size in range(1, g.n + 1))
+
+
+@pytest.mark.parametrize("n,ps", [(7, (0.1, 0.5, 0.9, 1.0)), (12, (0.1, 0.5, 0.9)),
+                                  (16, (0.1, 0.5, 0.8)), (40, (0.1, 0.5))])
+def test_clique_levels_weak_morse_equality(n, ps):
+    # the kernel's two modes at full depth, vertex criticals added
+    for p in ps:
+        for stream in range(3):
+            g = sample_gnp(GnpParams(n, p, 37), stream=stream)
+            a = adjacency_matrix(n, g.edge_mask)
+            critical = [sum(is_vertex_critical(g, v) for v in range(1, n + 1))]
+            critical += clique_levels(a, n, critical=True)[2:]
+            assert _euler(critical) == _euler(clique_levels(a, n)[1:])
 
 
 def test_morse_equivalence_suite_two_workers_match_serial(monkeypatch):
