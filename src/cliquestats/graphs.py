@@ -23,11 +23,6 @@ class EnumerationCapError(ValueError):
     """Raised when exhaustive graph enumeration is requested beyond the cap."""
 
 
-def pair_order(n: int) -> list[tuple[int, int]]:
-    """All unordered pairs of {1..n} in lexicographic order."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
 def _pair_bit(n: int, i: int, j: int) -> int:
     if i > j:
         i, j = j, i
@@ -55,13 +50,15 @@ class Graph:
         self.edge_mask = edge_mask
         self.vertex_mask = (1 << (n + 1)) - 2
         adj = [0] * (n + 1)
-        bit = 0
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                if (edge_mask >> bit) & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                bit += 1
+        for i in range(1, n):  # the pairs (i, i+1..n) are the next n - i bits
+            run = edge_mask & ((1 << (n - i)) - 1)
+            edge_mask >>= n - i
+            adj[i] |= run << (i + 1)
+            bit = 1 << i
+            while run:  # the mirrored half: i joins the row of each upper neighbour
+                k = run.bit_length()  # the neighbour i + k
+                run ^= 1 << (k - 1)
+                adj[i + k] |= bit
         self.adj = tuple(adj)
 
     @classmethod
@@ -87,8 +84,8 @@ class Graph:
         return bool(self.adj[i] & (1 << j))
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for b, (i, j) in enumerate(pair_order(self.n))
-                if (self.edge_mask >> b) & 1]
+        return [(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)
+                if self.adj[i] >> j & 1]
 
     @property
     def edge_count(self) -> int:
@@ -167,32 +164,34 @@ def gnp_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def gnp_pairs(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """One G(n,p) draw as a boolean vector over the pairs in lexicographic
+    order: one uniform variate per pair, pair b an edge iff its variate is < p."""
+    return rng.random(comb(n, 2)) < p
+
+
 def gnp_mask(rng: np.random.Generator, n: int, p: float) -> int:
-    """Edge mask of one G(n,p) draw: one uniform variate per pair in
-    lexicographic pair order, pair b (bit b) an edge iff its variate is < p."""
-    bits = rng.random(comb(n, 2)) < p
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    """Edge mask of one G(n,p) draw: gnp_pairs packed, pair b at bit b."""
+    return int.from_bytes(np.packbits(gnp_pairs(rng, n, p), bitorder="little").tobytes(),
+                          "little")
 
 
 @lru_cache(maxsize=64)
-def _triangles(n: int):
-    """Read-only masks of the cells [u, v] and [v, u], 1 <= u < v <= n; those of
-    the first in row-major order are the pairs in lexicographic order."""
-    below = np.tri(n + 1, k=-1, dtype=bool) & (np.arange(n + 1) > 0)  # column 0 unused
-    above = np.ascontiguousarray(below.T)
-    above.flags.writeable = below.flags.writeable = False  # shared through the cache
-    return above, below
+def _upper(n: int) -> np.ndarray:
+    """Read-only mask of the cells [u, v], 1 <= u < v <= n; in row-major order
+    they are the pairs in lexicographic order."""
+    upper = ~np.tri(n + 1, dtype=bool)
+    upper[0] = False  # row and column 0 are unused
+    upper.flags.writeable = False  # shared through the cache
+    return upper
 
 
-def adjacency_matrix(n: int, edge_mask: int) -> np.ndarray:
-    """The boolean (n+1) x (n+1) symmetric adjacency matrix of an edge mask;
-    row and column 0 are unused, so index v is vertex v."""
-    m = comb(n, 2)
-    bits = np.unpackbits(np.frombuffer(edge_mask.to_bytes((m + 7) // 8, "little"), np.uint8),
-                         count=m, bitorder="little")
+def pair_matrix(n: int, pairs) -> np.ndarray:
+    """The boolean (n+1) x (n+1) upper-triangle matrix of a pair vector (as from
+    gnp_pairs): cell [u, v] is set iff u < v and the pair (u, v) is an edge."""
     a = np.zeros((n + 1, n + 1), dtype=bool)
-    a[_triangles(n)[0]] = bits
-    return a | a.T
+    a[_upper(n)] = pairs
+    return a
 
 
 def sample_gnp(params: GnpParams, stream: int = 0) -> Graph:
@@ -276,14 +275,13 @@ def clique_walk(adj, cand, top: int, minima=None) -> list[int]:
 
 
 def clique_levels(a, top: int, critical: bool = False) -> list[int]:
-    """clique_walk's counts on every vertex of adjacency matrix a, a level at a time:
-    row s of a boolean x is C(s), x @ low^T (float64; low[u] = u's neighbours below
-    u) is |C(s + u)| for each child s + u, and x[s] & low[u] is its row.  Clique
-    counts of sizes 0..top, or critical counts (the walk's rule, from size 2 on)."""
+    """clique_walk's counts on every vertex of pair_matrix a, a level at a time: row s
+    of a boolean x is C(s), x @ a (float64; low = a^T, low[u] = u's neighbours below u)
+    is |C(s + u)| for each child s + u, and x[s] & low[u] is its row.  Clique counts
+    of sizes 0..top, or critical counts (the walk's rule, from size 2 on)."""
     n = len(a) - 1
-    above, below = _triangles(n)
-    low = a & below  # C({u}) = low[u]
-    lowt = (a & above).astype(np.float64)  # low^T, as a is symmetric
+    low = np.ascontiguousarray(a.T)  # C({u}) = low[u]
+    lowt = a.astype(np.float64)
     out = [0] * (top + 2) if critical else [1, n, int(np.count_nonzero(low))] + [0] * top
     last = top - 1 if critical else top - 2  # the deepest level that takes a product
 

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
-from .graphs import (MAX_ENUM_VERTICES, adjacency_matrix, all_graphs, clique_levels,
-                     clique_walk, gnp_mask, link_candidates)
+from .graphs import (MAX_ENUM_VERTICES, all_graphs, clique_levels, clique_walk, gnp_mask,
+                     gnp_pairs, link_candidates, pair_matrix)
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
 from .morse import critical_counts_formula
@@ -109,12 +109,12 @@ def _small_graph_counts(kind: str, n: int, d: int, t: tuple) -> tuple:
 
 def _graph_replicate(cfg, rng, critical: bool = False) -> list:
     """One G(n,p) draw: its count-table row at small n, else clique_levels' counts."""
-    mask = gnp_mask(rng, cfg.n, cfg.p)
     if cfg.n <= MAX_ENUM_VERTICES:
-        return list(_small_graph_counts(cfg.kind, cfg.n, cfg.d, ())[mask])
+        return list(_small_graph_counts(cfg.kind, cfg.n, cfg.d, ())[gnp_mask(rng, cfg.n, cfg.p)])
+    pairs = gnp_pairs(rng, cfg.n, cfg.p)
     if cfg.d == 1 and not critical:  # the edge count needs no matrix
-        return [mask.bit_count()]
-    return clique_levels(adjacency_matrix(cfg.n, mask), cfg.d + 1, critical)[2:]
+        return [int(np.count_nonzero(pairs))]
+    return clique_levels(pair_matrix(cfg.n, pairs), cfg.d + 1, critical)[2:]
 
 
 def _link_replicate(cfg, rng) -> list:

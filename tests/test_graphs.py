@@ -1,14 +1,15 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph, adjacency_matrix,
-                                all_graphs, clique_count, clique_levels, clique_walk, cliques,
-                                gnp_generator, gnp_mask, graph_probability, link_candidates,
-                                link_count, sample_gnp)
+from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph, all_graphs,
+                                clique_count, clique_levels, clique_walk, cliques, gnp_generator,
+                                gnp_mask, gnp_pairs, graph_probability, link_candidates,
+                                link_count, pair_matrix, sample_gnp)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 
@@ -215,11 +216,23 @@ def test_gnp_mask_matches_bitwise_packing(n):
             if u[b] < 0.3:
                 want |= 1 << b
         assert gnp_mask(gnp_generator(7, stream), n, 0.3) == want
+        assert gnp_pairs(gnp_generator(7, stream), n, 0.3).tolist() == [x < 0.3 for x in u]
+
+
+def pair_order(n):
+    """All unordered pairs of {1..n} in lexicographic order: the reference for
+    Graph.edges()."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def _mask_pairs(n, edge_mask):
+    """The pair vector of an edge mask, bit by bit."""
+    return [bool(edge_mask >> b & 1) for b in range(math.comb(n, 2))]
 
 
 def _pair_loop_adj(n, edge_mask):
     """The per-pair loop, kept here as the reference for Graph rows and
-    adjacency_matrix."""
+    pair_matrix."""
     adj = [0] * (n + 1)
     bit = 0
     for i in range(1, n + 1):
@@ -231,22 +244,27 @@ def _pair_loop_adj(n, edge_mask):
     return tuple(adj)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 15, 16, 40, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12, 15, 16, 30, 40, 100])
 def test_adjacency_rows_and_matrix_match_pair_loop(n):
-    masks = [0, (1 << math.comb(n, 2)) - 1]
-    masks += [gnp_mask(gnp_generator(3, stream), n, p)
-              for p in (0.1, 0.5, 0.9) for stream in range(4)]
+    if n <= 6:  # every mask
+        masks = range(1 << math.comb(n, 2))
+    else:
+        masks = [0, (1 << math.comb(n, 2)) - 1]
+        masks += [gnp_mask(gnp_generator(3, stream), n, p)
+                  for p in (0.1, 0.5, 0.9) for stream in range(4)]
     for mask in masks:
         want = _pair_loop_adj(n, mask)
-        assert Graph(n, mask).adj == want
-        a = adjacency_matrix(n, mask)
-        assert a.dtype == bool and a.shape == (n + 1, n + 1)
+        g = Graph(n, mask)
+        assert g.adj == want
+        assert g.edges() == [e for b, e in enumerate(pair_order(n)) if mask >> b & 1]
+        a = pair_matrix(n, _mask_pairs(n, mask))
+        assert a.dtype == bool and a.shape == (n + 1, n + 1) and not np.tril(a).any()
         assert [[bool(want[u] >> v & 1) for v in range(n + 1)] for u in range(n + 1)] \
-            == a.tolist()
+            == (a | a.T).tolist()
 
 
 def _assert_levels_match_walk(g, tops):
-    a = adjacency_matrix(g.n, g.edge_mask)
+    a = pair_matrix(g.n, _mask_pairs(g.n, g.edge_mask))
     for top in tops:
         minima = [[] for _ in range(top + 1)]
         counts = clique_walk(g.adj, g.vertex_mask, top, minima)

@@ -1,9 +1,11 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (GnpParams, Graph, adjacency_matrix, all_graphs, clique_count,
-                                clique_levels, cliques, sample_gnp)
+from cliquestats.graphs import (GnpParams, Graph, all_graphs, clique_count, clique_levels,
+                                cliques, pair_matrix, sample_gnp)
 from cliquestats.morse import (CriticalVector, Matching, critical_counts_direct,
                                critical_counts_formula, critical_minima, is_vertex_critical,
                                lex_matching, truncated_critical_count, verify_acyclic)
@@ -125,10 +127,14 @@ def test_critical_walk_matches_indicator_reference_random(n, d_max, graphs):
             _assert_walk_matches_reference(sample_gnp(GnpParams(n, p, 17), stream=stream), d_max)
 
 
+def _pair_matrix(g):
+    return pair_matrix(g.n, [bool(g.edge_mask >> b & 1) for b in range(comb(g.n, 2))])
+
+
 def _assert_dense_edges_match(g):
     want = critical_counts_formula(g, 1).counts
     assert critical_counts_direct(g, 1).counts == want
-    assert tuple(clique_levels(adjacency_matrix(g.n, g.edge_mask), 2, critical=True)[2:]) == want
+    assert tuple(clique_levels(_pair_matrix(g), 2, critical=True)[2:]) == want
 
 
 def test_critical_edges_dense_matches_scalar_exhaustive():
@@ -149,7 +155,7 @@ def test_clique_levels_critical_matches_direct(n):
     for p in (0.0, 0.1, 0.5, 0.9, 1.0):
         for stream in range(4):
             g = sample_gnp(GnpParams(n, p, 31), stream=stream)
-            a = adjacency_matrix(n, g.edge_mask)
+            a = _pair_matrix(g)
             for d in (2, 3):
                 want = critical_counts_direct(g, d).counts
                 assert tuple(clique_levels(a, d + 1, critical=True)[2:]) == want
@@ -323,7 +329,7 @@ def test_clique_levels_weak_morse_equality(n, ps):
     for p in ps:
         for stream in range(3):
             g = sample_gnp(GnpParams(n, p, 37), stream=stream)
-            a = adjacency_matrix(n, g.edge_mask)
+            a = _pair_matrix(g)
             critical = [sum(is_vertex_critical(g, v) for v in range(1, n + 1))]
             critical += clique_levels(a, n, critical=True)[2:]
             assert _euler(critical) == _euler(clique_levels(a, n)[1:])

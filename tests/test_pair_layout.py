@@ -1,0 +1,37 @@
+"""The lexicographic pair layout has one owner, graphs.py: no other src module
+packs or unpacks edge bits or builds a triangle mask."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cliquestats"
+LAYOUT_CALLS = {"packbits", "unpackbits", "tri", "from_bytes", "to_bytes"}
+
+
+def _layout_calls(tree):
+    """(line, name) of each call in tree to a name or attribute in LAYOUT_CALLS."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in LAYOUT_CALLS:
+                found.append((node.lineno, name))
+    return found
+
+
+def test_only_graphs_handles_the_pair_layout():
+    found = ["%s:%d: %s" % (path.name, line, name)
+             for path in sorted(SRC.glob("*.py")) if path.name != "graphs.py"
+             for line, name in _layout_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found
+
+
+def test_layout_call_finder_sees_each_form():
+    forms = ["np.packbits(x)", "numpy.unpackbits(x, count=3)", "np.tri(4, k=-1)",
+             "int.from_bytes(b, 'little')", "mask.to_bytes(2, 'little')",
+             "(1 << 9).to_bytes(2, 'little')", "packbits(x)", "f(unpackbits(x))"]
+    for src in forms:
+        assert _layout_calls(ast.parse(src)), src
+    # a rectangle's index pairs are not the pair layout
+    assert not _layout_calls(ast.parse("np.triu_indices(s, 1)"))
