@@ -65,6 +65,7 @@ EXACT_ARGS = {
     "bounds-ustat-no-x": "bounds --theorem ustat-no-x --k-vec 2,3 --alpha-vec 0.2,0.1 --beta 0.5",
     "verify-figure2": "verify --suite figure2",
     "verify-bound-spots": "verify --suite bound-spots",
+    "verify-truncation": "verify --suite truncation",
 }
 
 CLOSE_ARGS = {
