@@ -207,6 +207,14 @@ def _pairs_with_minima(n: int, i: int, a: int, j: int, b: int) -> int:
     return comb0(n - b, j) * (comb0(n - a, i) - comb0(n - a - 1 - j, i))
 
 
+def _count_bound_pair(name: str, value: float, rate: float, d: int, params: dict) -> BoundPair:
+    """A count vector's smooth bound and its convex transfer, whose rate is a
+    quarter of the smooth one."""
+    smooth = BoundReport(name + "-smooth", value, SMOOTH, rate, params)
+    cvx = convex_bound(d, value)
+    return BoundPair(smooth, BoundReport(name + "-convex", cvx.value, CONVEX, rate / 4, params))
+
+
 def crit_bound(n: int, d: int, p: float) -> BoundPair:
     """Grouped evaluation of the dissociated-sum bound for the critical-count
     vector: sum over component triples and the two minima, with exact pair
@@ -250,10 +258,7 @@ def crit_bound(n: int, d: int, p: float) -> BoundPair:
     # keep the bound from decaying; exposed so rate checks can see it
     params = {"n": n, "d": d, "p": p,
               "same_min_share": total_same_min / total if total else 0.0}
-    smooth = BoundReport("critical-count-smooth", value, SMOOTH, -1.0, params)
-    cvx = convex_bound(d, value)
-    cvx = BoundReport("critical-count-convex", cvx.value, CONVEX, -0.25, params)
-    return BoundPair(smooth, cvx)
+    return _count_bound_pair("critical-count", value, -1.0, d, params)
 
 
 def link_bound(n: int, t_size: int, d: int, p: float) -> BoundPair:
@@ -267,10 +272,7 @@ def link_bound(n: int, t_size: int, d: int, p: float) -> BoundPair:
          * p ** (-(d + 1) * (d + 2 * t_size)))
     r = n - t_size
     params = {"n": n, "t_size": t_size, "d": d, "p": p, "constant": b}
-    smooth = BoundReport("link-count-smooth", b * r ** -0.5, SMOOTH, -0.5, params)
-    cvx = convex_bound(d, smooth.value)
-    cvx = BoundReport("link-count-convex", cvx.value, CONVEX, -0.125, params)
-    return BoundPair(smooth, cvx)
+    return _count_bound_pair("link-count", b * r ** -0.5, -0.5, d, params)
 
 
 def clique_bound(n: int, d: int, p: float) -> BoundPair:
@@ -284,10 +286,7 @@ def clique_bound(n: int, d: int, p: float) -> BoundPair:
     b = (16.0 / 3.0 * d ** (2 * d + 5) * p ** (-3 * c + 1)
          * (1.0 - p ** c) * (p ** -1 - 1.0) ** -1.5)
     params = {"n": n, "d": d, "p": p, "constant": b}
-    smooth = BoundReport("clique-count-smooth", b / n, SMOOTH, -1.0, params)
-    cvx = convex_bound(d, smooth.value)
-    cvx = BoundReport("clique-count-convex", cvx.value, CONVEX, -0.25, params)
-    return BoundPair(smooth, cvx)
+    return _count_bound_pair("clique-count", b / n, -1.0, d, params)
 
 
 def _ustat_sum(k_vec, alpha_vec, beta) -> float:

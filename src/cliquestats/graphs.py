@@ -274,11 +274,13 @@ def clique_walk(adj, cand, top: int, minima=None) -> list[int]:
     return counts
 
 
-def clique_levels(a, top: int, critical: bool = False) -> list[int]:
+def clique_levels(a, top: int, critical: bool = False, minima=None) -> list[int]:
     """clique_walk's counts on every vertex of pair_matrix a, a level at a time: row s
     of a boolean x is C(s), x @ a (float64; low = a^T, low[u] = u's neighbours below u)
     is |C(s + u)| for each child s + u, and x[s] & low[u] is its row.  Clique counts
-    of sizes 0..top, or critical counts (the walk's rule, from size 2 on)."""
+    of sizes 0..top, or critical counts (the walk's rule, from size 2 on).  With
+    minima (top + 1 lists), critical mode appends min(s + u) = u to minima[|s| + 1]
+    for each critical child, as clique_walk does."""
     n = len(a) - 1
     low = np.ascontiguousarray(a.T)  # C({u}) = low[u]
     lowt = a.astype(np.float64)
@@ -292,7 +294,10 @@ def clique_levels(a, top: int, critical: bool = False) -> list[int]:
             prod = xf @ lowt  # exact: no entry exceeds n
             if critical:  # s + u with C(s + u) empty and min C(s) < u
                 above_first = xb.argmax(axis=1)[:, None] < np.arange(n + 1)
-                out[size + 1] += int(np.count_nonzero(xb & (prod == 0) & above_first))
+                crit = xb & (prod == 0) & above_first
+                out[size + 1] += int(np.count_nonzero(crit))
+                if minima is not None:
+                    minima[size + 1] += np.nonzero(crit)[1].tolist()
             else:
                 out[size + 2] += int(np.vdot(xf, prod))
             if size < last:

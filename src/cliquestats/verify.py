@@ -18,10 +18,10 @@ from . import bounds as bd
 from . import moments as mo
 from . import montecarlo as mc
 from . import oracle as orc
-from .graphs import Graph, GnpParams, gnp_generator, gnp_mask, sample_gnp
+from .graphs import (Graph, GnpParams, clique_levels, gnp_generator, gnp_mask, gnp_pairs,
+                     pair_matrix)
 from .kinds import statistic
-from .morse import (critical_counts_direct, critical_counts_formula,
-                    critical_minima, lex_matching, verify_acyclic)
+from .morse import critical_counts_direct, critical_counts_formula, lex_matching, verify_acyclic
 
 REL_TOL_ORACLE = 1e-10
 
@@ -315,8 +315,10 @@ def suite_truncation() -> list:
     results = []
     exceed = {K: 0 for K in Ks}
     for r in range(reps):
-        g = sample_gnp(GnpParams(n, p, seed), stream=r)
-        top = max(critical_minima(g, k + 1), default=0)
+        minima = [[] for _ in range(k + 2)]
+        clique_levels(pair_matrix(n, gnp_pairs(gnp_generator(seed, r), n, p)), k + 1,
+                      critical=True, minima=minima)
+        top = max(minima[k + 1], default=0)
         for K in Ks:
             if top > K:  # full count minus K-truncated count >= 1
                 exceed[K] += 1

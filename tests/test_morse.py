@@ -131,10 +131,22 @@ def _pair_matrix(g):
     return pair_matrix(g.n, [bool(g.edge_mask >> b & 1) for b in range(comb(g.n, 2))])
 
 
+def _levels_critical(g, a, top):
+    """clique_levels' critical counts on pair_matrix a of g, after checking that
+    passing minima leaves them unchanged and that the minima of each size k,
+    sorted, are the walk's critical_minima(g, k)."""
+    minima = [[] for _ in range(top + 1)]
+    counts = clique_levels(a, top, critical=True, minima=minima)
+    assert counts == clique_levels(a, top, critical=True)
+    for k in range(2, top + 1):
+        assert sorted(minima[k]) == critical_minima(g, k)
+    return counts
+
+
 def _assert_dense_edges_match(g):
     want = critical_counts_formula(g, 1).counts
     assert critical_counts_direct(g, 1).counts == want
-    assert tuple(clique_levels(_pair_matrix(g), 2, critical=True)[2:]) == want
+    assert tuple(_levels_critical(g, _pair_matrix(g), 2)[2:]) == want
 
 
 def test_critical_edges_dense_matches_scalar_exhaustive():
@@ -158,7 +170,7 @@ def test_clique_levels_critical_matches_direct(n):
             a = _pair_matrix(g)
             for d in (2, 3):
                 want = critical_counts_direct(g, d).counts
-                assert tuple(clique_levels(a, d + 1, critical=True)[2:]) == want
+                assert tuple(_levels_critical(g, a, d + 1)[2:]) == want
 
 
 def test_critical_minima_and_truncation_reject_k_below_2():

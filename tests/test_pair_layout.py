@@ -1,5 +1,7 @@
 """The lexicographic pair layout has one owner, graphs.py: no other src module
-packs or unpacks edge bits or builds a triangle mask."""
+packs or unpacks edge bits or builds a triangle mask.  Sampled draws in the
+library take the replicate path (gnp_pairs into pair_matrix): only cli.py's
+morse-demo builds a Graph through sample_gnp."""
 
 import ast
 import pathlib
@@ -8,23 +10,30 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cliquestats"
 LAYOUT_CALLS = {"packbits", "unpackbits", "tri", "from_bytes", "to_bytes"}
 
 
-def _layout_calls(tree):
-    """(line, name) of each call in tree to a name or attribute in LAYOUT_CALLS."""
+def _layout_calls(tree, names=LAYOUT_CALLS):
+    """(line, name) of each call in tree to a name or attribute in names."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in LAYOUT_CALLS:
+            if name in names:
                 found.append((node.lineno, name))
     return found
 
 
+def _calls_outside(module, names):
+    return ["%s:%d: %s" % (path.name, line, name)
+            for path in sorted(SRC.glob("*.py")) if path.name != module
+            for line, name in _layout_calls(ast.parse(path.read_text(encoding="utf-8")), names)]
+
+
 def test_only_graphs_handles_the_pair_layout():
-    found = ["%s:%d: %s" % (path.name, line, name)
-             for path in sorted(SRC.glob("*.py")) if path.name != "graphs.py"
-             for line, name in _layout_calls(ast.parse(path.read_text(encoding="utf-8")))]
-    assert not found
+    assert not _calls_outside("graphs.py", LAYOUT_CALLS)
+
+
+def test_only_cli_samples_a_graph():
+    assert not _calls_outside("cli.py", {"sample_gnp"})
 
 
 def test_layout_call_finder_sees_each_form():
@@ -35,3 +44,5 @@ def test_layout_call_finder_sees_each_form():
         assert _layout_calls(ast.parse(src)), src
     # a rectangle's index pairs are not the pair layout
     assert not _layout_calls(ast.parse("np.triu_indices(s, 1)"))
+    for src in ("sample_gnp(params, stream=r)", "graphs.sample_gnp(params)"):
+        assert _layout_calls(ast.parse(src), {"sample_gnp"}), src
