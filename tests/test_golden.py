@@ -4,7 +4,9 @@ fails here.
 
 * ``raw``: sha256 of the float64 bytes of ``simulate_raw`` rows, per kind, at
   n = 5 (through the small-graph count cache), 12 and 40, and at n = 100 for
-  critical d = 1, clique d = 1 and link d = 3.
+  critical d = 1, clique d = 1 and link d = 3; at n = 6 for critical d = 3
+  and clique d = 1 and 2, and for link wherever n - |t| <= 6; a run of 2500
+  replicates; and a run whose last stream is 2^64 - 1.
 * ``exact``: the exact output bytes of ``moments``, ``bounds`` and
   ``verify`` reports whose numbers come from closed forms alone.
 * ``close``: ``simulate --check`` per kind and the ``simulate`` JSON dump.
@@ -50,6 +52,11 @@ RAW_SPECS = [
     ("link", 12, 3, (1, 3), 300, 32, 0),
     ("link", 40, 2, (1,), 300, 33, 0),
     ("link", 100, 3, (1,), 200, 34, 0),
+    ("critical", 6, 3, (), 300, 17, 0),
+    ("clique", 6, 1, (), 300, 27, 0),
+    ("link", 8, 3, (1, 2), 300, 35, 0),
+    ("link", 6, 3, (4,), 2500, 36, 9),
+    ("clique", 6, 2, (), 500, 2 ** 64 - 1, 2 ** 64 - 500),
 ]
 
 EXACT_ARGS = {
