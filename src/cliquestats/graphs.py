@@ -153,6 +153,14 @@ def check_seed(seed: int) -> None:
         raise ValueError("seed must be an unsigned 64-bit integer")
 
 
+def check_streams(first: int, count: int) -> None:
+    """Streams first..first + count - 1 are Philox key words, so they must lie
+    in 0..2^64 - 1."""
+    if count < 0 or not 0 <= first <= 2 ** 64 - count:
+        raise ValueError("streams %d..%d are outside the Philox key range 0..2^64 - 1"
+                         % (first, first + count - 1))
+
+
 def gnp_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for a (seed, stream) pair.
 
@@ -164,10 +172,80 @@ def gnp_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def gnp_streams(seed: int, first_stream: int, count: int):
+    """Yield the generators gnp_generator(seed, first_stream + r), r < count, as
+    one Generator whose Philox state is reset to each key in turn: counter 0,
+    empty buffer, as a fresh one starts (a fresh one costs about four times as
+    much).  Each is valid until the next is yielded."""
+    check_seed(seed)
+    check_streams(first_stream, count)
+    bitgen = np.random.Philox(key=np.array([seed, first_stream], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    zero = np.zeros(4, dtype=np.uint64)
+    for stream in range(first_stream, first_stream + count):
+        state["state"] = {"counter": zero, "key": np.array([seed, stream], dtype=np.uint64)}
+        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        bitgen.state = state
+        yield rng
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11) as numpy implements it: round multipliers and key-schedule (Weyl)
+# increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """(high, low) 64-bit words of the 128-bit products m * x, from 32-bit halves."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & _LOW32, x >> _32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = (m0 * x0 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return m1 * x1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32), x * np.uint64(m)
+
+
+def gnp_uniforms(seed: int, first_stream: int, count: int, m: int) -> np.ndarray:
+    """A (count, m) float64 array whose row r is gnp_generator(seed,
+    first_stream + r).random(m) bit for bit: Philox4x64-10 run across the
+    keys at once.  Word w of a stream is word w % 4 of the block at counter
+    w // 4 + 1 (numpy bumps the counter before each block), and a variate
+    is (word >> 11) * 2^-53."""
+    check_seed(seed)
+    check_streams(first_stream, count)
+    blocks = -(-m // 4)
+    k0 = np.full((count, 1), seed, dtype=np.uint64)
+    k1 = np.arange(first_stream, first_stream + count, dtype=np.uint64)[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
+    c1 = c2 = c3 = np.zeros((count, blocks), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=2).reshape(count, 4 * blocks)[:, :m]
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _edges(u, p: float):
+    """The edge rule: a pair is an edge iff its uniform variate is < p."""
+    return u < p
+
+
 def gnp_pairs(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     """One G(n,p) draw as a boolean vector over the pairs in lexicographic
     order: one uniform variate per pair, pair b an edge iff its variate is < p."""
-    return rng.random(comb(n, 2)) < p
+    return _edges(rng.random(comb(n, 2)), p)
+
+
+def gnp_masks(u: np.ndarray, p: float) -> np.ndarray:
+    """Int64 edge masks of the draws whose pair variates are the rows of u
+    (at most 63 pairs): gnp_pairs' rule, pair b at bit b, as gnp_mask packs."""
+    return _edges(u, p) @ (1 << np.arange(u.shape[1], dtype=np.int64))
 
 
 def gnp_mask(rng: np.random.Generator, n: int, p: float) -> int:

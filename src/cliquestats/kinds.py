@@ -1,8 +1,9 @@
 """The statistic registry: one entry per count vector with its component
 sizes and argument checks, its scalar count kernel (graph -> vector), count
-table (every small graph counted once) and Monte Carlo replicate kernel, its
-closed-form moments, its bound pair and its dissociated-sum pieces.  The rest
-of the library looks kinds up here instead of branching on them."""
+table (every small graph counted once), Monte Carlo replicate kernel and
+count-table rows for a block of draws, its closed-form moments, its bound
+pair and its dissociated-sum pieces.  The rest of the library looks kinds up
+here instead of branching on them."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
 from .graphs import (MAX_ENUM_VERTICES, all_graphs, clique_levels, clique_walk, gnp_mask,
-                     gnp_pairs, link_candidates, pair_matrix)
+                     gnp_masks, gnp_pairs, link_candidates, pair_matrix)
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
 from .morse import critical_counts_formula
@@ -33,6 +34,8 @@ class Statistic:
     min_overlap: int  # summands sharing fewer vertices are independent
     count: Callable  # (Graph, d, t) -> tuple of d ints
     replicate: Callable  # (MCConfig, generator) -> list of d numbers
+    table_words: Callable  # MCConfig -> variates per replicate, None: not all from count tables
+    table_rows: Callable  # (MCConfig, variates (R, table_words)) -> R replicate rows
     mean: Callable  # (n, t_size, k, p) -> float
     var: Callable  # (n, t_size, k, p) -> float
     cov: Callable | None  # (n, t_size, k, l, p) -> float, None: no closed form
@@ -107,6 +110,21 @@ def _small_graph_counts(kind: str, n: int, d: int, t: tuple) -> tuple:
                  (STATS[kind].count(g, d, t) for g in all_graphs(n)))
 
 
+@lru_cache(maxsize=64)
+def _count_array(kind: str, n: int, d: int, t: tuple) -> np.ndarray:
+    """_small_graph_counts as a float64 array, one row per edge mask, which the
+    n <= 6 Monte Carlo indexes with a block of edge masks at once."""
+    return np.array(_small_graph_counts(kind, n, d, t), dtype=np.float64)
+
+
+def _graph_table_words(cfg):
+    return comb(cfg.n, 2) if cfg.n <= MAX_ENUM_VERTICES else None
+
+
+def _graph_table_rows(cfg, u) -> np.ndarray:
+    return _count_array(cfg.kind, cfg.n, cfg.d, ())[gnp_masks(u, cfg.p)]
+
+
 def _graph_replicate(cfg, rng, critical: bool = False) -> list:
     """One G(n,p) draw: its count-table row at small n, else clique_levels' counts."""
     if cfg.n <= MAX_ENUM_VERTICES:
@@ -130,11 +148,32 @@ def _link_replicate(cfg, rng) -> list:
     return [m] + _graph_replicate(SimpleNamespace(kind="clique", n=m, p=cfg.p, d=cfg.d - 1), rng)
 
 
+def _link_table_words(cfg):
+    room = cfg.n - len(cfg.t)
+    return room + comb(room, 2) if room <= MAX_ENUM_VERTICES else None
+
+
+def _link_table_rows(cfg, u) -> np.ndarray:
+    # _link_replicate on each row of u: the first n - |t| variates give m, and
+    # the inner graph reads the next C(m, 2), as its next random() call would
+    room = cfg.n - len(cfg.t)
+    m = np.count_nonzero(u[:, :room] < cfg.p ** len(cfg.t), axis=1)
+    rows = np.zeros((len(u), cfg.d))
+    rows[:, 0] = m
+    if cfg.d > 1:  # below 2 common neighbours, every clique count is 0
+        for k in range(2, room + 1):
+            inner = m == k
+            rows[inner, 1:] = _count_array("clique", k, cfg.d - 1, ())[
+                gnp_masks(u[inner, room:room + comb(k, 2)], cfg.p)]
+    return rows
+
+
 STATS = {s.name: s for s in (
     Statistic(
         "critical", first_size=2, needs_t=False, min_overlap=1,
         count=lambda g, d, t: critical_counts_formula(g, d).counts,
         replicate=partial(_graph_replicate, critical=True),
+        table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: crit_mean(n, k, p),
         var=lambda n, ts, k, p: crit_variance(n, k, p),
         cov=None,
@@ -144,6 +183,7 @@ STATS = {s.name: s for s in (
         "link", first_size=1, needs_t=True, min_overlap=1,
         count=lambda g, d, t: tuple(clique_walk(g.adj, link_candidates(g, t), d)[1:]),
         replicate=_link_replicate,
+        table_words=_link_table_words, table_rows=_link_table_rows,
         mean=lambda n, ts, k, p: link_mean(n, ts, k, p),
         var=lambda n, ts, k, p: link_cov(n, ts, k, k, p),
         cov=lambda n, ts, k, l, p: link_cov(n, ts, k, l, p),
@@ -153,6 +193,7 @@ STATS = {s.name: s for s in (
         "clique", first_size=2, needs_t=False, min_overlap=2,
         count=lambda g, d, t: tuple(clique_walk(g.adj, g.vertex_mask, d + 1)[2:]),
         replicate=_graph_replicate,
+        table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: clique_mean(n, k + 1, p),
         var=lambda n, ts, k, p: clique_cov(n, k, k, p),
         cov=lambda n, ts, k, l, p: clique_cov(n, k, l, p),

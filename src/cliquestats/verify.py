@@ -18,7 +18,7 @@ from . import bounds as bd
 from . import moments as mo
 from . import montecarlo as mc
 from . import oracle as orc
-from .graphs import (Graph, GnpParams, clique_levels, gnp_generator, gnp_mask, gnp_pairs,
+from .graphs import (Graph, GnpParams, clique_levels, gnp_mask, gnp_pairs, gnp_streams,
                      pair_matrix)
 from .kinds import statistic
 from .morse import critical_counts_direct, critical_counts_formula, lex_matching, verify_acyclic
@@ -121,8 +121,8 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
                 n, min(3, n - 1), range(1 << math.comb(n, 2))) for n in enum_ns]
     name = "%d random graphs n=%d" % (random_graphs, random_n)
     corpora.append((name, name, random_n, 3,
-                    [gnp_mask(gnp_generator(params.seed, r), params.n, params.p)
-                     for r in range(random_graphs)]))
+                    [gnp_mask(rng, params.n, params.p)
+                     for rng in gnp_streams(params.seed, 0, random_graphs)]))
     jobs = [(n, d, masks[len(masks) * i // threads:len(masks) * (i + 1) // threads])
             for _, _, n, d, masks in corpora for i in range(threads)]
     counts = mc.parallel_map(_equiv_tally, jobs, threads)
@@ -314,10 +314,9 @@ def suite_truncation() -> list:
     Ks = (5, 10, 20)
     results = []
     exceed = {K: 0 for K in Ks}
-    for r in range(reps):
+    for rng in gnp_streams(seed, 0, reps):
         minima = [[] for _ in range(k + 2)]
-        clique_levels(pair_matrix(n, gnp_pairs(gnp_generator(seed, r), n, p)), k + 1,
-                      critical=True, minima=minima)
+        clique_levels(pair_matrix(n, gnp_pairs(rng, n, p)), k + 1, critical=True, minima=minima)
         top = max(minima[k + 1], default=0)
         for K in Ks:
             if top > K:  # full count minus K-truncated count >= 1

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph, all_graphs,
                                 clique_count, clique_levels, clique_walk, cliques, gnp_generator,
-                                gnp_mask, gnp_pairs, graph_probability, link_candidates,
-                                link_count, pair_matrix, sample_gnp)
+                                gnp_mask, gnp_masks, gnp_pairs, gnp_streams, gnp_uniforms,
+                                graph_probability, link_candidates, link_count, pair_matrix,
+                                sample_gnp)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 
@@ -217,6 +218,56 @@ def test_gnp_mask_matches_bitwise_packing(n):
                 want |= 1 << b
         assert gnp_mask(gnp_generator(7, stream), n, 0.3) == want
         assert gnp_pairs(gnp_generator(7, stream), n, 0.3).tolist() == [x < 0.3 for x in u]
+
+
+# (seed, first stream, streams): the smallest key, the largest, and streams
+# that carry into the upper 32 bits of the key word
+KEY_RANGES = [(0, 0, 3), (2 ** 64 - 1, 2 ** 64 - 1, 1), (2 ** 64 - 1, 2 ** 64 - 3, 3),
+              (5, 2 ** 32 - 2, 4), (2 ** 32, 2 ** 33 - 1, 2)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 10, 15, 21])
+def test_gnp_uniforms_match_generators(m):
+    for seed, first, count in KEY_RANGES:
+        u = gnp_uniforms(seed, first, count, m)
+        assert u.shape == (count, m) and u.dtype == np.float64
+        for r in range(count):
+            assert u[r].tobytes() == gnp_generator(seed, first + r).random(m).tobytes()
+
+
+def _mixed_draws(g):
+    """Draws that leave g mid-block (5 and 3 words) and mid-word (three
+    32-bit halves)."""
+    return [g.random(5).tobytes(), g.integers(0, 2 ** 32, size=3, dtype=np.uint32).tobytes(),
+            g.random(3).tobytes()]
+
+
+def test_gnp_streams_match_generators_after_partial_draws():
+    # the reset to the next key must carry over no buffered word or half-word
+    for seed, first, count in KEY_RANGES:
+        for r, rng in enumerate(gnp_streams(seed, first, count)):
+            assert _mixed_draws(rng) == _mixed_draws(gnp_generator(seed, first + r))
+            state = rng.bit_generator.state
+            assert state["buffer_pos"] != 4 and state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("fn", [lambda s, f, c: gnp_uniforms(s, f, c, 3),
+                                lambda s, f, c: list(gnp_streams(s, f, c))])
+def test_stream_ranges_must_be_key_words(fn):
+    assert len(fn(1, 2 ** 64 - 2, 2)) == 2
+    for first, count in ((2 ** 64 - 1, 2), (2 ** 64, 1), (-1, 1)):
+        with pytest.raises(ValueError, match=r"0\.\.2\^64 - 1"):
+            fn(1, first, count)
+    with pytest.raises(ValueError):
+        fn(2 ** 64, 0, 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 11])
+def test_gnp_masks_match_gnp_mask(n):
+    for p in (0.0, 0.3, 1.0):
+        u = gnp_uniforms(4, 100, 50, math.comb(n, 2))
+        want = [gnp_mask(gnp_generator(4, 100 + r), n, p) for r in range(50)]
+        assert gnp_masks(u, p).tolist() == want
 
 
 def pair_order(n):

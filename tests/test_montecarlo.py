@@ -31,6 +31,56 @@ def test_config_validation():
         mc.MCConfig("clique", 5, 0.5, 2, 10, 2 ** 64)
 
 
+def _scalar_rows(cfg):
+    """simulate_raw as it was before batched draws: a fresh generator per
+    replicate, counted by the kind's replicate kernel."""
+    from cliquestats.graphs import gnp_generator
+    from cliquestats.kinds import statistic
+    replicate = statistic(cfg.kind).replicate
+    return np.array([replicate(cfg, gnp_generator(cfg.master_seed, cfg.replicate_offset + r))
+                     for r in range(cfg.replicates)], dtype=np.float64).reshape(-1, cfg.d)
+
+
+def test_offset_range():
+    top = mc.MCConfig("clique", 5, 0.5, 2, 2, 1, replicate_offset=2 ** 64 - 2)
+    assert mc.simulate_raw(top).tobytes() == _scalar_rows(top).tobytes()
+    for offset in (2 ** 64 - 1, -1):
+        with pytest.raises(ValueError, match=r"0\.\.2\^64 - 1"):
+            mc.MCConfig("clique", 5, 0.5, 2, 2, 1, replicate_offset=offset)
+
+
+def _table_specs():
+    """(kind, n, d, t) for every kind whose counts come from count tables:
+    critical and clique at n <= 6, link wherever n - |t| <= 6."""
+    specs = [(kind, n, d, ()) for kind in ("critical", "clique")
+             for n in range(2, 7) for d in range(1, n)]
+    links = [(n, (1,)) for n in range(2, 7)] + [(6, (2, 5)), (7, (3,)), (8, (1, 2))]
+    specs += [("link", n, d, t) for n, t in links for d in range(1, n - len(t) + 1)]
+    return specs
+
+
+@pytest.mark.parametrize("kind,n,d,t", _table_specs(),
+                         ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_table_path_matches_scalar_replicates(kind, n, d, t):
+    for p in (0.0, 0.3, 1.0):
+        cfg = mc.MCConfig(kind, n, p, d, 40, 3, t=t, replicate_offset=2 ** 32 - 20)
+        assert mc.simulate_raw(cfg).tobytes() == _scalar_rows(cfg).tobytes()
+
+
+@pytest.mark.parametrize("kind,t", [("critical", ()), ("clique", ()), ("link", (2,)),
+                                    ("link", (1, 3))])
+def test_batched_rows_match_scalar_replicates_across_blocks_and_workers(kind, t):
+    # a partial last block, and each worker's chunk starting mid-block; n = 7
+    # and 9 take the per-replicate path
+    reps = mc.TABLE_BLOCK + 37
+    for n, p in ((5, 0.3), (6, 0.5), (7, 0.5), (9, 0.3)):
+        cfg = mc.MCConfig(kind, n, p, 2, reps if n <= 6 else 60, 8, t=t,
+                          replicate_offset=5)
+        want = _scalar_rows(cfg).tobytes()
+        assert mc.simulate_raw(cfg).tobytes() == want
+        assert mc.simulate_raw(cfg, threads=2).tobytes() == want
+
+
 def test_complete_graph_counts_constant():
     cfg = mc.MCConfig("clique", 10, 1.0, 2, 5, 0)
     raw = mc.simulate_raw(cfg)
