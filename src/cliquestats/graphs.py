@@ -174,18 +174,16 @@ def gnp_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
 def gnp_streams(seed: int, first_stream: int, count: int):
     """Yield the generators gnp_generator(seed, first_stream + r), r < count, as
-    one Generator whose Philox state is reset to each key in turn: counter 0,
-    empty buffer, as a fresh one starts (a fresh one costs about four times as
-    much).  Each is valid until the next is yielded."""
+    one Generator whose Philox state is reset to a fresh one's (counter 0, no
+    buffered word or half-word) under each key in turn; a fresh generator
+    costs about four times as much.  Each is valid until the next is yielded."""
     check_seed(seed)
     check_streams(first_stream, count)
     bitgen = np.random.Philox(key=np.array([seed, first_stream], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    zero = np.zeros(4, dtype=np.uint64)
+    state = bitgen.state  # a copy, taken before any draw
     for stream in range(first_stream, first_stream + count):
-        state["state"] = {"counter": zero, "key": np.array([seed, stream], dtype=np.uint64)}
-        state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+        state["state"]["key"] = np.array([seed, stream], dtype=np.uint64)
         bitgen.state = state
         yield rng
 

@@ -263,11 +263,12 @@ def test_stream_ranges_must_be_key_words(fn):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 6, 11])
-def test_gnp_masks_match_gnp_mask(n):
-    for p in (0.0, 0.3, 1.0):
-        u = gnp_uniforms(4, 100, 50, math.comb(n, 2))
-        want = [gnp_mask(gnp_generator(4, 100 + r), n, p) for r in range(50)]
+def test_gnp_masks_match_bitwise_packing(n):
+    u = gnp_uniforms(4, 100, 50, math.comb(n, 2))
+    for p in (0.0, 0.3, 1.0, float(u[7, -1])):  # a variate equal to p is no edge
+        want = [sum(1 << b for b in range(u.shape[1]) if u[r, b] < p) for r in range(50)]
         assert gnp_masks(u, p).tolist() == want
+        assert want == [gnp_mask(gnp_generator(4, 100 + r), n, p) for r in range(50)]
 
 
 def pair_order(n):
