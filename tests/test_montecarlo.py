@@ -32,7 +32,7 @@ def test_config_validation():
 
 
 def _scalar_rows(cfg):
-    """simulate_raw as it was before batched draws: a fresh generator per
+    """The per-replicate reference for simulate_raw: a fresh generator per
     replicate, counted by the kind's replicate kernel."""
     from cliquestats.graphs import gnp_generator
     from cliquestats.kinds import statistic
