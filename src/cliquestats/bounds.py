@@ -14,7 +14,10 @@ import math
 from dataclasses import dataclass, field
 from math import comb
 
-from .moments import _check_p_open, comb0, crit_mu, crit_variance, sigma
+import numpy as np
+
+from .moments import (_check_p_open, _exact_ints, _row_blocks, _running_sum, comb0, crit_mu,
+                      crit_variance, sigma)
 
 VACUOUS_AT = 2.0
 
@@ -196,15 +199,50 @@ def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedIns
 # application bounds
 
 
-def _pairs_with_minima(n: int, i: int, a: int, j: int, b: int) -> int:
-    """Number of pairs (phi, psi), |phi| = i+1 with min a, |psi| = j+1 with
-    min b, that share at least one vertex.  For a < b, phi misses psi iff its
-    i vertices above a avoid the j+1 vertices of psi, which all lie above a."""
-    if a == b:
-        return comb0(n - a, i) * comb0(n - b, j)
-    if a > b:
-        a, b, i, j = b, a, j, i
-    return comb0(n - b, j) * (comb0(n - a, i) - comb0(n - a - 1 - j, i))
+def _pairs_with_minima(n: int, i: int, j: int):
+    """Numbers of pairs (phi, psi), |phi| = i+1 with min a, |psi| = j+1 with
+    min b, that share at least one vertex, as rows(lo, hi): an exact integer
+    table of the counts for a = lo+1..hi (rows) against b = 1..n-j.
+
+    For a < b, phi misses psi iff its i vertices above a avoid the j+1
+    vertices of psi, which all lie above a, so C(n-b, j) (C(n-a, i) -
+    C(n-a-1-j, i)) pairs meet; a > b is the mirror image, and a = b gives
+    C(n-a, i) C(n-b, j).
+    """
+    u = [comb0(n - a, i) for a in range(1, n - i + 1)]
+    v = [comb0(n - b, j) for b in range(1, n - j + 1)]
+    largest = u[0] * v[0]  # C(n-1, i) C(n-1, j) pairs in all
+    u_miss = _exact_ints([x - comb0(n - a - 1 - j, i) for a, x in enumerate(u, 1)], largest)
+    v_miss = _exact_ints([y - comb0(n - b - 1 - i, j) for b, y in enumerate(v, 1)], largest)
+    u, v = _exact_ints(u, largest), _exact_ints(v, largest)
+    b = np.arange(len(v))
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        table = np.where(b > np.arange(lo, hi)[:, None],
+                         np.multiply.outer(u_miss[lo:hi], v), np.multiply.outer(u[lo:hi], v_miss))
+        same = np.arange(lo, min(hi, len(v)))
+        table[same - lo, same] = u[same] * v[same]
+        return table
+
+    return rows
+
+
+def _minima_pair_sums(n: int, i: int, j: int, fa, fb) -> tuple[float, float]:
+    """Sum over the minima a, b of (pairs meeting) * fa[a-1] * fb[b-1], and
+    the part of it with a == b.  Each term is formed and added as a double
+    loop over a then b would form and add it; a zero fa or fb gives a +0.0
+    term, which leaves the sum as skipping it would."""
+    rows, cols = n - i, n - j
+    counts = _pairs_with_minima(n, i, j)
+    fa, fb = np.array(fa), np.array(fb)
+    acc = 0.0
+    same = []
+    for lo, hi in _row_blocks(rows, lambda lo: cols):
+        terms = counts(lo, hi).astype(np.float64) * fa[lo:hi, None] * fb
+        acc = _running_sum(acc, terms)
+        a = np.arange(lo, min(hi, cols))
+        same.append(terms[a - lo, a])
+    return acc, _running_sum(0.0, np.concatenate(same))
 
 
 def _count_bound_pair(name: str, value: float, rate: float, d: int, params: dict) -> BoundPair:
@@ -221,6 +259,11 @@ def crit_bound(n: int, d: int, p: float) -> BoundPair:
     counts, exact neighbourhood sizes, Bernoulli moment bounds, and exact
     variances.  A valid upper bound for the direct triple sum, sharper than
     an order-only estimate but still a grouping relaxation of it.
+
+    The sum over the minima (a, b) of each component pair runs in numpy
+    blocks (_minima_pair_sums) that form every term as the scalar double loop
+    did and add the terms in its order, so the bound's bits do not depend on
+    the block size (see the moments module docstring).
     """
     if d + 1 > n:
         raise ValueError("need d+1 <= n")
@@ -237,17 +280,7 @@ def crit_bound(n: int, d: int, p: float) -> BoundPair:
     total_same_min = 0.0
     for i in range(1, d + 1):
         for j in range(1, d + 1):
-            acc = diag = 0.0
-            for a, fa in enumerate(spread[i - 1], start=1):
-                if fa == 0.0:
-                    continue
-                for b, fb in enumerate(spread[j - 1], start=1):
-                    if fb == 0.0:
-                        continue
-                    term = _pairs_with_minima(n, i, a, j, b) * fa * fb
-                    acc += term
-                    if a == b:
-                        diag += term
+            acc, diag = _minima_pair_sums(n, i, j, spread[i - 1], spread[j - 1])
             for k in range(1, d + 1):
                 inv_sigma = 1.0 / (sigmas[i - 1] * sigmas[j - 1] * sigmas[k - 1])
                 weight = 1.5 * dmax[i - 1][k - 1] + 2.0 * dmax[j - 1][k - 1]

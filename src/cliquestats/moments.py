@@ -18,6 +18,18 @@ against exhaustive enumeration over all graphs with n <= 6:
     joint exponent 2k+1-m;
   * the pair-count factor for the vertices of s strictly between the two
     minima is C(j-i-1, q-1).
+
+The different-minima sum (over m, the minima i < j and the overlap q) and
+bounds.crit_bound's sum over pairs of minima are evaluated in numpy blocks of
+about BLOCK_TERMS terms.  Each term keeps the operands and the operation order
+of the scalar double loop it replaces: powers come from Python's ``**``,
+binomial products are exact integers (int64 where a bound on the largest
+product fits, Python ints otherwise) converted to float once, as int * float
+converts them, and a term the loop skipped is 0.0.  Each block is added to
+the running sum in the loop's order by ``np.add.accumulate``, one addition at
+a time; ``np.sum`` adds pairwise, which rounds differently.  So the sums are
+bit-identical to the scalar loops, which the pinned outputs (golden files,
+verify bytes, benchmark pins) depend on.
 """
 
 from __future__ import annotations
@@ -26,7 +38,17 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import check_p
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+# Terms per numpy block of the order-keeping sums of crit_variance and
+# crit_bound, so that a block's arrays do not grow with n.  Blocks of 2048 to
+# 16384 terms ran crit_variance(320, 2, 0.5) and crit_bound(320, 2, 0.5) in
+# about the same time (one BLAS thread); at 4096 their tracemalloc peak is
+# about 0.4 MB, and it doubles with the block.
+BLOCK_TERMS = 4096
 
 
 def comb0(n: int, k: int) -> int:
@@ -34,6 +56,32 @@ def comb0(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _row_blocks(rows: int, row_terms):
+    """Row ranges [lo, hi) of a blocked sum, each of about BLOCK_TERMS terms
+    (at least one row), where row_terms(lo) counts the terms of row lo, the
+    widest row of its block."""
+    lo = 0
+    while lo < rows:
+        hi = min(rows, lo + max(1, BLOCK_TERMS // row_terms(lo)))
+        yield lo, hi
+        lo = hi
+
+
+def _exact_ints(table, largest: int) -> np.ndarray:
+    """An integer table whose products stay at most `largest`: int64 where
+    that fits, exact Python ints (object) otherwise."""
+    return np.array(table, dtype=np.int64 if largest <= _INT64_MAX else object)
+
+
+def _running_sum(total: float, terms: np.ndarray) -> float:
+    """total + t0 + t1 + ... over terms in C order, one addition at a time
+    as a scalar loop adds them (np.sum adds pairwise, which rounds apart)."""
+    acc = np.empty(terms.size + 1)
+    acc[0] = total
+    acc[1:] = terms.ravel()
+    return float(np.add.accumulate(acc, out=acc)[-1])
 
 
 def _check_p_open(p: float):
@@ -99,9 +147,26 @@ def crit_variance(n: int, k: int, p: float) -> float:
     ck1 = math.comb(k + 1, 2)
     pk = p ** k
     pk1 = p ** (k + 1)
-    e = [0.0] * (n - k + 1)
-    for a in range(1, n - k + 1):
+    top = n - k  # the largest minimum
+    e = [0.0] * (top + 1)
+    for a in range(1, top + 1):
         e[a] = eta(a, k, p)
+    # The distinct-minima sum v12 runs over rows i = 1..top-1, then
+    # delta = j - i, then the overlap q; the (delta, q) tables below reach
+    # q = k, the last that C(2k+1-m-q, k) leaves nonzero.
+    rows = top - 1
+    e_i = np.array(e[1:top])[:, None]
+    e_j = np.array(e[2:] + [0.0] * rows)  # e[j] at [j - 2], zero past top
+    d_q = np.arange(1, rows + 1)[:, None] - np.arange(1, k + 1)
+    live = d_q >= 0
+    d_q[~live] = 0
+    # (1 - p^(k+1))^(j-i-q) and (1 - p^k)^(j-i-q), 0.0 where q > j - i
+    pow_k1 = np.where(live, np.array([(1.0 - pk1) ** t for t in range(rows)])[d_q], 0.0)
+    pow_k = np.where(live, np.array([(1.0 - pk) ** t for t in range(rows)])[d_q], 0.0)
+
+    def bracket(x: float, y: float) -> np.ndarray:
+        """x^(i-1) - y^(i-1) for the rows i = 1..top-1."""
+        return np.array([x ** (i - 1) - y ** (i - 1) for i in range(1, top)])[:, None, None]
 
     v12 = v3 = 0.0
     for m in range(1, k + 1):
@@ -114,27 +179,42 @@ def crit_variance(n: int, k: int, p: float) -> float:
         cross_hi = 1.0 - pk1 - pk + p ** (2 * k + 2 - m)
         q1_in = 1.0 - p ** (k + 1 - m)
         q0_out = 1.0 - p ** (k - m)
-        for i in range(1, n - k):
-            b1 = pp ** (i - 1) - cross_lo ** (i - 1)
-            bp0 = mm_in ** (i - 1) - cross_hi ** (i - 1)
-            bm0 = mm_out ** (i - 1) - cross_lo ** (i - 1)
-            ei = e[i]
-            for j in range(i + 1, n - k + 1):
-                ee = ei * e[j]
-                for q in range(1, min(k + 1, j - i) + 1):
-                    base = (C(n - j, 2 * k + 1 - m - q) * C(2 * k + 1 - m - q, k)
-                            * C(j - i - 1, q - 1))
-                    if not base:
-                        continue
-                    qin = q1_in ** q
-                    # family with min(t) in s: both brackets share base q1_in
-                    a_plus = pm * qin * ((1.0 - pk1) ** (j - i - q) * b1
-                                         + (1.0 - pk) ** (j - i - q) * bp0)
-                    # family with min(t) not in s
-                    a_minus = pm * ((1.0 - pk1) ** (j - i - q) * qin * b1
-                                    + (1.0 - pk) ** (j - i - q) * q0_out ** q * bm0)
-                    v12 += base * (C(k, m - 1) * (a_plus - ee)
-                                   + C(k, m) * (a_minus - ee))
+        qs = range(1, k + 2 - m)
+        r = [2 * k + 1 - m - q for q in qs]
+        nq = len(r)
+        # base = C(n-j, r_q) C(r_q, k) C(j-i-1, q-1), an exact integer: its
+        # factor in j at [j - 2] (zero past top), its factor in delta at
+        # [delta - 1]; each factor's largest value bounds the factor (when the
+        # other is 0) and their product bounds every base
+        largest = max(max(C(n - 2, rq), 1) * max(C(rq, k) * C(rows - 1, q - 1), 1)
+                      for q, rq in zip(qs, r))
+        f_j = _exact_ints([[C(n - j, rq) for rq in r] for j in range(2, top + 1)]
+                          + [[0] * nq] * rows, largest)
+        f_d = _exact_ints([[C(rq, k) * C(dl - 1, q - 1) for q, rq in zip(qs, r)]
+                           for dl in range(1, top)], largest)
+        qin = np.array([q1_in ** q for q in qs])
+        pm_qin = pm * qin
+        p1, p0 = pow_k1[:, :nq], pow_k[:, :nq]
+        p1_qin = p1 * qin
+        p0_q0 = p0 * np.array([q0_out ** q for q in qs])
+        w_in, w_out = float(C(k, m - 1)), float(C(k, m))
+        b1 = bracket(pp, cross_lo)
+        bp0 = bracket(mm_in, cross_hi)
+        bm0 = bracket(mm_out, cross_lo)
+        for lo, hi in _row_blocks(rows, lambda lo: (rows - lo) * nq):
+            # i = lo+1..hi, then delta = 1..rows-lo, then q: the scalar loop's order
+            w = rows - lo
+            j = np.arange(lo, hi)[:, None] + np.arange(w)  # j - 2
+            base = f_j[j] * f_d[:w]
+            ee = (e_i[lo:hi] * e_j[j])[:, :, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                # family with min(t) in s: both brackets share base q1_in
+                a_plus = pm_qin * (p1[:w] * b1[lo:hi] + p0[:w] * bp0[lo:hi])
+                # family with min(t) not in s
+                a_minus = pm * (p1_qin[:w] * b1[lo:hi] + p0_q0[:w] * bm0[lo:hi])
+                terms = base.astype(np.float64) * (w_in * (a_plus - ee) + w_out * (a_minus - ee))
+            terms[base == 0] = 0.0  # the scalar loop skipped these
+            v12 = _running_sum(v12, terms)
         # same-minimum pairs; this sum's cross base rounds apart from cross_hi
         cross = 1.0 - pk - pk1 + p ** (2 * k + 2 - m)
         cnt = C(k, m - 1)

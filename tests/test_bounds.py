@@ -1,12 +1,14 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cliquestats import bounds as bd
 from cliquestats import moments as mo
-from cliquestats.graphs import all_graphs, graph_probability
+from cliquestats.graphs import all_graphs, check_p, graph_probability
 
 
 def test_moment_bound_examples():
@@ -254,8 +256,8 @@ def test_subset_instance_neighborhood_rules():
 
 
 # ---------------------------------------------------------------------------
-# closed-form pair counts against enumeration, and crit_bound against the
-# scalar loop it replaced
+# closed-form pair counts against enumeration, and crit_bound and
+# crit_variance against the scalar loops they replaced
 
 
 def _subsets_with_min(n, size, a):
@@ -266,12 +268,20 @@ def test_pairs_with_minima_matches_enumeration():
     for n in range(2, 10):
         for i in range(1, 4):
             for j in range(1, 4):
+                table = None  # no table without a minimum for both sizes
+                if max(i, j) < n:
+                    rows = bd._pairs_with_minima(n, i, j)
+                    table = rows(0, n - i)
+                    assert table.shape == (n - i, n - j)
+                    half = (n - i) // 2
+                    assert (np.concatenate([rows(0, half), rows(half, n - i)]) == table).all()
                 for a in range(1, n + 1):
                     for b in range(1, n + 1):
                         want = sum(1 for phi in _subsets_with_min(n, i + 1, a)
                                    for psi in _subsets_with_min(n, j + 1, b)
                                    if set(phi) & set(psi))
-                        assert bd._pairs_with_minima(n, i, a, j, b) == want, (n, i, a, j, b)
+                        got = table[a - 1, b - 1] if a <= n - i and b <= n - j else 0
+                        assert got == want, (n, i, a, j, b)
 
 
 def test_neighborhood_count_matches_enumeration():
@@ -298,10 +308,85 @@ def _reference_pairs_with_minima(n, i, a, j, b):
     return total - disj
 
 
+def _reference_crit_variance(n, k, p):
+    """The scalar loop crit_variance evaluates in numpy blocks, term for term
+    and in the same order."""
+    mo._check_crit_args(n, k)
+    check_p(p)
+    if p in (0.0, 1.0):
+        return 0.0  # the count is a.s. 0 at both endpoints
+    C = mo.comb0
+    ck1 = math.comb(k + 1, 2)
+    pk = p ** k
+    pk1 = p ** (k + 1)
+    e = [0.0] * (n - k + 1)
+    for a in range(1, n - k + 1):
+        e[a] = mo.eta(a, k, p)
+
+    v12 = v3 = 0.0
+    for m in range(1, k + 1):
+        pm = p ** (-math.comb(m, 2))
+        # joint-factor bases, indexed by which of the four products is taken
+        pp = 1.0 - 2.0 * pk1 + p ** (2 * k + 2 - m)
+        mm_in = 1.0 - 2.0 * pk + p ** (2 * k + 1 - m)
+        mm_out = 1.0 - 2.0 * pk + p ** (2 * k - m)
+        cross_lo = 1.0 - pk1 - pk + p ** (2 * k + 1 - m)
+        cross_hi = 1.0 - pk1 - pk + p ** (2 * k + 2 - m)
+        q1_in = 1.0 - p ** (k + 1 - m)
+        q0_out = 1.0 - p ** (k - m)
+        for i in range(1, n - k):
+            b1 = pp ** (i - 1) - cross_lo ** (i - 1)
+            bp0 = mm_in ** (i - 1) - cross_hi ** (i - 1)
+            bm0 = mm_out ** (i - 1) - cross_lo ** (i - 1)
+            ei = e[i]
+            for j in range(i + 1, n - k + 1):
+                ee = ei * e[j]
+                for q in range(1, min(k + 1, j - i) + 1):
+                    base = (C(n - j, 2 * k + 1 - m - q) * C(2 * k + 1 - m - q, k)
+                            * C(j - i - 1, q - 1))
+                    if not base:
+                        continue
+                    qin = q1_in ** q
+                    # family with min(t) in s: both brackets share base q1_in
+                    a_plus = pm * qin * ((1.0 - pk1) ** (j - i - q) * b1
+                                         + (1.0 - pk) ** (j - i - q) * bp0)
+                    # family with min(t) not in s
+                    a_minus = pm * ((1.0 - pk1) ** (j - i - q) * qin * b1
+                                    + (1.0 - pk) ** (j - i - q) * q0_out ** q * bm0)
+                    v12 += base * (C(k, m - 1) * (a_plus - ee)
+                                   + C(k, m) * (a_minus - ee))
+        # same-minimum pairs; this sum's cross base rounds apart from cross_hi
+        cross = 1.0 - pk - pk1 + p ** (2 * k + 2 - m)
+        cnt = C(k, m - 1)
+        for i in range(1, n - k + 1):
+            v3 += (C(n - i, 2 * k + 1 - m) * C(2 * k + 1 - m, k) * cnt
+                   * (pm * (pp ** (i - 1) + mm_in ** (i - 1) - 2.0 * cross ** (i - 1))
+                      - e[i] ** 2))
+
+    v4 = math.fsum(C(n - i, k) * (e[i] - p ** ck1 * e[i] ** 2)
+                   for i in range(1, n - k + 1))
+
+    p2c = p ** (2 * ck1)
+    return 2.0 * p2c * v12 + p2c * v3 + p ** ck1 * v4
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_reference_crit_variance(n, k, p):
+    return _reference_crit_variance(n, k, p)
+
+
+@functools.lru_cache(maxsize=16)
+def _reference_pair_table(n, i, j):
+    """_reference_pairs_with_minima(n, i, a, j, b) at [a - 1][b - 1]."""
+    return [[_reference_pairs_with_minima(n, i, a, j, b) for b in range(1, n - j + 1)]
+            for a in range(1, n - i + 1)]
+
+
 def _reference_crit_bound(n, d, p):
-    """The per-k scalar loop crit_bound replaced: the f-sum pair count, the
-    subset-neighbourhood sum, and the (a, b) sums redone for every k."""
-    sigmas = mo.sigma([mo.crit_variance(n, k, p) for k in range(1, d + 1)])
+    """The scalar loops crit_bound replaced: the f-sum pair count, the
+    subset-neighbourhood sum, and the (a, b) double loop over the minima,
+    once per component pair (i, j)."""
+    sigmas = mo.sigma([_cached_reference_crit_variance(n, k, p) for k in range(1, d + 1)])
     dmax = [[sum(mo.comb0(l + 1, m) * mo.comb0(n - l - 1, k + 1 - m)
                  for m in range(1, min(l + 1, k + 1) + 1))
              for k in range(1, d + 1)] for l in range(1, d + 1)]
@@ -313,24 +398,24 @@ def _reference_crit_bound(n, d, p):
     total_same_min = 0.0
     for i in range(1, d + 1):
         for j in range(1, d + 1):
+            pairs = _reference_pair_table(n, i, j)
+            acc = diag = 0.0
+            for a in range(1, n - i + 1):
+                mia = mu[i][a]
+                if mia == 0.0:
+                    continue
+                fa = math.sqrt(mia * (1.0 - mia))
+                for b in range(1, n - j + 1):
+                    mjb = mu[j][b]
+                    if mjb == 0.0:
+                        continue
+                    term = pairs[a - 1][b - 1] * fa * math.sqrt(mjb * (1.0 - mjb))
+                    acc += term
+                    if a == b:
+                        diag += term
             for k in range(1, d + 1):
                 inv_sigma = 1.0 / (sigmas[i - 1] * sigmas[j - 1] * sigmas[k - 1])
                 weight = 1.5 * dmax[i - 1][k - 1] + 2.0 * dmax[j - 1][k - 1]
-                acc = diag = 0.0
-                for a in range(1, n - i + 1):
-                    mia = mu[i][a]
-                    if mia == 0.0:
-                        continue
-                    fa = math.sqrt(mia * (1.0 - mia))
-                    for b in range(1, n - j + 1):
-                        mjb = mu[j][b]
-                        if mjb == 0.0:
-                            continue
-                        term = (_reference_pairs_with_minima(n, i, a, j, b)
-                                * fa * math.sqrt(mjb * (1.0 - mjb)))
-                        acc += term
-                        if a == b:
-                            diag += term
                 total += inv_sigma * weight * acc
                 total_same_min += inv_sigma * weight * diag
     value = total / 3.0
@@ -342,9 +427,9 @@ def _reference_crit_bound(n, d, p):
     return smooth, cvx
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 16, 23, 31])
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 10, 16, 23, 31, 100, 321])
 def test_crit_bound_matches_scalar_reference(n):
-    for d in range(1, min(4, n - 1) + 1):
+    for d in range(1, min(4 if n < 300 else 2, n - 1) + 1):
         for p in (0.05, 0.3, 0.5, 0.61, 0.9):
             try:
                 want = _reference_crit_bound(n, d, p)
@@ -355,6 +440,7 @@ def test_crit_bound_matches_scalar_reference(n):
             pair = bd.crit_bound(n, d, p)
             assert pair.smooth.to_json() == want[0].to_json(), (n, d, p)
             assert pair.convex.to_json() == want[1].to_json(), (n, d, p)
+    _reference_pair_table.cache_clear()
 
 
 # crit_variance(n, k, p).hex() before its two m loops became one
@@ -375,3 +461,47 @@ CRIT_VARIANCE_HEX = {
 def test_crit_variance_bits_pinned(p):
     for n, hexes in CRIT_VARIANCE_HEX[p].items():
         assert [mo.crit_variance(n, k, p).hex() for k in (1, 2, 3)] == list(hexes), n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 12, 30, 65, 100, 101, 160, 321])
+def test_crit_variance_matches_scalar_reference(n):
+    for k in range(1, min(3, n - 1) + 1):
+        for p in (0.05, 0.123, 0.3, 0.5, 0.61, 0.9):
+            want = _cached_reference_crit_variance(n, k, p)
+            assert mo.crit_variance(n, k, p).hex() == want.hex(), (k, p)
+
+
+# _reference_crit_bound(212, 5, 0.5), pinned because it takes about 6 s:
+# smooth value, same_min_share and convex value
+CRIT_BOUND_212_5_HEX = ("0x1.3209ba6a8aa57p+40", "0x1.96012f5c62671p-4", "0x1.c124a2d1c03d2p+12")
+
+
+def test_overflow_past_int64_stays_exact():
+    # the m = 1, q = 1 term at i = 1, j = 2 has base C(128, 12) C(12, 6)
+    assert math.comb(128, 12) * math.comb(12, 6) > 2 ** 63
+    assert mo.crit_variance(130, 6, 0.5).hex() == _reference_crit_variance(130, 6, 0.5).hex()
+    # the count of pairs of 6-subsets with both minima 2 at n = 212
+    assert math.comb(210, 5) ** 2 > 2 ** 63
+    pair = bd.crit_bound(212, 5, 0.5)
+    got = (pair.smooth.value, pair.smooth.params["same_min_share"], pair.convex.value)
+    assert tuple(x.hex() for x in got) == CRIT_BOUND_212_5_HEX
+
+
+def test_tiny_p_overflow_error_kept():
+    for f in (mo.crit_variance, _reference_crit_variance):
+        with pytest.raises(OverflowError):
+            f(12, 3, 1e-120)
+
+
+def test_block_memory_does_not_grow_with_n():
+    mo.crit_variance(10, 2, 0.5)  # imports and first-call caches outside the trace
+    bd.crit_bound(10, 2, 0.5)
+    for f, args in ((mo.crit_variance, (320, 2, 0.5)), (mo.crit_variance, (1000, 1, 0.5)),
+                    (bd.crit_bound, (320, 2, 0.5))):
+        tracemalloc.start()
+        try:
+            f(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20, (f.__name__, args, peak)
