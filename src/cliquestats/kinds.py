@@ -1,23 +1,22 @@
 """The statistic registry: one entry per count vector with its component
 sizes and argument checks, its scalar count kernel (graph -> vector), count
-table (every small graph counted once), Monte Carlo replicate kernel and
-count-table rows for a block of draws, its closed-form moments, its bound
-pair and its dissociated-sum pieces.  The rest of the library looks kinds up
-here instead of branching on them."""
+table (one int16 row per graph on n <= 6 vertices), replicate kernel (one
+draw through clique_levels) and count-table rows for a block of draws, its
+closed-form moments, its bound pair and its dissociated-sum pieces.  The
+rest of the library looks kinds up here instead of branching on them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
-from .graphs import (MAX_ENUM_VERTICES, all_graphs, clique_levels, clique_walk, gnp_mask,
-                     gnp_masks, gnp_pairs, link_candidates, pair_matrix)
+from .graphs import (MAX_ENUM_VERTICES, all_graphs, clique_levels, clique_walk, gnp_masks,
+                     gnp_pairs, link_candidates, pair_matrix)
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
 from .morse import critical_counts_formula
@@ -101,20 +100,15 @@ class Statistic:
         return MomentReport(self.name, params, mean, cov, provenance)
 
 
-@lru_cache(maxsize=64)  # 64 tables on 6 vertices take at most about 30 MB
-def _small_graph_counts(kind: str, n: int, d: int, t: tuple) -> tuple:
-    """Count vectors of every graph on n vertices by edge mask, equal ones
-    sharing a tuple; kinds without a fixed subset take t = ()."""
-    shared: dict = {}
-    return tuple(shared.setdefault(v, v) for v in
-                 (STATS[kind].count(g, d, t) for g in all_graphs(n)))
-
-
-@lru_cache(maxsize=64)
-def _count_array(kind: str, n: int, d: int, t: tuple) -> np.ndarray:
-    """_small_graph_counts as a float64 array, one row per edge mask, which the
-    n <= 6 Monte Carlo indexes with a block of edge masks at once."""
-    return np.array(_small_graph_counts(kind, n, d, t), dtype=np.float64)
+@lru_cache(maxsize=64)  # 64 tables take at most 64 x 2^15 masks x 5 x 2 bytes, about 21 MB
+def _small_graph_counts(kind: str, n: int, d: int, t: tuple) -> np.ndarray:
+    """Count vectors of every graph on n vertices, one int16 row per edge mask,
+    read-only as the cache shares it; kinds without a fixed subset take t = ()."""
+    count = STATS[kind].count
+    table = np.fromiter((count(g, d, t) for g in all_graphs(n)), dtype=(np.int16, d),
+                        count=1 << comb(n, 2))
+    table.flags.writeable = False
+    return table
 
 
 def _graph_table_words(cfg):
@@ -122,17 +116,15 @@ def _graph_table_words(cfg):
 
 
 def _graph_table_rows(cfg, u) -> np.ndarray:
-    return _count_array(cfg.kind, cfg.n, cfg.d, ())[gnp_masks(u, cfg.p)]
+    return _small_graph_counts(cfg.kind, cfg.n, cfg.d, ())[gnp_masks(u, cfg.p)]
 
 
-def _graph_replicate(cfg, rng, critical: bool = False) -> list:
-    """One G(n,p) draw: its count-table row at small n, else clique_levels' counts."""
-    if cfg.n <= MAX_ENUM_VERTICES:
-        return list(_small_graph_counts(cfg.kind, cfg.n, cfg.d, ())[gnp_mask(rng, cfg.n, cfg.p)])
-    pairs = gnp_pairs(rng, cfg.n, cfg.p)
-    if cfg.d == 1 and not critical:  # the edge count needs no matrix
+def _draw_counts(rng, n: int, p: float, d: int, critical: bool = False) -> list:
+    """One G(n,p) draw's clique or critical counts of sizes 2..d+1, from clique_levels."""
+    pairs = gnp_pairs(rng, n, p)
+    if d == 1 and not critical:  # the edge count needs no matrix
         return [int(np.count_nonzero(pairs))]
-    return clique_levels(pair_matrix(cfg.n, pairs), cfg.d + 1, critical)[2:]
+    return clique_levels(pair_matrix(n, pairs), d + 1, critical)[2:]
 
 
 def _link_replicate(cfg, rng) -> list:
@@ -145,7 +137,7 @@ def _link_replicate(cfg, rng) -> list:
     m = int(np.count_nonzero(rng.random(cfg.n - ts) < cfg.p ** ts))
     if cfg.d == 1 or m == 0:
         return [m] + [0] * (cfg.d - 1)
-    return [m] + _graph_replicate(SimpleNamespace(kind="clique", n=m, p=cfg.p, d=cfg.d - 1), rng)
+    return [m] + _draw_counts(rng, m, cfg.p, cfg.d - 1)
 
 
 def _link_table_words(cfg):
@@ -163,7 +155,7 @@ def _link_table_rows(cfg, u) -> np.ndarray:
     if cfg.d > 1:  # below 2 common neighbours, every clique count is 0
         for k in range(2, room + 1):
             inner = m == k
-            rows[inner, 1:] = _count_array("clique", k, cfg.d - 1, ())[
+            rows[inner, 1:] = _small_graph_counts("clique", k, cfg.d - 1, ())[
                 gnp_masks(u[inner, room:room + comb(k, 2)], cfg.p)]
     return rows
 
@@ -172,7 +164,7 @@ STATS = {s.name: s for s in (
     Statistic(
         "critical", first_size=2, needs_t=False, min_overlap=1,
         count=lambda g, d, t: critical_counts_formula(g, d).counts,
-        replicate=partial(_graph_replicate, critical=True),
+        replicate=lambda cfg, rng: _draw_counts(rng, cfg.n, cfg.p, cfg.d, True),
         table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: crit_mean(n, k, p),
         var=lambda n, ts, k, p: crit_variance(n, k, p),
@@ -192,7 +184,7 @@ STATS = {s.name: s for s in (
     Statistic(
         "clique", first_size=2, needs_t=False, min_overlap=2,
         count=lambda g, d, t: tuple(clique_walk(g.adj, g.vertex_mask, d + 1)[2:]),
-        replicate=_graph_replicate,
+        replicate=lambda cfg, rng: _draw_counts(rng, cfg.n, cfg.p, cfg.d),
         table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: clique_mean(n, k + 1, p),
         var=lambda n, ts, k, p: clique_cov(n, k, k, p),

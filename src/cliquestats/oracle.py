@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .graphs import check_p
 from .kinds import _small_graph_counts, statistic
 from .moments import MomentReport
@@ -30,27 +32,28 @@ class ExactDistribution:
 
 
 def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDistribution:
-    """Accumulate the exact pmf of the count vector over all graphs on n
-    vertices in edge-mask order.  Per-graph weights come from a table p^e
-    (1-p)^(m-e) indexed by edge count, exact in double precision here."""
+    """The exact pmf of the count vector over all graphs on n vertices, from
+    the kind's count table: a row's key is its flat C-order index, which sorts
+    as the count tuples do, and np.bincount adds each mask's weight p^e
+    (1-p)^(m-e), read by its edge count e, in mask order.  A vector whose
+    graphs all weigh 0.0 is not in the support."""
     check_p(p)
     stat = statistic(kind)
     if t is not None:
         t = tuple(sorted(t))
     stat.check(n, d, t)
+    table = _small_graph_counts(kind, n, d, t if stat.needs_t else ())
     m = comb(n, 2)
-    wtable = [p ** e * (1.0 - p) ** (m - e) for e in range(m + 1)]
-    masses: dict = {}
-    for mask, v in enumerate(_small_graph_counts(kind, n, d, t if stat.needs_t else ())):
-        w = wtable[mask.bit_count()]
-        if w == 0.0:
-            continue
-        masses[v] = masses.get(v, 0.0) + w
-    support = sorted(masses)
+    wtable = np.array([p ** e * (1.0 - p) ** (m - e) for e in range(m + 1)])
+    dims = tuple(int(v) + 1 for v in table.max(axis=0))
+    masses = np.bincount(np.ravel_multi_index(table.T, dims),
+                         weights=wtable[np.bitwise_count(np.arange(len(table)))])
+    keys = np.flatnonzero(masses)
+    support = list(zip(*(c.tolist() for c in np.unravel_index(keys, dims))))
     params = {"n": n, "p": p, "d": d}
     if t is not None:
         params["t"] = list(t)
-    return ExactDistribution(kind, params, support, [masses[v] for v in support])
+    return ExactDistribution(kind, params, support, masses[keys].tolist())
 
 
 def exact_moments(kind: str, n: int, p: float, d: int, t=None) -> MomentReport:

@@ -18,8 +18,8 @@ from . import bounds as bd
 from . import moments as mo
 from . import montecarlo as mc
 from . import oracle as orc
-from .graphs import (Graph, GnpParams, clique_levels, gnp_mask, gnp_pairs, gnp_streams,
-                     pair_matrix)
+from .graphs import (MAX_ENUM_VERTICES, Graph, GnpParams, clique_levels, gnp_mask, gnp_pairs,
+                     gnp_streams, pair_matrix)
 from .kinds import statistic
 from .morse import critical_counts_direct, critical_counts_formula, lex_matching, verify_acyclic
 
@@ -57,8 +57,9 @@ def _rel_close(a: float, b: float, tol: float = REL_TOL_ORACLE) -> bool:
 
 def suite_oracle(n_max: int = 5, ps=(0.2, 0.5, 0.8), d_max: int = 3) -> list:
     """Analytic moments vs exhaustive enumeration, relative 1e-10."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    if not 2 <= n_max <= MAX_ENUM_VERTICES:  # before any gate runs
+        raise ValueError("n_max must be >= 2 and <= %d, the enumeration cap (got %d)"
+                         % (MAX_ENUM_VERTICES, n_max))
     results = []
     for n in range(2, n_max + 1):
         for p in ps:

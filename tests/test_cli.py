@@ -221,6 +221,14 @@ def test_verify_value_that_runs_no_gate_exit2(args, capsys):
     assert "must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_max", [7, 12])
+def test_verify_oracle_n_max_above_cap_exit2_before_a_gate(n_max, capsys, monkeypatch):
+    from cliquestats import oracle
+    monkeypatch.setattr(oracle, "exact_moments", lambda *a, **k: pytest.fail("a gate ran"))
+    assert cli.main(["verify", "--suite", "oracle", "--n-max", str(n_max)]) == 2
+    assert "<= 6, the enumeration cap (got %d)" % n_max in capsys.readouterr().err
+
+
 def test_verify_oracle_n_max_2_exit0(capsys):
     assert cli.main(["verify", "--suite", "oracle", "--n-max", "2"]) == 0
     out = capsys.readouterr().out

@@ -81,6 +81,27 @@ def test_batched_rows_match_scalar_replicates_across_blocks_and_workers(kind, t)
         assert mc.simulate_raw(cfg, threads=2).tobytes() == want
 
 
+@pytest.mark.parametrize("p", [0.2, 0.5])
+def test_link_inner_graphs_up_to_6_vertices_match_a_walk(p):
+    # n - |t| = 10 takes the per-replicate kernel; its inner graphs have
+    # 0..6 vertices, each counted like a larger one, by clique_levels
+    from cliquestats.graphs import Graph, clique_walk, gnp_generator, gnp_mask
+    n, t, reps = 12, (1, 3), 400
+    for d in (1, 2, 4):
+        raw = mc.simulate_raw(mc.MCConfig("link", n, p, d, reps, 21, t=t))
+        sizes = set()
+        for r in range(reps):
+            rng = gnp_generator(21, r)
+            m = int(np.count_nonzero(rng.random(n - len(t)) < p ** len(t)))
+            if m == 0:  # no common neighbour, no inner graph
+                assert raw[r].tolist() == [0] * d
+            else:
+                g = Graph(m, gnp_mask(rng, m, p))  # the draw's next C(m, 2) variates
+                assert raw[r].tolist() == clique_walk(g.adj, g.vertex_mask, d)[1:]
+            sizes.add(m)
+        assert sizes >= set(range(7 if p == 0.5 else 3))
+
+
 def test_complete_graph_counts_constant():
     cfg = mc.MCConfig("clique", 10, 1.0, 2, 5, 0)
     raw = mc.simulate_raw(cfg)

@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cliquestats import kinds
@@ -88,16 +90,26 @@ def test_count_table_matches_count_kernel(kind, t):
         top = n - len(t) + 1 - stat.first_size
         for d in range(1, top + 1) if n <= 5 else [top]:
             table = _small_graph_counts(kind, n, d, t)
-            assert len(table) == 2 ** math.comb(n, 2)
+            assert table.shape == (2 ** math.comb(n, 2), d)
+            assert table.dtype == np.int16
+            assert not table.flags.writeable  # shared through the cache
             for mask in range(0, len(table), 1 if n <= 5 else 7):
-                assert table[mask] == stat.count(Graph(n, mask), d, t)
-            # equal count vectors are one object
-            assert len({id(v) for v in table}) == len(set(table))
+                assert tuple(table[mask].tolist()) == stat.count(Graph(n, mask), d, t)
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_counts(kind, n, t):
+    """(edge count, count vector at the largest d) of every graph on n
+    vertices, from the kind's count kernel; a smaller d is a prefix."""
+    stat = kinds.statistic(kind)
+    top = n - len(t) + 1 - stat.first_size
+    return [(g.edge_count, stat.count(g, top, t)) for g in all_graphs(n)]
 
 
 def _per_graph_distribution(kind, n, p, d, t=None):
-    """The oracle as it was before the count table: build every graph and run
-    the kind's count kernel on it, once per call."""
+    """The oracle as it was before the count table: run the kind's count kernel
+    on every graph and add each graph's weight to its count vector's mass, in
+    edge-mask order, in a dict."""
     stat = kinds.statistic(kind)
     if t is not None:
         t = tuple(sorted(t))
@@ -105,12 +117,11 @@ def _per_graph_distribution(kind, n, p, d, t=None):
     m = math.comb(n, 2)
     wtable = [p ** e * (1.0 - p) ** (m - e) for e in range(m + 1)]
     masses = {}
-    for g in all_graphs(n):
-        w = wtable[g.edge_count]
+    for e, v in _graph_counts(kind, n, t or ()):
+        w = wtable[e]
         if w == 0.0:
             continue
-        v = stat.count(g, d, t)
-        masses[v] = masses.get(v, 0.0) + w
+        masses[v[:d]] = masses.get(v[:d], 0.0) + w
     support = sorted(masses)
     params = {"n": n, "p": p, "d": d}
     if t is not None:
@@ -121,11 +132,16 @@ def _per_graph_distribution(kind, n, p, d, t=None):
 @pytest.mark.parametrize("kind,t", TABLE_KINDS)
 def test_exact_distribution_matches_per_graph_reference(kind, t):
     _small_graph_counts.cache_clear()
-    for p in (0.0, 0.2, 0.5, 1.0):  # the table built at p = 0 serves the rest
-        assert (exact_distribution(kind, 5, p, 2, t or None).to_json()
-                == _per_graph_distribution(kind, 5, p, 2, t or None).to_json())
+    stat = STATS[kind]
+    ps = (0.0, 1e-300, 0.2, 0.5, 1 - 1e-16, 1.0)  # the table built at p = 0 serves the rest
+    specs = [(n, d) for n in range(max((2, *t)), 7)
+             for d in range(1, n - len(t) + 2 - stat.first_size)]
+    for n, d in specs:
+        for p in ps:
+            assert (exact_distribution(kind, n, p, d, t or None).to_json()
+                    == _per_graph_distribution(kind, n, p, d, t or None).to_json())
     info = _small_graph_counts.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    assert (info.misses, info.hits) == (len(specs), len(specs) * (len(ps) - 1))
 
 
 def test_count_table_is_the_montecarlo_cache_hook():
