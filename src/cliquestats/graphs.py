@@ -1,5 +1,6 @@
 """Graphs on vertex set {1..n}: G(n,p) sampling, exhaustive enumeration,
-clique listing, and the clique walk, on bitmask rows or level by level.
+clique listing by one ascending walk, and the descending clique walk, on
+bitmask rows or level by level.
 
 Edges are stored one bit per unordered pair, in lexicographic pair order
 ((1,2), (1,3), ..., (1,n), (2,3), ...).  Adjacency rows are n-bit masks
@@ -298,31 +299,32 @@ def graph_probability(g: Graph, p: float) -> float:
     return p ** e * (1.0 - p) ** (m - e)
 
 
-def _extend_cliques(adj, prefix, cand_mask, depth, out):
-    # extend only by vertices larger than max(prefix): cand_mask is already
-    # restricted to > max(prefix) and to common neighbours.
-    if depth == 0:
-        out.append(tuple(prefix))
-        return
-    mask = cand_mask
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        mask ^= low
-        prefix.append(v)
-        _extend_cliques(adj, prefix, cand_mask & adj[v] & ~((1 << (v + 1)) - 1),
-                        depth - 1, out)
-        prefix.pop()
+def clique_lists(g: Graph, top: int) -> list:
+    """levels[k], k = 0..top: the k-cliques s of g in lexicographic order, each as
+    (s, C(s)) with C(s) the AND of adj[v] over s, its common neighbours
+    (levels[0] holds the empty clique and every vertex).  One ascending walk:
+    s grows by each v in C(s) & above(max s), so each clique is built once,
+    from its prefix, and its C(s) with one AND."""
+    adj = g.adj
+    levels = [[((), g.vertex_mask)]]
+    for _ in range(top):
+        level = []
+        for s, c in levels[-1]:
+            mask = c & -(2 << s[-1]) if s else c  # C(s) & above(max s)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                v = low.bit_length() - 1
+                level.append((s + (v,), c & adj[v]))
+        levels.append(level)
+    return levels
 
 
 def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All k-cliques of g as sorted vertex tuples, in lexicographic order."""
     if not 1 <= k <= g.n:
         raise ValueError("k must lie in [1, n]")
-    out: list[tuple[int, ...]] = []
-    full = ((1 << (g.n + 1)) - 1) & ~1
-    _extend_cliques(g.adj, [], full, k, out)
-    return out
+    return [s for s, _ in clique_lists(g, k)[k]]
 
 
 def clique_walk(adj, cand, top: int, minima=None) -> list[int]:

@@ -3,29 +3,42 @@ counting, by direct matching construction and by the product-indicator sum.
 
 Vertices of a simplex are kept as sorted tuples.  For a clique s, the set
 I(s) = {j < min(s) : s+{j} is a clique} decides the upward match: s pairs
-with s+{min I(s)} whenever I(s) is nonempty.  Criticality for sizes >= 2 is
-what the counting formula covers, read off one clique walk (clique_walk);
-vertex criticality is a separate helper (vertex v is critical iff it has no
-smaller-labelled neighbour), outside the CLT-statistics scope.
+with s+{min I(s)} whenever I(s) is nonempty.  The matching is built from one
+ascending walk (clique_lists), which gives I(s) as C(s) & below(min s).
+Criticality for sizes >= 2 is what the counting formula covers, read off the
+independent descending walk (clique_walk); vertex criticality is a separate
+helper (vertex v is critical iff it has no smaller-labelled neighbour),
+outside the CLT-statistics scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .graphs import Graph, clique_walk, cliques
+from .graphs import Graph, clique_lists, clique_walk
 
 
 @dataclass(frozen=True)
 class Matching:
-    """Partial matching: set of (face, coface) pairs with |coface|-|face|=1."""
+    """Partial matching: set of (face, coface) pairs with |coface|-|face|=1,
+    each simplex a strictly increasing tuple of vertices >= 1."""
 
     pairs: frozenset
 
     def __post_init__(self):
+        simplices = [s for pair in self.pairs for s in pair]
+        if not ({*map(type, simplices)} <= {tuple}
+                and {*map(type, chain.from_iterable(simplices))} <= {int}
+                and min(chain.from_iterable(simplices), default=1) >= 1):
+            raise ValueError("a simplex is not a strictly increasing tuple of vertices >= 1")
         seen = set()
         for face, coface in self.pairs:
-            if len(coface) - len(face) != 1 or not set(face) < set(coface):
+            fs, cs = set(face), set(coface)
+            if list(face) != sorted(fs) or list(coface) != sorted(cs):
+                raise ValueError("pair %r -> %r: a simplex is not a strictly increasing "
+                                 "tuple of vertices >= 1" % (face, coface))
+            if len(coface) - len(face) != 1 or not fs < cs:
                 raise ValueError("invalid pair %r -> %r" % (face, coface))
             for s in (face, coface):
                 if s in seen:
@@ -71,23 +84,25 @@ def _below_mask(v: int) -> int:
     return (1 << v) - 2
 
 
+def _lex_pairs(levels) -> list:
+    """(s, s + {min I(s)}) for each clique s of the walk's levels with
+    I(s) = C(s) & below(min s) nonempty."""
+    pairs = []
+    for level in levels[1:]:
+        for s, c in level:
+            i_set = c & _below_mask(s[0])
+            if i_set:
+                pairs.append((s, ((i_set & -i_set).bit_length() - 1,) + s))
+    return pairs
+
+
 def lex_matching(g: Graph, max_size: int) -> Matching:
     """Pairs (s, s + {min I(s)}) over all cliques s of size <= max_size with
     I(s) nonempty."""
     if max_size > g.n:
         raise ValueError("max_size exceeds vertex count")
-    pairs = []
     # a size-n clique has empty I(s), so capping at n-1 loses nothing
-    for size in range(1, min(max_size, g.n - 1) + 1):
-        for s in cliques(g, size):
-            common = (1 << (g.n + 1)) - 1
-            for v in s:
-                common &= g.adj[v]
-            i_set = common & _below_mask(s[0])
-            if i_set:
-                j = (i_set & -i_set).bit_length() - 1
-                pairs.append((s, tuple(sorted(s + (j,)))))
-    return Matching(frozenset(pairs))
+    return Matching(frozenset(_lex_pairs(clique_lists(g, min(max_size, g.n - 1)))))
 
 
 def _crit_sizes(d: int, n: int):
@@ -98,13 +113,14 @@ def _crit_sizes(d: int, n: int):
 
 def critical_counts_direct(g: Graph, d: int) -> CriticalVector:
     """Count cliques of each size 2..d+1 unmatched by the lexicographical
-    matching (built one size beyond d+1 so upward matches at the top size
-    are seen)."""
-    matched = lex_matching(g, min(d + 2, g.n)).simplices()
-    counts = tuple(
-        sum(1 for s in cliques(g, size) if s not in matched)
-        for size in _crit_sizes(d, g.n))
-    return CriticalVector(counts)
+    matching, both read off one ascending walk to depth d+1: the matching's
+    pairs from faces of size <= d+1 reach size d+2, so upward matches at the
+    top size are seen, and larger faces match no clique of size <= d+1."""
+    sizes = _crit_sizes(d, g.n)
+    levels = clique_lists(g, d + 1)
+    matched = Matching(frozenset(_lex_pairs(levels))).simplices()
+    return CriticalVector(tuple(sum(s not in matched for s, _ in levels[size])
+                                for size in sizes))
 
 
 def critical_counts_formula(g: Graph, d: int) -> CriticalVector:
@@ -138,46 +154,50 @@ def is_vertex_critical(g: Graph, v: int) -> bool:
     return not g.adj[v] & _below_mask(v)
 
 
+def _is_clique(g: Graph, t) -> bool:
+    """t, a simplex, is a clique of g with vertices in 1..n."""
+    if t[-1] > g.n:
+        return False
+    tm = sum(1 << v for v in t)
+    return all(tm & ~g.adj[v] == 1 << v for v in t)
+
+
 def verify_acyclic(m: Matching, g: Graph) -> bool:
-    """True iff no directed cycle exists in the graph whose arcs follow
-    matched pairs upward and unmatched codimension-1 faces downward."""
-    top = max((len(c) for _, c in m.pairs), default=0)
-    nodes = []
-    for size in range(1, top + 1):
-        nodes.extend(cliques(g, size))
-    up = dict(m.pairs)
-    succ = {}
-    for s in nodes:
-        arcs = []
-        if s in up:
-            arcs.append(up[s])
-        if len(s) >= 2:
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                if up.get(face) != s:
-                    arcs.append(face)
-        succ[s] = arcs
+    """True iff no directed cycle exists in the graph on g's cliques whose arcs
+    follow matched pairs upward and unmatched codimension-1 faces downward.
+
+    Such a cycle alternates between two adjacent sizes.  A simplex lies in at
+    most one pair, so the head of an up arc has none, no two up arcs are
+    consecutive, and a cycle, with as many up arcs as down arcs, goes up
+    through a pair (s, t), down to a face f != s of t, up through (f, up[f]),
+    and so on: it is a closed V-path (Forman, Adv. Math. 1998).  So the
+    search runs on the pairs alone: one node per pair whose coface t is a
+    clique of g (an up arc into any other simplex is a dead end), and an arc
+    (s, t) -> (f, up[f]) for each face f != s of t matched upward."""
+    pairs = [(s, t) for s, t in m.pairs if _is_clique(g, t)]
+    node = {s: i for i, (s, _) in enumerate(pairs)}
+    succ = [[node[f] for f in (t[:i] + t[i + 1:] for i in range(len(t)))
+             if f != s and f in node] for s, t in pairs]
 
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in nodes}
-    for root in nodes:
+    color = [WHITE] * len(pairs)
+    for root in range(len(pairs)):
         if color[root] != WHITE:
             continue
         stack = [(root, iter(succ[root]))]
         color[root] = GREY
         while stack:
-            node, it = stack[-1]
+            i, it = stack[-1]
             advanced = False
             for nxt in it:
-                c = color.get(nxt, BLACK)
-                if c == GREY:
+                if color[nxt] == GREY:
                     return False
-                if c == WHITE:
+                if color[nxt] == WHITE:
                     color[nxt] = GREY
                     stack.append((nxt, iter(succ[nxt])))
                     advanced = True
                     break
             if not advanced:
-                color[node] = BLACK
+                color[i] = BLACK
                 stack.pop()
     return True

@@ -1,3 +1,5 @@
+import itertools
+import random
 from math import comb
 
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import strategies as st
 
 from cliquestats.graphs import (GnpParams, Graph, all_graphs, clique_count, clique_levels,
                                 cliques, pair_matrix, sample_gnp)
-from cliquestats.morse import (CriticalVector, Matching, critical_counts_direct,
-                               critical_counts_formula, critical_minima, is_vertex_critical,
-                               lex_matching, truncated_critical_count, verify_acyclic)
+from cliquestats.morse import (CriticalVector, Matching, _below_mask, _crit_sizes,
+                               critical_counts_direct, critical_counts_formula, critical_minima,
+                               is_vertex_critical, lex_matching, truncated_critical_count,
+                               verify_acyclic)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 FIG2_PAIRS = frozenset({
@@ -53,6 +56,18 @@ def test_matching_validation():
         Matching(frozenset({((1,), (1, 2)), ((1,), (1, 3))}))
     with pytest.raises(ValueError):
         Matching(frozenset({((1,), (2, 3))}))
+
+
+@pytest.mark.parametrize("pairs", [
+    # the cycle of test_acyclic_counterexample with its cofaces unsorted
+    {((1,), (2, 1)), ((2,), (3, 2)), ((3,), (3, 1))},
+    {((1,), (2, 1))}, {((2, 1), (3, 2, 1))}, {((1, 1), (1, 1, 2))},
+    {((0,), (0, 1))}, {((1,), (0, 1))}, {((0, 1), (0, 1, 2))},
+    {((1.0,), (1, 2))}, {((True,), (1, 2))}, {(("a",), ("a", "b"))},
+])
+def test_matching_rejects_simplices_not_increasing_tuples_of_vertices(pairs):
+    with pytest.raises(ValueError, match="strictly increasing tuple"):
+        Matching(frozenset(pairs))
 
 
 def test_matching_pairs_add_smaller_vertex():
@@ -257,12 +272,17 @@ def brute_force_has_closed_path(m, g):
     return False
 
 
-def random_partial_matching(g, rng):
+def random_partial_matching(g, rng, beyond=False):
+    """A random partial matching on the cliques of g of sizes 1..4; with beyond,
+    on every subset of 1..n+1 of those sizes, so that some cofaces are not
+    cliques of g or hold a vertex outside 1..n."""
     candidates = []
     for size in (1, 2, 3):
         if size + 1 > g.n:
             break
-        for coface in cliques(g, size + 1):
+        cofaces = (itertools.combinations(range(1, g.n + 2), size + 1) if beyond
+                   else cliques(g, size + 1))
+        for coface in cofaces:
             for i in range(len(coface)):
                 candidates.append((coface[:i] + coface[i + 1:], coface))
     rng.shuffle(candidates)
@@ -279,8 +299,6 @@ def random_partial_matching(g, rng):
 
 
 def test_verify_acyclic_against_path_enumeration():
-    import random
-
     rng = random.Random(2024)
     graphs = list(all_graphs(4)) + [sample_gnp(GnpParams(6, 0.6, 55), stream=s)
                                     for s in range(40)]
@@ -291,6 +309,7 @@ def test_verify_acyclic_against_path_enumeration():
             m = random_partial_matching(g, rng)
             got = verify_acyclic(m, g)
             want = not brute_force_has_closed_path(m, g)
+            assert _verify_acyclic_reference(m, g) == want
             if got != want:
                 disagreements += 1
             if want:
@@ -300,6 +319,158 @@ def test_verify_acyclic_against_path_enumeration():
     assert disagreements == 0
     # the fuzz corpus must exercise both outcomes to mean anything
     assert cyclic_seen > 20 and acyclic_seen > 20
+
+
+def test_verify_acyclic_with_cofaces_outside_the_complex():
+    # the reference and the V-path check agree on matchings with pairs whose
+    # coface is not a clique of g or holds a vertex above n; on the pairs whose
+    # coface is a clique, both agree with the literal path search
+    rng = random.Random(2025)
+    graphs = [g for n in (4, 5) for g in all_graphs(n)]
+    graphs += [sample_gnp(GnpParams(7, 0.6, 9), stream=s) for s in range(300)]
+    cyclic_seen = acyclic_seen = 0
+    for g in graphs:
+        m = random_partial_matching(g, rng, beyond=True)
+        got = verify_acyclic(m, g)
+        assert got == _verify_acyclic_reference(m, g)
+        in_complex = frozenset((s, t) for s, t in m.pairs if t in _cliques_reference(g, len(t)))
+        assert got == (not brute_force_has_closed_path(Matching(in_complex), g))
+        cyclic_seen += not got
+        acyclic_seen += got
+    assert cyclic_seen > 20 and acyclic_seen > 20
+
+
+def _extend_cliques_reference(adj, prefix, cand_mask, depth, out):
+    # extend only by vertices larger than max(prefix): cand_mask is already
+    # restricted to > max(prefix) and to common neighbours.
+    if depth == 0:
+        out.append(tuple(prefix))
+        return
+    mask = cand_mask
+    while mask:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        mask ^= low
+        prefix.append(v)
+        _extend_cliques_reference(adj, prefix, cand_mask & adj[v] & ~((1 << (v + 1)) - 1),
+                                  depth - 1, out)
+        prefix.pop()
+
+
+def _cliques_reference(g, k):
+    """The scalar reference for cliques: one depth-first ordered extension
+    per clique size."""
+    if not 1 <= k <= g.n:
+        raise ValueError("k must lie in [1, n]")
+    out = []
+    full = ((1 << (g.n + 1)) - 1) & ~1
+    _extend_cliques_reference(g.adj, [], full, k, out)
+    return out
+
+
+def _lex_matching_reference(g, max_size):
+    """The scalar reference for lex_matching: every size enumerated on its
+    own, and I(s) from an AND over the vertices of s."""
+    if max_size > g.n:
+        raise ValueError("max_size exceeds vertex count")
+    pairs = []
+    # a size-n clique has empty I(s), so capping at n-1 loses nothing
+    for size in range(1, min(max_size, g.n - 1) + 1):
+        for s in _cliques_reference(g, size):
+            common = (1 << (g.n + 1)) - 1
+            for v in s:
+                common &= g.adj[v]
+            i_set = common & _below_mask(s[0])
+            if i_set:
+                j = (i_set & -i_set).bit_length() - 1
+                pairs.append((s, tuple(sorted(s + (j,)))))
+    return Matching(frozenset(pairs))
+
+
+def _critical_counts_direct_reference(g, d):
+    """Count cliques of each size 2..d+1 unmatched by the lexicographical
+    matching (built one size beyond d+1 so upward matches at the top size
+    are seen)."""
+    matched = _lex_matching_reference(g, min(d + 2, g.n)).simplices()
+    counts = tuple(
+        sum(1 for s in _cliques_reference(g, size) if s not in matched)
+        for size in _crit_sizes(d, g.n))
+    return CriticalVector(counts)
+
+
+def _verify_acyclic_reference(m, g):
+    """The scalar reference for verify_acyclic: a DFS over every clique up to
+    the top coface size, keyed by tuples."""
+    top = max((len(c) for _, c in m.pairs), default=0)
+    nodes = []
+    for size in range(1, top + 1):
+        nodes.extend(_cliques_reference(g, size))
+    up = dict(m.pairs)
+    succ = {}
+    for s in nodes:
+        arcs = []
+        if s in up:
+            arcs.append(up[s])
+        if len(s) >= 2:
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1:]
+                if up.get(face) != s:
+                    arcs.append(face)
+        succ[s] = arcs
+
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {s: WHITE for s in nodes}
+    for root in nodes:
+        if color[root] != WHITE:
+            continue
+        stack = [(root, iter(succ[root]))]
+        color[root] = GREY
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                c = color.get(nxt, BLACK)
+                if c == GREY:
+                    return False
+                if c == WHITE:
+                    color[nxt] = GREY
+                    stack.append((nxt, iter(succ[nxt])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[node] = BLACK
+                stack.pop()
+    return True
+
+
+def _assert_gates_match_reference(g, max_sizes, ds, ks):
+    for k in ks:
+        assert cliques(g, k) == _cliques_reference(g, k)
+    for max_size in max_sizes:
+        m = lex_matching(g, max_size)
+        want = _lex_matching_reference(g, max_size)
+        assert m.pairs == want.pairs
+        assert verify_acyclic(m, g) is _verify_acyclic_reference(want, g) is True
+    for d in ds:
+        assert critical_counts_direct(g, d) == _critical_counts_direct_reference(g, d)
+
+
+def test_morse_gates_match_reference_exhaustive():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            _assert_gates_match_reference(g, range(n + 1), range(n), range(1, n + 1))
+
+
+def test_morse_gates_match_reference_n6_stride():
+    graphs = all_graphs(6)
+    for g in itertools.islice(graphs, 0, None, 17):
+        _assert_gates_match_reference(g, (2, 5), (1, 3), range(1, 7))
+
+
+def test_morse_gates_match_reference_random_n12():
+    for stream in range(50):
+        g = sample_gnp(GnpParams(12, 0.5, 41), stream=stream)
+        _assert_gates_match_reference(g, (3, 5), (1, 3), range(1, 6))
 
 
 def test_critical_vector_accessors():
