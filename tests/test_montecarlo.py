@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,96 @@ def _convex_cases():
 def test_convex_discrepancy_matches_scalar_reference(w, z, seed):
     rep = mc.convex_discrepancy(w, z, seed=seed)
     assert (rep.estimate, rep.stderr) == _convex_reference(w, z, seed)
+
+
+def _logistic_reference(u):
+    """The masked logistic: 1/(1+exp(-u)) where u >= 0 and exp(u)/(1+exp(u))
+    elsewhere, each half gathered and scattered through a boolean mask."""
+    out = np.empty_like(u)
+    pos = u >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    eu = np.exp(u[~pos])
+    out[~pos] = eu / (1.0 + eu)
+    return out
+
+
+def _smooth_reference(w, z):
+    """The smooth estimator function by function: each ridge's projection
+    computed afresh, keeping the first maximum and its pooled stderr."""
+    w, z = (np.asarray(s, dtype=float).reshape(len(s), -1) for s in (w, z))
+    best = (-1.0, 0.0)
+    for a, c in mc.smooth_family(w.shape[1]):
+        hw = _logistic_reference(w @ a + c)
+        hz = _logistic_reference(z @ a + c)
+        est = abs(float(hw.mean() - hz.mean()))
+        if est > best[0]:
+            best = (est, math.sqrt(float(hw.var(ddof=1)) / len(hw)
+                                   + float(hz.var(ddof=1)) / len(hz)))
+    return best
+
+
+def _smooth_cases():
+    yield from _convex_cases()
+    rng = np.random.Generator(np.random.Philox(key=np.array([13, 0], dtype=np.uint64)))
+    # ridge arguments out to about +-800, where exp(-|u|) underflows to 0
+    yield pytest.param(230 * rng.standard_normal((2000, 2)),
+                       180 * rng.standard_normal((1500, 2)), 0, id="wide-u")
+
+
+@pytest.mark.parametrize("w, z, seed", list(_smooth_cases()))
+def test_smooth_discrepancy_matches_function_by_function_reference(w, z, seed):
+    rep = mc.smooth_discrepancy(w, z)
+    assert (rep.estimate, rep.stderr) == _smooth_reference(w, z)
+
+
+def test_logistic_matches_masked_reference():
+    rng = np.random.Generator(np.random.Philox(key=np.array([14, 0], dtype=np.uint64)))
+    special = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300,
+               np.inf, -np.inf, np.nan]
+    u = np.concatenate([special, 40 * rng.standard_normal(2000), special])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mc._logistic(u)
+    want = _logistic_reference(u)
+    nan = np.isnan(want)
+    assert nan.sum() == 2
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_convex_family_layout_and_quantiles(ties):
+    rng = np.random.Generator(np.random.Philox(key=np.array([15, 0], dtype=np.uint64)))
+    w = rng.standard_normal((700, 3))
+    z = 1.3 * rng.standard_normal((600, 3)) - 0.2
+    if ties:
+        w, z = np.round(2 * w) / 2, np.round(2 * z) / 2
+    fam = mc.convex_family(w, z, seed=4)
+    pooled = np.vstack([w, z])
+    qs = np.linspace(0.0, 1.0, mc.QUANTILE_CUTS + 2)[1:-1]
+    assert len(fam.grid) == 3
+    for i, g in enumerate(fam.grid):
+        assert np.array_equal(g, np.quantile(pooled[:, i], qs))
+    # runs of QUANTILE_CUTS consecutive pairs share one direction object,
+    # one run per direction
+    cuts = mc.QUANTILE_CUTS
+    assert len(fam.halfspaces) == mc.HALFSPACE_DIRECTIONS * cuts
+    assert len({id(u) for u, _ in fam.halfspaces}) == mc.HALFSPACE_DIRECTIONS
+    for k in range(0, len(fam.halfspaces), cuts):
+        run = fam.halfspaces[k:k + cuts]
+        u = run[0][0]
+        assert all(v is u for v, _ in run)
+        assert [c for _, c in run] == np.quantile(pooled @ u, qs).tolist()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_smooth_family_lists_each_directions_offsets_consecutively(d):
+    fam = mc.smooth_family(d)
+    assert len({id(a) for a, _ in fam}) == len(fam) // 3
+    for k in range(0, len(fam), 3):
+        run = fam[k:k + 3]
+        assert all(a is run[0][0] for a, _ in run)
+        assert [c for _, c in run] == [-1.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("estimator", [mc.smooth_discrepancy, mc.convex_discrepancy])
