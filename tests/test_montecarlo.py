@@ -449,6 +449,22 @@ def test_discrepancy_rejects_bad_shapes(estimator):
         estimator(np.zeros((1, 2)), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("estimator", [mc.smooth_discrepancy, mc.convex_discrepancy])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_discrepancy_rejects_non_finite_samples(estimator, bad):
+    # a NaN fails every comparison with the running maximum: unchecked, the
+    # smooth estimate stays at its -1.0 start, which bound_check reads as PASS
+    good = np.array([[0.0], [1.0], [2.0]])
+    one_bad = good.copy()
+    one_bad[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for w, z in ((one_bad, good), (good, one_bad), (one_bad[:, 0], good[:, 0]),
+                     (np.full((3, 2), bad), np.zeros((3, 2)))):
+            with pytest.raises(ValueError, match="finite"):
+                estimator(w, z)
+
+
 def test_bound_check_verdicts():
     rep = mc.DiscrepancyReport(0.01, 0.001, "f")
     assert mc.bound_check(rep, bd.BoundReport("b", 0.5)) == "PASS"
