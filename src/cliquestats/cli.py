@@ -279,9 +279,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (ValueError, OSError, OverflowError) as exc:  # UsageError is a ValueError
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:  # UsageError: ValueError
+        given = " ".join(sys.argv[1:] if argv is None else argv)
         if isinstance(exc, OverflowError):  # raised inside a formula: echo the values given
-            exc = "%s: overflow: %s" % (" ".join(sys.argv[1:] if argv is None else argv), exc)
+            exc = "%s: overflow: %s" % (given, exc)
+        elif isinstance(exc, MemoryError):  # e.g. pair variates of a very large n
+            exc = "%s: out of memory: %s" % (given, str(exc) or "allocation failed")
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

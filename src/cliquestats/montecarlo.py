@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,6 +78,9 @@ def parallel_map(fn, jobs, threads: int) -> list:
     when threads > 1.  fn and the jobs must pickle."""
     if threads <= 1:
         return [fn(job) for job in jobs]
+    # imported here: the process pool loads multiprocessing and socket, which
+    # a serial caller never needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, jobs))
 

@@ -15,8 +15,59 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt
 
 from .graphs import Graph, clique_lists, clique_walk
+
+
+_NOT_INCREASING = "a simplex is not a strictly increasing tuple of vertices >= 1"
+
+
+def _check_pairs(pairs):
+    """Pair by pair, in iteration order: each simplex strictly increasing,
+    each coface its face plus one vertex, no simplex in two pairs."""
+    seen = set()
+    for face, coface in pairs:
+        fs, cs = set(face), set(coface)
+        if list(face) != sorted(fs) or list(coface) != sorted(cs):
+            raise ValueError("pair %r -> %r: %s" % (face, coface, _NOT_INCREASING))
+        if len(coface) - len(face) != 1 or not fs < cs:
+            raise ValueError("invalid pair %r -> %r" % (face, coface))
+        for s in (face, coface):
+            if s in seen:
+                raise ValueError("simplex %r appears in two pairs" % (s,))
+            seen.add(s)
+
+
+def _lexicographic(pairs) -> bool:
+    """Every pair is (face, (j,) + face) with 1 <= j < face[0] and face
+    strictly increasing, for pairs of simplices with int vertices."""
+    try:
+        for face, coface in pairs:
+            if not (face and coface[1:] == face and 1 <= coface[0] < face[0]):
+                return False
+            if len(face) > 1 and not all(map(lt, face, face[1:])):
+                return False
+    except ValueError:  # a pair that is not two simplices
+        return False
+    return True
+
+
+def _validated(pairs) -> set:
+    """The simplices of pairs, once Matching's checks pass: every simplex a
+    tuple of int vertices >= 1, then _check_pairs.  Lexicographic pairs are
+    valid as they stand, so when every pair is one, a set size finds repeats;
+    else the vertex minimum and _check_pairs run, and the first fault raises."""
+    simplices = [s for pair in pairs for s in pair]
+    if not ({*map(type, simplices)} <= {tuple}
+            and {*map(type, chain.from_iterable(simplices))} <= {int}):
+        raise ValueError(_NOT_INCREASING)
+    matched = set(simplices)
+    if not (_lexicographic(pairs) and len(matched) == len(simplices)):
+        if min(chain.from_iterable(simplices), default=1) < 1:
+            raise ValueError(_NOT_INCREASING)
+        _check_pairs(pairs)
+    return matched
 
 
 @dataclass(frozen=True)
@@ -27,30 +78,10 @@ class Matching:
     pairs: frozenset
 
     def __post_init__(self):
-        simplices = [s for pair in self.pairs for s in pair]
-        if not ({*map(type, simplices)} <= {tuple}
-                and {*map(type, chain.from_iterable(simplices))} <= {int}
-                and min(chain.from_iterable(simplices), default=1) >= 1):
-            raise ValueError("a simplex is not a strictly increasing tuple of vertices >= 1")
-        seen = set()
-        for face, coface in self.pairs:
-            fs, cs = set(face), set(coface)
-            if list(face) != sorted(fs) or list(coface) != sorted(cs):
-                raise ValueError("pair %r -> %r: a simplex is not a strictly increasing "
-                                 "tuple of vertices >= 1" % (face, coface))
-            if len(coface) - len(face) != 1 or not fs < cs:
-                raise ValueError("invalid pair %r -> %r" % (face, coface))
-            for s in (face, coface):
-                if s in seen:
-                    raise ValueError("simplex %r appears in two pairs" % (s,))
-                seen.add(s)
+        _validated(self.pairs)
 
     def simplices(self) -> frozenset:
-        out = set()
-        for face, coface in self.pairs:
-            out.add(face)
-            out.add(coface)
-        return frozenset(out)
+        return frozenset(chain.from_iterable(self.pairs))
 
     def __len__(self):
         return len(self.pairs)
@@ -96,13 +127,20 @@ def _lex_pairs(levels) -> list:
     return pairs
 
 
+def _lex_walk(g: Graph, top: int):
+    """The levels of one ascending walk to depth top, and the lexicographic
+    pairs whose faces are their cliques."""
+    levels = clique_lists(g, top)
+    return levels, _lex_pairs(levels)
+
+
 def lex_matching(g: Graph, max_size: int) -> Matching:
     """Pairs (s, s + {min I(s)}) over all cliques s of size <= max_size with
     I(s) nonempty."""
     if max_size > g.n:
         raise ValueError("max_size exceeds vertex count")
     # a size-n clique has empty I(s), so capping at n-1 loses nothing
-    return Matching(frozenset(_lex_pairs(clique_lists(g, min(max_size, g.n - 1)))))
+    return Matching(frozenset(_lex_walk(g, min(max_size, g.n - 1))[1]))
 
 
 def _crit_sizes(d: int, n: int):
@@ -111,16 +149,20 @@ def _crit_sizes(d: int, n: int):
     return range(2, d + 2)
 
 
+def _unmatched(levels, matched, d: int) -> CriticalVector:
+    """The cliques of each size 2..d+1 in levels that are not in matched."""
+    return CriticalVector(tuple(sum(s not in matched for s, _ in levels[size])
+                                for size in range(2, d + 2)))
+
+
 def critical_counts_direct(g: Graph, d: int) -> CriticalVector:
     """Count cliques of each size 2..d+1 unmatched by the lexicographical
     matching, both read off one ascending walk to depth d+1: the matching's
     pairs from faces of size <= d+1 reach size d+2, so upward matches at the
     top size are seen, and larger faces match no clique of size <= d+1."""
-    sizes = _crit_sizes(d, g.n)
-    levels = clique_lists(g, d + 1)
-    matched = Matching(frozenset(_lex_pairs(levels))).simplices()
-    return CriticalVector(tuple(sum(s not in matched for s, _ in levels[size])
-                                for size in sizes))
+    _crit_sizes(d, g.n)
+    levels, pairs = _lex_walk(g, d + 1)
+    return _unmatched(levels, _validated(pairs), d)
 
 
 def critical_counts_formula(g: Graph, d: int) -> CriticalVector:
@@ -154,14 +196,6 @@ def is_vertex_critical(g: Graph, v: int) -> bool:
     return not g.adj[v] & _below_mask(v)
 
 
-def _is_clique(g: Graph, t) -> bool:
-    """t, a simplex, is a clique of g with vertices in 1..n."""
-    if t[-1] > g.n:
-        return False
-    tm = sum(1 << v for v in t)
-    return all(tm & ~g.adj[v] == 1 << v for v in t)
-
-
 def verify_acyclic(m: Matching, g: Graph) -> bool:
     """True iff no directed cycle exists in the graph on g's cliques whose arcs
     follow matched pairs upward and unmatched codimension-1 faces downward.
@@ -173,15 +207,40 @@ def verify_acyclic(m: Matching, g: Graph) -> bool:
     and so on: it is a closed V-path (Forman, Adv. Math. 1998).  So the
     search runs on the pairs alone: one node per pair whose coface t is a
     clique of g (an up arc into any other simplex is a dead end), and an arc
-    (s, t) -> (f, up[f]) for each face f != s of t matched upward."""
-    pairs = [(s, t) for s, t in m.pairs if _is_clique(g, t)]
-    node = {s: i for i, (s, _) in enumerate(pairs)}
-    succ = [[node[f] for f in (t[:i] + t[i + 1:] for i in range(len(t)))
-             if f != s and f in node] for s, t in pairs]
+    (s, t) -> (f, up[f]) for each face f != s of t matched upward.  Simplices
+    are bitmasks here: a node is keyed by its face's mask, and the faces of
+    t are its mask with one vertex bit cleared.  With no arc, no cycle: the
+    search returns before the depth-first pass."""
+    adj, n = g.adj, g.n
+    node, cofaces = {}, []
+    for s, t in m.pairs:
+        if t[-1] > n:
+            continue
+        tm, common = 0, -1
+        for v in t:
+            tm |= 1 << v
+            common &= adj[v] | 1 << v
+        if tm & ~common:  # some vertex of t is not adjacent to the rest
+            continue
+        sm = 0
+        for v in s:
+            sm |= 1 << v
+        node[sm] = len(cofaces)
+        cofaces.append((sm, tm, t))
+    succ = []
+    for sm, tm, t in cofaces:
+        out = []
+        for v in t:
+            f = tm ^ 1 << v
+            if f != sm and f in node:
+                out.append(node[f])
+        succ.append(out)
+    if not any(succ):
+        return True
 
     WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(pairs)
-    for root in range(len(pairs)):
+    color = [WHITE] * len(succ)
+    for root in range(len(succ)):
         if color[root] != WHITE:
             continue
         stack = [(root, iter(succ[root]))]

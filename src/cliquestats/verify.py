@@ -21,7 +21,8 @@ from . import oracle as orc
 from .graphs import (MAX_ENUM_VERTICES, Graph, GnpParams, clique_levels, gnp_mask, gnp_pairs,
                      gnp_streams, pair_matrix)
 from .kinds import statistic
-from .morse import critical_counts_direct, critical_counts_formula, lex_matching, verify_acyclic
+from .morse import (Matching, _lex_walk, _unmatched, critical_counts_direct,
+                    critical_counts_formula, lex_matching, verify_acyclic)
 
 REL_TOL_ORACLE = 1e-10
 
@@ -85,8 +86,14 @@ def suite_oracle(n_max: int = 5, ps=(0.2, 0.5, 0.8), d_max: int = 3) -> list:
 
 
 def _equiv_on_graph(g: Graph, d: int) -> tuple[bool, bool]:
-    eq = critical_counts_direct(g, d).counts == critical_counts_formula(g, d).counts
-    return eq, verify_acyclic(lex_matching(g, min(d + 2, g.n)), g)
+    """critical_counts_direct(g, d) == critical_counts_formula(g, d), and
+    verify_acyclic(lex_matching(g, min(d + 2, n)), g), from one walk and one
+    Matching: faces of size d + 2 match only to size d + 3, so the counts of
+    sizes 2..d+1 are those of the walk to depth d + 1."""
+    levels, pairs = _lex_walk(g, min(d + 2, g.n))
+    m = Matching(frozenset(pairs))
+    eq = _unmatched(levels, m.simplices(), d).counts == critical_counts_formula(g, d).counts
+    return eq, verify_acyclic(m, g)
 
 
 def _equiv_tally(job) -> tuple[int, int]:

@@ -275,6 +275,25 @@ def test_morse_demo_max_size_1_exit0(capsys):
     assert "critical counts (sizes 2..2):" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("error,message", [
+    (MemoryError("Unable to allocate 37.3 GiB for an array with shape (4999950000,) and "
+                 "data type float64"), "out of memory: Unable to allocate 37.3 GiB"),
+    (MemoryError(), "out of memory: allocation failed"),
+])
+def test_morse_demo_out_of_memory_exit2(error, message, capsys, monkeypatch):
+    # n = 100000 asks numpy for C(n, 2) pair variates, which fails as here
+    from cliquestats import graphs
+
+    def refuse(rng, n, p):
+        raise error
+    monkeypatch.setattr(graphs, "gnp_pairs", refuse)
+    assert cli.main(["morse-demo", "--n", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: morse-demo --n 100000: " + message)
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args,message", [
     ("bounds --theorem clique --n 10 --d 3 --p 1e-300", "out of range"),
     ("bounds --theorem ustat --k-vec 2,400 --alpha-vec 0.2,0.1 --beta 0.5",

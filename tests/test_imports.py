@@ -2,7 +2,9 @@
 outside the standard library."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cliquestats"
@@ -22,3 +24,18 @@ def test_src_imports_only_stdlib_and_numpy():
             found += ["%s: %s" % (path.name, name) for name in names
                       if name.split(".")[0] not in ALLOWED]
     assert not found
+
+
+def test_import_loads_no_process_pool():
+    # a serial caller pays nothing for the pool: parallel_map imports it on
+    # its threads > 1 branch, which the threads=2 tests cover
+    probe = ("import sys\n"
+             "from cliquestats import (bounds, graphs, moments, montecarlo, morse, oracle,\n"
+             "                         verify, cli)\n"
+             "print(' '.join(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+             "               if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == ""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cliquestats.graphs import (GnpParams, Graph, all_graphs, clique_count, clique_levels,
                                 cliques, pair_matrix, sample_gnp)
-from cliquestats.morse import (CriticalVector, Matching, _below_mask, _crit_sizes,
+from cliquestats.morse import (CriticalVector, Matching, _below_mask, _crit_sizes, _validated,
                                critical_counts_direct, critical_counts_formula, critical_minima,
                                is_vertex_critical, lex_matching, truncated_critical_count,
                                verify_acyclic)
@@ -68,6 +68,95 @@ def test_matching_validation():
 def test_matching_rejects_simplices_not_increasing_tuples_of_vertices(pairs):
     with pytest.raises(ValueError, match="strictly increasing tuple"):
         Matching(frozenset(pairs))
+
+
+def _matching_validation_reference(pairs):
+    """The scalar reference for Matching's checks: the type and range of
+    every vertex first, then pair by pair in iteration order."""
+    simplices = [s for pair in pairs for s in pair]
+    if not ({*map(type, simplices)} <= {tuple}
+            and {*map(type, itertools.chain.from_iterable(simplices))} <= {int}
+            and min(itertools.chain.from_iterable(simplices), default=1) >= 1):
+        raise ValueError("a simplex is not a strictly increasing tuple of vertices >= 1")
+    seen = set()
+    for face, coface in pairs:
+        fs, cs = set(face), set(coface)
+        if list(face) != sorted(fs) or list(coface) != sorted(cs):
+            raise ValueError("pair %r -> %r: a simplex is not a strictly increasing "
+                             "tuple of vertices >= 1" % (face, coface))
+        if len(coface) - len(face) != 1 or not fs < cs:
+            raise ValueError("invalid pair %r -> %r" % (face, coface))
+        for s in (face, coface):
+            if s in seen:
+                raise ValueError("simplex %r appears in two pairs" % (s,))
+            seen.add(s)
+
+
+def _outcome(check, pairs):
+    try:
+        check(pairs)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+# one fault on one pair (face, coface) of a lexicographic matching: each
+# returns the pairs that replace it
+_FAULTS = {
+    "unsorted coface": lambda f, c: [(f, c[::-1])],
+    "unsorted face": lambda f, c: [(f[::-1], c[:1] + f[::-1])],
+    "repeated vertex": lambda f, c: [(f, f[:1] + f)],
+    "vertex 0": lambda f, c: [(f, (0,) + f)],
+    "bool vertex": lambda f, c: [(f, (True,) + f)],
+    "float face vertex": lambda f, c: [(f, c[:1] + (float(f[0]),) + f[1:])],
+    "str vertices": lambda f, c: [(tuple(map(str, f)), tuple(map(str, c)))],
+    "int simplex": lambda f, c: [(f, c[0])],
+    "size gap of 2": lambda f, c: [(f, c + (c[-1] + 1,))],
+    "face not inside": lambda f, c: [(f, c[:-1] + (c[-1] + 1,))],
+    "face in two pairs": lambda f, c: [(f, c), (f, tuple(sorted(f + (c[-1] + 1,))))],
+    "face in two lexicographic pairs": lambda f, c: [(f, c), (f, (c[0] % (f[0] - 1) + 1,) + f)],
+    "coface also a face": lambda f, c: [(f, c), (c, c + (c[-1] + 1,))],
+    "coface also a lexicographic face": lambda f, c: [(f, c), (c, (c[0] - 1,) + c)],
+    "empty face": lambda f, c: [(f, c), ((), (1,))],
+    "three simplices": lambda f, c: [(f, c, c)],
+}
+
+
+def _malformed_corpus(rng):
+    """Seeded pair sets: lexicographic matchings with one fault each, and
+    the bare faults."""
+    yield frozenset({((), (1,))})
+    graphs = [sample_gnp(GnpParams(n, 0.6, 31), stream=s) for n in (3, 5, 6) for s in range(40)]
+    for g in graphs:
+        pairs = sorted(lex_matching(g, g.n).pairs)
+        if not pairs:
+            continue
+        for fault in _FAULTS.values():
+            k = rng.randrange(len(pairs))
+            yield frozenset(pairs[:k] + fault(*pairs[k]) + pairs[k + 1:])
+            yield frozenset(fault(*pairs[k]))
+
+
+def test_matching_validation_matches_reference():
+    # the same inputs pass, and the same ValueError messages name the same
+    # faults, whatever the order in which the set lists its pairs
+    lex = [lex_matching(g, g.n).pairs for n in range(1, 6) for g in all_graphs(n)]
+    general = [random_partial_matching(g, random.Random(s), beyond=True).pairs
+               for s, g in enumerate(all_graphs(4))]
+    for pairs in lex + general:
+        assert _outcome(_matching_validation_reference, pairs) is None
+        assert _validated(pairs) == {s for pair in pairs for s in pair}
+        assert Matching(pairs).pairs is pairs
+    messages = []
+    for pairs in _malformed_corpus(random.Random(2026)):
+        want = _outcome(_matching_validation_reference, pairs)
+        assert _outcome(_validated, pairs) == want, pairs
+        assert _outcome(Matching, pairs) == want, pairs
+        messages.append(want and want[1])
+    # the corpus reaches every check, and some faulty-looking sets are valid
+    for start in ("a simplex is not", "pair (", "invalid pair", "simplex (", "too many values"):
+        assert sum(bool(m) and m.startswith(start) for m in messages) > 50, start
+    assert messages.count(None) > 50
 
 
 def test_matching_pairs_add_smaller_vertex():
@@ -532,3 +621,24 @@ def test_morse_equivalence_suite_two_workers_match_serial(monkeypatch):
     for threads in (1, 2):
         rows = verify.suite_morse_equivalence(threads=threads, **kwargs)
         assert [r.detail for r in rows] == ["512 mismatches", "", "%d mismatches" % odd, ""]
+
+
+def test_equiv_on_graph_reads_the_public_gates_off_one_walk(monkeypatch):
+    # with the formula side replaced by critical_counts_direct, the counts
+    # read off the one walk agree for every d, d + 1 = n included; the
+    # acyclicity gate gets lex_matching(g, min(d + 2, n))
+    from cliquestats import verify
+    checked = []
+    monkeypatch.setattr(verify, "critical_counts_formula", critical_counts_direct)
+    monkeypatch.setattr(verify, "verify_acyclic", lambda m, g: checked.append(m) or True)
+    graphs = [g for n in range(2, 6) for g in all_graphs(n)]
+    graphs += itertools.islice(all_graphs(6), 0, None, 29)
+    graphs += [sample_gnp(GnpParams(12, 0.5, 8), stream=s) for s in range(20)]
+    for g in graphs:
+        for d in range(1, min(g.n, 5)):
+            assert verify._equiv_on_graph(g, d) == (True, True)
+            assert checked.pop() == lex_matching(g, min(d + 2, g.n))
+    # and a count off by one at the top size is seen
+    monkeypatch.setattr(verify, "critical_counts_formula", lambda g, d: CriticalVector(
+        critical_counts_direct(g, d).counts[:-1] + (critical_counts_direct(g, d).counts[-1] + 1,)))
+    assert verify._equiv_on_graph(Graph.complete(5), 3) == (False, True)

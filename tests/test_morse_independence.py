@@ -1,5 +1,6 @@
 """The Morse-equivalence gate compares two independent enumerations: the direct
-construction (lex_matching, critical_counts_direct, verify_acyclic) reads the
+construction (lex_matching, critical_counts_direct, verify_acyclic, and the
+one-walk helpers _lex_walk and _unmatched that verify's gate calls) reads the
 ascending walk clique_lists, and the formula reads the descending walk.  No
 function the direct side reaches in morse.py or graphs.py may use
 clique_walk, clique_levels or critical_counts_formula."""
@@ -8,7 +9,8 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cliquestats"
-DIRECT = ("lex_matching", "critical_counts_direct", "verify_acyclic")
+DIRECT = ("lex_matching", "critical_counts_direct", "verify_acyclic", "_lex_walk",
+          "_unmatched")
 FORMULA = {"clique_walk", "clique_levels", "critical_counts_formula"}
 
 
