@@ -34,8 +34,7 @@ def test_import_loads_no_process_pool():
              "                         verify, cli)\n"
              "print(' '.join(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
              "               if m in sys.modules))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == ""

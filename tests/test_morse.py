@@ -638,7 +638,9 @@ def test_equiv_on_graph_reads_the_public_gates_off_one_walk(monkeypatch):
         for d in range(1, min(g.n, 5)):
             assert verify._equiv_on_graph(g, d) == (True, True)
             assert checked.pop() == lex_matching(g, min(d + 2, g.n))
-    # and a count off by one at the top size is seen
-    monkeypatch.setattr(verify, "critical_counts_formula", lambda g, d: CriticalVector(
-        critical_counts_direct(g, d).counts[:-1] + (critical_counts_direct(g, d).counts[-1] + 1,)))
+
+    def top_off_by_one(g, d):
+        counts = critical_counts_direct(g, d).counts
+        return CriticalVector(counts[:-1] + (counts[-1] + 1,))
+    monkeypatch.setattr(verify, "critical_counts_formula", top_off_by_one)
     assert verify._equiv_on_graph(Graph.complete(5), 3) == (False, True)
