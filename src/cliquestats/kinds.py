@@ -135,8 +135,8 @@ def _link_replicate(cfg, rng) -> list:
     # distribution-identical to evaluating the formula on a full G(n,p) draw.
     ts = len(cfg.t)
     m = int(np.count_nonzero(rng.random(cfg.n - ts) < cfg.p ** ts))
-    if cfg.d == 1 or m == 0:
-        return [m] + [0] * (cfg.d - 1)
+    if cfg.d == 1:
+        return [m]
     return [m] + _draw_counts(rng, m, cfg.p, cfg.d - 1)
 
 

@@ -115,23 +115,18 @@ def _below_mask(v: int) -> int:
     return (1 << v) - 2
 
 
-def _lex_pairs(levels) -> list:
-    """(s, s + {min I(s)}) for each clique s of the walk's levels with
+def _lex_walk(g: Graph, top: int):
+    """The levels of one ascending walk to depth top, and the lexicographic
+    pairs (s, s + {min I(s)}) over the cliques s of those levels with
     I(s) = C(s) & below(min s) nonempty."""
+    levels = clique_lists(g, top)
     pairs = []
     for level in levels[1:]:
         for s, c in level:
             i_set = c & _below_mask(s[0])
             if i_set:
                 pairs.append((s, ((i_set & -i_set).bit_length() - 1,) + s))
-    return pairs
-
-
-def _lex_walk(g: Graph, top: int):
-    """The levels of one ascending walk to depth top, and the lexicographic
-    pairs whose faces are their cliques."""
-    levels = clique_lists(g, top)
-    return levels, _lex_pairs(levels)
+    return levels, pairs
 
 
 def lex_matching(g: Graph, max_size: int) -> Matching:
@@ -205,12 +200,13 @@ def verify_acyclic(m: Matching, g: Graph) -> bool:
     consecutive, and a cycle, with as many up arcs as down arcs, goes up
     through a pair (s, t), down to a face f != s of t, up through (f, up[f]),
     and so on: it is a closed V-path (Forman, Adv. Math. 1998).  So the
-    search runs on the pairs alone: one node per pair whose coface t is a
+    check runs on the pairs alone: one node per pair whose coface t is a
     clique of g (an up arc into any other simplex is a dead end), and an arc
     (s, t) -> (f, up[f]) for each face f != s of t matched upward.  Simplices
     are bitmasks here: a node is keyed by its face's mask, and the faces of
-    t are its mask with one vertex bit cleared.  With no arc, no cycle: the
-    search returns before the depth-first pass."""
+    t are its mask with one vertex bit cleared.  A finite digraph is acyclic
+    iff repeatedly deleting its nodes of in-degree 0 deletes every node
+    (Kahn, CACM 1962), so the nodes are peeled in that way."""
     adj, n = g.adj, g.n
     node, cofaces = {}, []
     for s, t in m.pairs:
@@ -227,36 +223,19 @@ def verify_acyclic(m: Matching, g: Graph) -> bool:
             sm |= 1 << v
         node[sm] = len(cofaces)
         cofaces.append((sm, tm, t))
-    succ = []
+    succ, indeg = [], [0] * len(cofaces)
     for sm, tm, t in cofaces:
         out = []
         for v in t:
             f = tm ^ 1 << v
             if f != sm and f in node:
                 out.append(node[f])
+                indeg[node[f]] += 1
         succ.append(out)
-    if not any(succ):
-        return True
-
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(succ)
-    for root in range(len(succ)):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GREY
-        while stack:
-            i, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    stack.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[i] = BLACK
-                stack.pop()
-    return True
+    sources = [i for i, k in enumerate(indeg) if not k]
+    for i in sources:  # grows while the loop runs, as nodes lose their last in-arc
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                sources.append(j)
+    return len(sources) == len(succ)

@@ -4,10 +4,12 @@ outside the standard library."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cliquestats"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cliquestats"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "cliquestats"}
 
 
@@ -38,3 +40,11 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == ""
+
+
+def test_declared_numpy_floor_has_bitwise_count():
+    # oracle.exact_distribution calls np.bitwise_count, new in numpy 2.0
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floors = re.findall(r'"numpy\s*>=\s*(\d+)\.(\d+)', text)
+    assert len(floors) == 1, floors
+    assert tuple(map(int, floors[0])) >= (2, 0)

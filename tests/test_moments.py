@@ -36,6 +36,8 @@ def test_crit_mean_bounds_values():
     lo, hi = mo.crit_mean_bounds(3, 1, 0.5)
     assert math.isclose(lo, 0.125) and math.isclose(hi, 2.0)
     assert mo.crit_mean_bounds(7, 2, 1.0) == (0.0, 0.0)
+    # k = 1 at p = 0 puts p to a negative power in the upper bound
+    assert mo.crit_mean_bounds(5, 1, 0.0) == (0.0, math.inf)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
@@ -83,6 +85,11 @@ def test_crit_variance_lower_dominated_and_clamped():
     assert mo.crit_variance_lower(10, 1, 0.5) == 0.0  # clamped vacuous case
     for n in (100, 200, 400):
         assert mo.crit_variance_lower(n, 1, 0.5) <= mo.crit_variance(n, 1, 0.5)
+    # k >= 2 is where the m >= 2 same-minimum remainder sum is not empty
+    for k in (2, 3):
+        for n in (k + 2, 10, 30, 100):
+            for p in (0.2, 0.5, 0.8):
+                assert 0.0 <= mo.crit_variance_lower(n, k, p) <= mo.crit_variance(n, k, p)
 
 
 def test_crit_variance_lower_eventually_positive():
@@ -90,6 +97,7 @@ def test_crit_variance_lower_eventually_positive():
     assert n_star is not None
     assert mo.crit_variance_lower(n_star, 1, 0.5) > 0.0
     assert mo.crit_variance_lower(n_star - 1, 1, 0.5) == 0.0
+    assert mo.smallest_positive_lower_bound_n(1, 0.5, n_max=1000) is None
 
 
 def test_crit_tail_bound_values():
@@ -132,6 +140,9 @@ def test_link_cov_dominates_lower_bound(p):
 
 def test_link_cov_symmetric_in_dims():
     assert mo.link_cov(8, 2, 2, 1, 0.4) == mo.link_cov(8, 2, 1, 2, 0.4)
+    for n, ts in [(6, 1), (8, 2), (12, 1)]:
+        for k, l in [(0, 1), (0, 2), (1, 2)]:
+            assert mo.link_cov_lower(n, ts, k, l, 0.4) == mo.link_cov_lower(n, ts, l, k, 0.4)
 
 
 def test_clique_moments():
