@@ -1,6 +1,6 @@
-"""Graphs on vertex set {1..n}: G(n,p) sampling, exhaustive enumeration,
-clique listing by one ascending walk, and the descending clique walk, on
-bitmask rows or level by level.
+"""Graphs on vertex set {1..n}: G(n,p) sampling, clique indicators over arrays
+of edge masks, clique listing by one ascending walk, and the descending clique
+walk, on bitmask rows or level by level.
 
 Edges are stored one bit per unordered pair, in lexicographic pair order
 ((1,2), (1,3), ..., (1,n), (2,3), ...).  Adjacency rows are n-bit masks
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -29,6 +30,13 @@ def _pair_bit(n: int, i: int, j: int) -> int:
         i, j = j, i
     # pairs (1,*) occupy bits 0..n-2, pairs (2,*) the next n-2 bits, etc.
     return (i - 1) * n - (i - 1) * i // 2 + (j - i - 1)
+
+
+def spans_clique(masks, n: int, s, skip=()) -> np.ndarray:
+    """Per edge mask in masks, whether every pair of the vertices s with an end
+    outside skip is an edge: masks & E == E, E the bits of those pairs."""
+    e = sum(1 << _pair_bit(n, i, j) for i, j in combinations(s, 2) if not {i, j} <= set(skip))
+    return (masks & e) == e
 
 
 class Graph:
@@ -278,19 +286,6 @@ def sample_gnp(params: GnpParams, stream: int = 0) -> Graph:
     return Graph(params.n, gnp_mask(rng, params.n, params.p))
 
 
-def all_graphs(n: int):
-    """Yield every labeled graph on n vertices once, in edge-bitmask order.
-
-    Hard-capped at n=6 (32768 graphs); exhaustive oracles beyond that are
-    rejected rather than silently slow.
-    """
-    if n > MAX_ENUM_VERTICES:
-        raise EnumerationCapError(
-            "exhaustive enumeration capped at n=%d (got n=%d)" % (MAX_ENUM_VERTICES, n))
-    for mask in range(1 << comb(n, 2)):
-        yield Graph(n, mask)
-
-
 def graph_probability(g: Graph, p: float) -> float:
     """P(G(n,p) = g) = p^edges * (1-p)^missing."""
     check_p(p)
@@ -393,16 +388,6 @@ def clique_count(g: Graph, k: int) -> int:
     return clique_walk(g.adj, g.vertex_mask, k)[k]
 
 
-def link_candidates(g: Graph, t) -> int:
-    """Mask of the vertices outside t adjacent to every vertex of t."""
-    if any(not 1 <= v <= g.n for v in t):
-        raise ValueError("t has vertices outside 1..n")
-    cand = g.vertex_mask
-    for v in t:
-        cand &= g.adj[v] & ~(1 << v)
-    return cand
-
-
 def link_count(g: Graph, t, k: int) -> int:
     """Number of size-k subsets s disjoint from t such that s is a clique and
     every cross pair (i in s, j in t) is an edge.
@@ -411,4 +396,9 @@ def link_count(g: Graph, t, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return clique_walk(g.adj, link_candidates(g, t), k)[k]
+    if any(not 1 <= v <= g.n for v in t):
+        raise ValueError("t has vertices outside 1..n")
+    cand = g.vertex_mask
+    for v in t:
+        cand &= g.adj[v] & ~(1 << v)
+    return clique_walk(g.adj, cand, k)[k]

@@ -1,25 +1,25 @@
-"""The statistic registry: one entry per count vector with its component
-sizes and argument checks, its scalar count kernel (graph -> vector), count
-table (one int16 row per graph on n <= 6 vertices), replicate kernel (one
-draw through clique_levels) and count-table rows for a block of draws, its
-closed-form moments, its bound pair and its dissociated-sum pieces.  The
-rest of the library looks kinds up here instead of branching on them."""
+"""The statistic registry: one entry per count vector with its component sizes
+and argument checks, its summand indicator (on an array of edge masks), count
+table (the indicators summed, one int16 row per graph on n <= 6 vertices),
+replicate kernel (one draw through clique_levels) and count-table rows for a block
+of draws, its closed-form moments, its bound pair and its dissociated-sum pieces.
+The rest of the library looks kinds up here instead of branching on them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from typing import Callable
 
 import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
-from .graphs import (MAX_ENUM_VERTICES, all_graphs, clique_levels, clique_walk, gnp_masks,
-                     gnp_pairs, link_candidates, pair_matrix)
+from .graphs import (MAX_ENUM_VERTICES, EnumerationCapError, clique_levels, gnp_masks,
+                     gnp_pairs, pair_matrix, spans_clique)
 from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
                       crit_variance, link_cov, link_mean, link_mu)
-from .morse import critical_counts_formula
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Statistic:
     first_size: int
     needs_t: bool  # counts inside the link of a fixed vertex subset t
     min_overlap: int  # summands sharing fewer vertices are independent
-    count: Callable  # (Graph, d, t) -> tuple of d ints
+    count: Callable  # (edge masks, n, index set s, t) -> per mask, whether s counts
     replicate: Callable  # (MCConfig, generator) -> list of d numbers
     table_words: Callable  # MCConfig -> variates per replicate, None: not all from count tables
     table_rows: Callable  # (MCConfig, variates (R, table_words)) -> R replicate rows
@@ -48,7 +48,7 @@ class Statistic:
         return [s - 1 for s in self.sizes(d)]
 
     def check(self, n: int, d: int, t) -> None:
-        """Reject d or t when the largest component does not fit in n."""
+        """Reject d or t that does not fit in n, and a t the kind does not take."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if d < 1:
@@ -60,6 +60,8 @@ class Statistic:
                 raise ValueError("t must be distinct vertices in 1..n")
             if d > n - len(t):
                 raise ValueError("d exceeds the room left by t")
+        elif t:
+            raise ValueError("kind=%s takes no fixed subset t" % self.name)
         elif d + 1 > n:
             raise ValueError("need d+1 <= n")
 
@@ -102,13 +104,25 @@ class Statistic:
 
 @lru_cache(maxsize=64)  # 64 tables take at most 64 x 2^15 masks x 5 x 2 bytes, about 21 MB
 def _small_graph_counts(kind: str, n: int, d: int, t: tuple) -> np.ndarray:
-    """Count vectors of every graph on n vertices, one int16 row per edge mask,
-    read-only as the cache shares it; kinds without a fixed subset take t = ()."""
-    count = STATS[kind].count
-    table = np.fromiter((count(g, d, t) for g in all_graphs(n)), dtype=(np.int16, d),
-                        count=1 << comb(n, 2))
+    """Count vectors of every graph on n vertices, a read-only (cached) int16 row per
+    mask; column c sums the indicator over index sets of size sizes(d)[c] avoiding t."""
+    if n > MAX_ENUM_VERTICES:
+        raise EnumerationCapError(
+            "exhaustive enumeration capped at n=%d (got n=%d)" % (MAX_ENUM_VERTICES, n))
+    stat, masks = STATS[kind], np.arange(1 << comb(n, 2))
+    table = np.zeros((len(masks), d), dtype=np.int16)  # a size above the room stays 0
+    for c, size in enumerate(stat.sizes(d)):
+        for s in combinations([v for v in range(1, n + 1) if v not in t], size):
+            table[:, c] += stat.count(masks, n, s, t)
     table.flags.writeable = False
     return table
+
+
+def _is_critical(masks, n: int, s: tuple, t) -> np.ndarray:
+    """The matching's rule: s spans a clique, no j < min s makes s + {j} one (s is
+    not matched up) and some makes s - {min s} + {j} one (s is not matched down)."""
+    up, down = ([spans_clique(masks, n, (j,) + f) for j in range(1, s[0])] for f in (s, s[1:]))
+    return spans_clique(masks, n, s) & ~np.any(up, axis=0) & np.any(down, axis=0)
 
 
 def _graph_table_words(cfg):
@@ -163,7 +177,7 @@ def _link_table_rows(cfg, u) -> np.ndarray:
 STATS = {s.name: s for s in (
     Statistic(
         "critical", first_size=2, needs_t=False, min_overlap=1,
-        count=lambda g, d, t: critical_counts_formula(g, d).counts,
+        count=_is_critical,
         replicate=lambda cfg, rng: _draw_counts(rng, cfg.n, cfg.p, cfg.d, True),
         table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: crit_mean(n, k, p),
@@ -173,7 +187,7 @@ STATS = {s.name: s for s in (
         mu=lambda phi, i, p, ts: crit_mu(i, min(phi), p)),
     Statistic(
         "link", first_size=1, needs_t=True, min_overlap=1,
-        count=lambda g, d, t: tuple(clique_walk(g.adj, link_candidates(g, t), d)[1:]),
+        count=lambda masks, n, s, t: spans_clique(masks, n, s + t, skip=t),
         replicate=_link_replicate,
         table_words=_link_table_words, table_rows=_link_table_rows,
         mean=lambda n, ts, k, p: link_mean(n, ts, k, p),
@@ -183,7 +197,7 @@ STATS = {s.name: s for s in (
         mu=lambda phi, i, p, ts: link_mu(ts, len(phi) - 1, p)),
     Statistic(
         "clique", first_size=2, needs_t=False, min_overlap=2,
-        count=lambda g, d, t: tuple(clique_walk(g.adj, g.vertex_mask, d + 1)[2:]),
+        count=lambda masks, n, s, t: spans_clique(masks, n, s),
         replicate=lambda cfg, rng: _draw_counts(rng, cfg.n, cfg.p, cfg.d),
         table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: clique_mean(n, k + 1, p),

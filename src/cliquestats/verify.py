@@ -295,15 +295,14 @@ def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
 def suite_variance_order() -> list:
     ns, k, p = (100, 200, 400), 1, 0.5
     results = []
-    cexact = [mo.crit_variance(n, k, p) / n ** (2 * k) for n in ns]
-    clower = [mo.crit_variance_lower(n, k, p) / n ** (2 * k) for n in ns]
+    exact, lower = ([f(n, k, p) for n in ns] for f in (mo.crit_variance, mo.crit_variance_lower))
+    cexact, clower = ([v / n ** (2 * k) for v, n in zip(vs, ns)] for vs in (exact, lower))
     ratios = [b / a for a, b in zip(cexact, cexact[1:])]
     conv = all(c > 0 for c in cexact) and abs(ratios[-1] - 1.0) <= 0.1 \
         and abs(ratios[-1] - 1.0) <= abs(ratios[0] - 1.0) + 1e-12
     results.append(_gate("exact variance / n^2 converges to a positive constant",
                          conv, "values " + ", ".join("%.5g" % c for c in cexact)))
-    dominated = all(mo.crit_variance_lower(n, k, p) <= mo.crit_variance(n, k, p)
-                    for n in ns)
+    dominated = all(lo <= ex for lo, ex in zip(lower, exact))
     results.append(_gate("lower bound <= exact variance", dominated))
     lconv = all(c > 0 for c in clower)
     results.append(_gate("lower bound / n^2 positive over tested n", lconv,
@@ -418,10 +417,9 @@ SUITES = {
 
 def run_suite(name: str, **kwargs) -> list:
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(run_suite(key))
-        return out
+        if kwargs:  # each suite's options are its own
+            raise ValueError("suite all takes no options (got %s)" % ", ".join(sorted(kwargs)))
+        return [row for key in SUITES for row in run_suite(key)]
     if name not in SUITES:
         raise ValueError("unknown suite %r (have %s)" % (name, ", ".join(SUITES)))
     return SUITES[name](**kwargs)

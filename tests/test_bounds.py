@@ -8,7 +8,8 @@ import pytest
 
 from cliquestats import bounds as bd
 from cliquestats import moments as mo
-from cliquestats.graphs import all_graphs, check_p, graph_probability
+from cliquestats.graphs import check_p, graph_probability
+from reference import all_graphs
 
 
 def test_moment_bound_examples():
@@ -28,6 +29,8 @@ def test_convex_bound():
     assert math.isclose(bd.convex_bound(1, 1.0).value, want, rel_tol=1e-14)
     assert bd.convex_bound(2, 1.0).value > bd.convex_bound(1, 1.0).value
     assert bd.convex_bound(1, 2.0).value > bd.convex_bound(1, 1.0).value
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        bd.convex_bound(0, 1.0)
 
 
 def one_summand_instance(moment=1.0):
@@ -72,6 +75,10 @@ def test_uniform_bound_examples():
                             [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]).value == 0.0
     with pytest.raises(ValueError):
         bd.uniform_bound(2, [3], [[1]], [[[1]]])
+    with pytest.raises(ValueError, match="alpha must be d x d"):
+        bd.uniform_bound(2, [3, 4], [[1, 1], [1]], [[[0, 0], [0, 0]]] * 2)
+    with pytest.raises(ValueError, match="beta must be d x d x d"):
+        bd.uniform_bound(2, [3, 4], [[1, 1], [1, 1]], [[[0, 0], [0]], [[0, 0], [0, 0]]])
 
 
 def test_uniform_majorizes_generic_on_enumerated_instance():
@@ -170,6 +177,9 @@ def test_link_bound_values():
 
 
 def test_clique_bound_values():
+    for n, d, what in ((0, 1, "n"), (5, 0, "d")):
+        with pytest.raises(ValueError, match="%s must be >= 1" % what):
+            bd.clique_bound(n, d, 0.5)
     assert math.isclose(bd.clique_bound(1, 1, 0.5).smooth.params["constant"],
                         32.0 / 3.0, rel_tol=1e-14)
     d2 = bd.clique_bound(1, 2, 0.5).smooth.params["constant"]
@@ -192,6 +202,10 @@ def test_ustat_bounds():
         bd.ustat_bound([0], [1.0], 1.0)
     with pytest.raises(ValueError):
         bd.ustat_bound([1], [0.0], 1.0)
+    with pytest.raises(ValueError, match="equal length"):
+        bd.ustat_bound([1, 2], [1.0], 1.0)
+    with pytest.raises(ValueError, match="moment cap must be >= 0"):
+        bd.ustat_bound([1], [1.0], -0.5)
 
 
 def test_convex_member_is_exact_transfer_of_smooth():

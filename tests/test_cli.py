@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,11 +11,14 @@ from cliquestats import cli
 from cliquestats import verify as vf
 
 RUN = [sys.executable, "-m", "cliquestats.cli"]
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, env=None):
+    """Run the CLI in a child that imports this checkout's package first."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(RUN + list(args), capture_output=True, text=True,
-                          env=None if env is None else {**os.environ, **env})
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})})
 
 
 def test_moments_clique_example():
@@ -94,6 +98,15 @@ def test_verify_figure2_exit0():
 def test_verify_unknown_suite_exit2():
     res = run_cli("verify", "--suite", "nonsense")
     assert res.returncode == 2
+
+
+def test_run_suite_refuses_unknown_name_and_options_for_all(monkeypatch):
+    monkeypatch.setattr(vf, "SUITES", {k: lambda **kw: pytest.fail("a gate ran")
+                                       for k in vf.SUITES})
+    with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+        vf.run_suite("nonsense")
+    with pytest.raises(ValueError, match="suite all takes no options"):
+        vf.run_suite("all", threads=2, reps=5)
 
 
 def test_morse_demo_graph_file(tmp_path):

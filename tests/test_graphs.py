@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph, all_graphs,
-                                clique_count, clique_levels, clique_walk, cliques, gnp_generator,
-                                gnp_mask, gnp_masks, gnp_pairs, gnp_streams, gnp_uniforms,
-                                graph_probability, link_candidates, link_count, pair_matrix,
-                                sample_gnp)
+from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph, clique_count,
+                                clique_levels, clique_walk, cliques, gnp_generator, gnp_mask,
+                                gnp_masks, gnp_pairs, gnp_streams, gnp_uniforms,
+                                graph_probability, link_count, pair_matrix, sample_gnp)
+from reference import all_graphs, link_candidates
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 
@@ -79,6 +79,8 @@ def test_cliques_on_k4_and_figure2():
     assert clique_count(FIG2, 2) == 6
     assert clique_count(FIG2, 4) == 0
     assert cliques(Graph.empty(4), 2) == []
+    with pytest.raises(ValueError, match=r"k must lie in \[1, n\]"):
+        cliques(k4, 0)
 
 
 def test_clique_count_matches_listing_and_brute_force():
@@ -125,6 +127,10 @@ def test_link_count_examples():
     assert link_count(FIG2, (3,), 1) == 3
     assert link_count(FIG2, (3,), 2) == 1
     assert link_count(Graph.empty(4), (1, 3), 1) == 0
+    with pytest.raises(ValueError, match="outside 1..n"):
+        link_count(FIG2, (6,), 1)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        link_count(FIG2, (3,), 0)
 
 
 def brute_link(g, t, k):
@@ -178,6 +184,11 @@ def test_graph_validation():
         GnpParams(3, 1.5, 0)
     with pytest.raises(ValueError):
         GnpParams(0, 0.5, 0)
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Graph(0)
+    for mask in (-1, 1 << 3):
+        with pytest.raises(ValueError, match="out of range"):
+            Graph(3, mask)
 
 
 @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1))

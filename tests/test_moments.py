@@ -116,6 +116,12 @@ def test_link_mean_examples():
     assert mo.link_mean(6, 1, 2, 1.0) == math.comb(5, 3)
     with pytest.raises(ValueError):
         mo.link_mean(2, 3, 0, 0.5)
+    for call in (lambda: mo.link_mean(5, 0, 0, 0.5), lambda: mo.link_cov(5, 0, 0, 0, 0.5)):
+        with pytest.raises(ValueError, match="t_size must be >= 1"):
+            call()
+    for call in (lambda: mo.link_mean(5, 1, -1, 0.5), lambda: mo.link_cov(5, 1, 1, -1, 0.5)):
+        with pytest.raises(ValueError, match="dimension must be >= 0"):
+            call()
 
 
 def test_link_cov_binomial_reduction():
@@ -125,6 +131,7 @@ def test_link_cov_binomial_reduction():
     # degenerate case where the single-overlap lower bound is attained exactly
     assert math.isclose(mo.link_cov_lower(4, 1, 0, 0, p), 3 * p * (1 - p),
                         rel_tol=1e-12)
+    assert mo.link_cov_lower(6, 1, 1, 0, 0.0) == mo.link_cov_lower(6, 1, 1, 0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
@@ -152,6 +159,12 @@ def test_clique_moments():
     # oracle-frozen: E(T2 T3) over the 8 graphs minus product of means
     assert math.isclose(mo.clique_cov(3, 1, 2, p), 3 * p ** 3 * (1 - p), rel_tol=1e-12)
     assert mo.clique_cov(5, 1, 2, 1.0) == 0.0
+    for k in (1, 5):
+        with pytest.raises(ValueError, match="need 2 <= size <= n"):
+            mo.clique_mean(4, k, 0.5)
+    for i, j in ((0, 1), (1, 4)):
+        with pytest.raises(ValueError, match=r"sizes must lie in \[2, n\]"):
+            mo.clique_cov(4, i, j, 0.5)
 
 
 def test_statistic_cov_matrix_clique():
@@ -224,6 +237,8 @@ def test_moment_report_json():
     import json
     payload = json.loads(rep.to_json())
     assert set(payload) == {"kind", "params", "mean", "cov", "provenance"}
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        mo.statistic_cov_matrix("clique", 3, 0, 0.5)
 
 
 @pytest.mark.parametrize("call", [

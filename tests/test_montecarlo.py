@@ -20,6 +20,10 @@ def test_config_validation():
         mc.MCConfig("link", 5, 0.5, 1, 10, 0)  # missing t
     with pytest.raises(ValueError):
         mc.MCConfig("link", 5, 0.5, 1, 10, 0, t=(6,))
+    with pytest.raises(ValueError, match="takes no fixed subset"):
+        mc.MCConfig("critical", 5, 0.5, 2, 10, 0, t=(3,))
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        mc.MCConfig("clique", 5, 0.5, 0, 10, 0)
     with pytest.raises(ValueError):
         mc.MCConfig("critical", 3, 0.5, 3, 10, 0)  # d+1 > n
     with pytest.raises(ValueError):
@@ -225,6 +229,7 @@ def test_empirical_cov():
     assert np.allclose(mc.empirical_cov(samples), 0.0)
     with pytest.raises(ValueError):
         mc.empirical_cov(np.array([[1.0, 2.0]]))
+    assert mc.empirical_cov(np.array([1.0, 2.0, 3.0])).tolist() == [[1.0]]  # one component
     x = mc.mvn_samples(np.eye(3), 500, 1)
     c = mc.empirical_cov(x)
     assert np.array_equal(c, c.T)
@@ -245,6 +250,8 @@ def test_mvn_samples_rejects_non_psd():
         mc.mvn_samples(bad, 10, 0)
     with pytest.raises(ValueError):
         mc.psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))  # asymmetric
+    with pytest.raises(ValueError, match="square"):
+        mc.psd_sqrt(np.ones((2, 3)))
 
 
 def test_psd_sqrt_squares_back():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (GnpParams, Graph, all_graphs, clique_count, clique_levels,
-                                cliques, pair_matrix, sample_gnp)
+from cliquestats.graphs import (GnpParams, Graph, clique_count, clique_levels, cliques,
+                                pair_matrix, sample_gnp)
 from cliquestats.morse import (CriticalVector, Matching, _below_mask, _crit_sizes, _validated,
                                critical_counts_direct, critical_counts_formula, critical_minima,
                                is_vertex_critical, lex_matching, truncated_critical_count,
                                verify_acyclic)
+from reference import all_graphs
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 FIG2_PAIRS = frozenset({
@@ -288,6 +289,11 @@ def test_critical_minima_and_truncation_reject_k_below_2():
         truncated_critical_count(g, 1, 3)
     with pytest.raises(ValueError):
         critical_minima(g, 4)
+    with pytest.raises(ValueError, match="max_size exceeds vertex count"):
+        lex_matching(g, 4)
+    for count in (critical_counts_direct, critical_counts_formula):
+        with pytest.raises(ValueError, match=r"need d\+1 <= n"):
+            count(g, 3)
 
 
 def test_truncated_counts():

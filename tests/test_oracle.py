@@ -10,10 +10,12 @@ from cliquestats import moments as mo
 from cliquestats import montecarlo as mc
 from cliquestats import oracle
 from cliquestats.oracle import ExactDistribution, exact_distribution, exact_moments
-from cliquestats.graphs import EnumerationCapError, Graph, all_graphs
+from cliquestats.graphs import EnumerationCapError
 from cliquestats.kinds import STATS, _small_graph_counts
+from reference import GRAPH_COUNTS, all_graphs
 
 TABLE_KINDS = [("critical", ()), ("clique", ()), ("link", (2,)), ("link", (1, 3))]
+LINK_TS = [(1,), (2, 4), (2, 3), (1, 2, 3)]
 
 
 def test_distribution_critical_n3():
@@ -62,6 +64,8 @@ def test_cap_and_param_errors():
         exact_distribution("clique", 7, 0.5, 2)
     with pytest.raises(ValueError):
         exact_distribution("link", 4, 0.5, 1)  # missing t
+    with pytest.raises(ValueError, match="takes no fixed subset"):
+        exact_distribution("clique", 4, 0.5, 2, t=(1,))
     with pytest.raises(ValueError):
         exact_distribution("nope", 4, 0.5, 1)
 
@@ -82,28 +86,32 @@ def test_oracle_rejects_p_outside_unit_interval(p, monkeypatch):
             fn("clique", 4, p, 2)
 
 
-@pytest.mark.parametrize("kind,t", TABLE_KINDS)
-def test_count_table_matches_count_kernel(kind, t):
-    """Every mask and d for n <= 5; at n = 6 a strided subset at the top d."""
-    stat = STATS[kind]
-    for n in range(max((2, *t)), 7):
-        top = n - len(t) + 1 - stat.first_size
-        for d in range(1, top + 1) if n <= 5 else [top]:
-            table = _small_graph_counts(kind, n, d, t)
-            assert table.shape == (2 ** math.comb(n, 2), d)
-            assert table.dtype == np.int16
-            assert not table.flags.writeable  # shared through the cache
-            for mask in range(0, len(table), 1 if n <= 5 else 7):
-                assert tuple(table[mask].tolist()) == stat.count(Graph(n, mask), d, t)
+def _last_d(kind, n, t):
+    """The room left for d, and for clique and link two past it: the link
+    route reads clique tables past the room, whose columns must be 0."""
+    top = n - len(t) + 1 - STATS[kind].first_size
+    return top if kind == "critical" else top + 2
 
 
 @functools.lru_cache(maxsize=None)
 def _graph_counts(kind, n, t):
-    """(edge count, count vector at the largest d) of every graph on n
-    vertices, from the kind's count kernel; a smaller d is a prefix."""
-    stat = kinds.statistic(kind)
-    top = n - len(t) + 1 - stat.first_size
-    return [(g.edge_count, stat.count(g, top, t)) for g in all_graphs(n)]
+    """(edge count, count vector at _last_d) of every graph on n vertices,
+    from the kind's per-graph walk; a smaller d is a prefix."""
+    last = _last_d(kind, n, t)
+    return [(g.edge_count, GRAPH_COUNTS[kind](g, last, t)) for g in all_graphs(n)]
+
+
+@pytest.mark.parametrize("kind,t", TABLE_KINDS + [("link", t) for t in LINK_TS])
+def test_count_table_matches_count_kernel(kind, t):
+    """Every mask, n <= 6 and d up to _last_d, against the per-graph walk."""
+    for n in range(max((2, *t)), 7):
+        want = np.array([v for _, v in _graph_counts(kind, n, t)], dtype=np.int16)
+        for d in range(1, _last_d(kind, n, t) + 1):
+            table = _small_graph_counts(kind, n, d, t)
+            assert table.shape == (2 ** math.comb(n, 2), d)
+            assert table.dtype == np.int16
+            assert not table.flags.writeable  # shared through the cache
+            assert np.array_equal(table, want[:, :d]), (n, d)
 
 
 def _per_graph_distribution(kind, n, p, d, t=None):
