@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -85,55 +86,43 @@ def convex_bound(d: int, smooth_b: float) -> BoundReport:
 
 @dataclass
 class DissociatedInstance:
-    """A vector of dissociated sums, explicitly indexed.
+    """A vector of dissociated sums on arrays.
 
-    index_sets[i] lists the indices of component i+1; ``neighborhood(s, j)``
-    returns the component-j dependency neighbourhood of index s; and
-    ``abs_moment(s, t, u)`` returns a pair bounding E|Xs Xt Xu| and
-    E|Xs Xt| E|Xu|.
+    index_sets[i] lists the indices of component i+1, and the indices are
+    numbered 0..I-1 in that order, component by component.  nbr is a boolean
+    (I, I) matrix: nbr[a, b] says index b lies in a's dependency
+    neighbourhood D_a.  blocks(a) returns two (I, I) arrays over (b, c), the
+    bounds on E|Xa Xb Xc| and on E|Xa Xb| E|Xc|.
     """
 
-    d: int
     index_sets: list
-    neighborhood: object
-    abs_moment: object
-
-    def all_indices(self):
-        return itertools.chain.from_iterable(self.index_sets)
-
-    def full_neighborhood(self, s):
-        out = []
-        for j in range(1, self.d + 1):
-            out.extend(self.neighborhood(s, j))
-        return out
+    nbr: np.ndarray
+    blocks: Callable
 
 
 def generic_bound(inst: DissociatedInstance, term_budget: float = 1e8) -> BoundReport:
-    """Evaluate the two-part dissociated-sum bound by direct triple summation.
+    """Evaluate the two-part dissociated-sum bound, one moment block per index:
+    b1 sums (T/2 + S) over b, c in D_a and b2 sums (T + S) over b in D_a and
+    c in D_b \\ D_a, for the triple and split bounds T and S of blocks(a).
 
-    Intended for oracle-scale cross-validation; the neighbourhood products
-    explode combinatorially, so the evaluation is guarded by a term budget.
+    Intended for oracle-scale cross-validation: each block is dense, so an
+    index costs O(I^2) however small its neighbourhood, and the triple sum
+    needs sum_a |D_a|^2 + sum_a sum_{b in D_a} |D_b| terms, which is
+    guarded by a term budget.
     """
-    hoods = {s: inst.full_neighborhood(s) for s in inst.all_indices()}
-    n_terms = sum(len(D) ** 2 for D in hoods.values())
-    n_terms += sum(len(hoods[t]) for s, D in hoods.items() for t in D)
+    nbr = inst.nbr
+    size = nbr.sum(axis=1)
+    n_terms = int(size @ size + size @ nbr.sum(axis=0))
     if n_terms > term_budget:
         raise BudgetExceededError(
             "triple sum needs ~%d terms (budget %d)" % (n_terms, int(term_budget)))
     b1 = 0.0
     b2 = 0.0
-    for s, D in hoods.items():
-        for t in D:
-            for u in D:
-                triple, split = inst.abs_moment(s, t, u)
-                b1 += 0.5 * triple + split
-            ds = set(D)
-            for v in hoods[t]:
-                if v in ds:
-                    continue
-                triple, split = inst.abs_moment(s, t, v)
-                b2 += triple + split
-    value = (b1 + b2) / 3.0
+    for a, hood in enumerate(nbr):
+        triple, split = (x[hood] for x in inst.blocks(a))
+        b1 += np.sum((0.5 * triple + split)[:, hood])
+        b2 += np.sum((triple + split)[nbr[hood] & ~hood])
+    value = float(b1 + b2) / 3.0
     return BoundReport("dissociated-sum-smooth", value,
                        params={"terms": n_terms})
 
@@ -169,30 +158,30 @@ def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedIns
 
     Neighbourhood rule: cliques share >= 2 vertices (edge-driven summands),
     critical and link share >= 1 (summands also read edges incident to the
-    rest of the graph / to t).
+    rest of the graph / to t), read off the index-by-vertex incidence matrix.
+    Both moment bounds of (a, b, c) are the cap c_a c_b / sigma_c, with
+    c = sqrt(mu (1 - mu)) / sigma for each index's component sd sigma.
     """
     from .kinds import statistic  # the registry is built on this module
     stat = statistic(kind)
     t = tuple(sorted(t))
-    ts = len(t)
     ground = [v for v in range(1, n + 1) if v not in t]
-    index_sets = []
-    for i, size in enumerate(stat.sizes(d), start=1):
-        index_sets.append([(phi, i) for phi in itertools.combinations(ground, size)])
-    sd = sigma(stat.variances(n, d, p, ts))
+    index_sets = [[(phi, i) for phi in itertools.combinations(ground, size)]
+                  for i, size in enumerate(stat.sizes(d), start=1)]
+    flat = [s for comp in index_sets for s in comp]
+    inc = np.zeros((len(flat), n + 1), dtype=np.int64)
+    for a, (phi, _) in enumerate(flat):
+        inc[a, list(phi)] = 1
+    sd = np.array(sigma(stat.variances(n, d, p, len(t))))[[i - 1 for _, i in flat]]
+    mu = np.array([stat.mu(phi, i, p, len(t)) for phi, i in flat])
+    c = np.sqrt(mu * (1.0 - mu)) / sd
+    pair_caps = np.multiply.outer(c, 1.0 / sd)
 
-    def neighborhood(s, j):
-        ps = set(s[0])
-        return [u for u in index_sets[j - 1] if len(ps.intersection(u[0])) >= stat.min_overlap]
+    def blocks(a):
+        cap = c[a] * pair_caps
+        return cap, cap
 
-    def abs_moment(s, t_, u):
-        m1 = stat.mu(s[0], s[1], p, ts)
-        m2 = stat.mu(t_[0], t_[1], p, ts)
-        val = (math.sqrt(m1 * m2 * (1.0 - m1) * (1.0 - m2))
-               / (sd[s[1] - 1] * sd[t_[1] - 1] * sd[u[1] - 1]))
-        return val, val
-
-    return DissociatedInstance(d, index_sets, neighborhood, abs_moment)
+    return DissociatedInstance(index_sets, inc @ inc.T >= stat.min_overlap, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -286,14 +286,6 @@ def sample_gnp(params: GnpParams, stream: int = 0) -> Graph:
     return Graph(params.n, gnp_mask(rng, params.n, params.p))
 
 
-def graph_probability(g: Graph, p: float) -> float:
-    """P(G(n,p) = g) = p^edges * (1-p)^missing."""
-    check_p(p)
-    m = comb(g.n, 2)
-    e = g.edge_count
-    return p ** e * (1.0 - p) ** (m - e)
-
-
 def clique_lists(g: Graph, top: int) -> list:
     """levels[k], k = 0..top: the k-cliques s of g in lexicographic order, each as
     (s, C(s)) with C(s) the AND of adj[v] over s, its common neighbours

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,14 +75,18 @@ def standardize(raw: np.ndarray, cfg: MCConfig) -> np.ndarray:
 
 
 def parallel_map(fn, jobs, threads: int) -> list:
-    """[fn(job) for job in jobs], spread over ``threads`` worker processes
-    when threads > 1.  fn and the jobs must pickle."""
-    if threads <= 1:
+    """[fn(job) for job in jobs], spread over at most ``threads`` worker
+    processes, and no more than there are jobs or CPUs this process may use
+    (the pool forks all its workers at once).  fn and the jobs must pickle."""
+    jobs = list(jobs)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(jobs), cpus or 1)
+    if workers <= 1:
         return [fn(job) for job in jobs]
     # imported here: the process pool loads multiprocessing and socket, which
     # a serial caller never needs
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
 

@@ -6,9 +6,9 @@ I(s) = {j < min(s) : s+{j} is a clique} decides the upward match: s pairs
 with s+{min I(s)} whenever I(s) is nonempty.  The matching is built from one
 ascending walk (clique_lists), which gives I(s) as C(s) & below(min s).
 Criticality for sizes >= 2 is what the counting formula covers, read off the
-independent descending walk (clique_walk); vertex criticality is a separate
-helper (vertex v is critical iff it has no smaller-labelled neighbour),
-outside the CLT-statistics scope.
+independent descending walk (clique_walk).  Vertex criticality (vertex v is
+critical iff it has no smaller-labelled neighbour) is outside the
+CLT-statistics scope; tests/reference.py keeps it for the weak Morse checks.
 """
 
 from __future__ import annotations
@@ -167,28 +167,6 @@ def critical_counts_formula(g: Graph, d: int) -> CriticalVector:
     minima = [[] for _ in range(d + 2)]
     clique_walk(g.adj, g.vertex_mask, d + 1, minima)
     return CriticalVector(tuple(len(minima[size]) for size in sizes))
-
-
-def critical_minima(g: Graph, k: int) -> list[int]:
-    """min(s) of every critical size-k simplex s, in ascending order."""
-    if not 2 <= k <= g.n:
-        raise ValueError("k must lie in [2, n]")
-    minima = [[] for _ in range(k + 1)]
-    clique_walk(g.adj, g.vertex_mask, k, minima)
-    return sorted(minima[k])
-
-
-def truncated_critical_count(g: Graph, k: int, K: int) -> int:
-    """The size-k critical-count sum restricted to simplices with min(s) <= K."""
-    if not 1 <= K <= g.n - k + 1:
-        raise ValueError("K must lie in [1, n-k+1]")
-    return sum(m <= K for m in critical_minima(g, k))
-
-
-def is_vertex_critical(g: Graph, v: int) -> bool:
-    """A vertex is critical iff it has no neighbour with a smaller label;
-    vertex 1 always is."""
-    return not g.adj[v] & _below_mask(v)
 
 
 def verify_acyclic(m: Matching, g: Graph) -> bool:

@@ -38,9 +38,10 @@ def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDist
     (1-p)^(m-e), read by its edge count e, in mask order.  A vector whose
     graphs all weigh 0.0 is not in the support."""
     check_p(p)
-    t = None if t is None else tuple(sorted(t))
-    statistic(kind).check(n, d, t)
-    table = _small_graph_counts(kind, n, d, t or ())  # check refuses a stray t
+    t = tuple(sorted(t or ()))
+    stat = statistic(kind)
+    stat.check(n, d, t)
+    table = _small_graph_counts(kind, n, d, t)  # check refuses a stray t
     m = comb(n, 2)
     wtable = np.array([p ** e * (1.0 - p) ** (m - e) for e in range(m + 1)])
     dims = tuple(int(v) + 1 for v in table.max(axis=0))
@@ -49,7 +50,7 @@ def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDist
     keys = np.flatnonzero(masses)
     support = list(zip(*(c.tolist() for c in np.unravel_index(keys, dims))))
     params = {"n": n, "p": p, "d": d}
-    if t is not None:
+    if stat.needs_t:
         params["t"] = list(t)
     return ExactDistribution(kind, params, support, masses[keys].tolist())
 

@@ -19,9 +19,9 @@ _CACHE = {}
 def run_cached(suite, **kwargs):
     key = (suite, tuple(sorted(kwargs.items())))
     if key not in _CACHE:
-        t0 = time.time()
+        t0 = time.perf_counter()
         results = vf.run_suite(suite, **kwargs)
-        _CACHE[key] = (results, time.time() - t0)
+        _CACHE[key] = (results, time.perf_counter() - t0)
     return _CACHE[key]
 
 

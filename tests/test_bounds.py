@@ -8,8 +8,8 @@ import pytest
 
 from cliquestats import bounds as bd
 from cliquestats import moments as mo
-from cliquestats.graphs import check_p, graph_probability
-from reference import all_graphs
+from cliquestats.graphs import check_p
+from cliquestats.kinds import KINDS, statistic
 
 
 def test_moment_bound_examples():
@@ -33,39 +33,37 @@ def test_convex_bound():
         bd.convex_bound(0, 1.0)
 
 
-def one_summand_instance(moment=1.0):
-    idx = ("s", 1)
-    return bd.DissociatedInstance(
-        1, [[idx]], lambda s, j: [idx], lambda s, t, u: (moment, moment))
+def iid_instance(N, moment):
+    """N summands, each its own neighbourhood, every moment bound equal."""
+    block = np.full((N, N), moment)
+    return bd.DissociatedInstance([[(i, 1) for i in range(N)]], np.eye(N, dtype=bool),
+                                  lambda a: (block, block))
 
 
 def test_generic_bound_single_fair_sign():
     # one +-1 summand, its own neighbourhood: (1/3)(0.5*1 + 1*1) = 0.5
-    assert math.isclose(bd.generic_bound(one_summand_instance()).value, 0.5)
+    assert math.isclose(bd.generic_bound(iid_instance(1, 1.0)).value, 0.5)
 
 
 def test_generic_bound_empty():
-    inst = bd.DissociatedInstance(1, [[]], lambda s, j: [], lambda s, t, u: (0, 0))
+    inst = bd.DissociatedInstance([[]], np.zeros((0, 0), dtype=bool), None)
     assert bd.generic_bound(inst).value == 0.0
 
 
 def test_generic_bound_iid_scaling():
-    # N independent standardized summands, each its own neighbourhood,
-    # scaled by N^(-1/2): B = N * (1/3) * (3/2) * N^(-3/2) = 0.5 / sqrt(N)
-    def make(N):
-        ids = [(i, 1) for i in range(N)]
-        c = N ** -0.5
-        return bd.DissociatedInstance(
-            1, [ids], lambda s, j: [s], lambda s, t, u: (c ** 3, c ** 3))
-    b100 = bd.generic_bound(make(100)).value
-    b400 = bd.generic_bound(make(400)).value
+    # N independent standardized summands scaled by N^(-1/2):
+    # B = N * (1/3) * (3/2) * N^(-3/2) = 0.5 / sqrt(N)
+    b100 = bd.generic_bound(iid_instance(100, 100 ** -1.5)).value
+    b400 = bd.generic_bound(iid_instance(400, 400 ** -1.5)).value
     assert math.isclose(b100, 0.05, rel_tol=1e-12)
     assert math.isclose(b400 / b100, 0.5, rel_tol=1e-12)
 
 
 def test_generic_bound_budget():
+    # one summand: 1^2 terms in b1 and 1 in b2's count
+    assert bd.generic_bound(iid_instance(1, 1.0), term_budget=2).params == {"terms": 2}
     with pytest.raises(bd.BudgetExceededError):
-        bd.generic_bound(one_summand_instance(), term_budget=1)
+        bd.generic_bound(iid_instance(1, 1.0), term_budget=1)
 
 
 def test_uniform_bound_examples():
@@ -81,73 +79,152 @@ def test_uniform_bound_examples():
         bd.uniform_bound(2, [3, 4], [[1, 1], [1, 1]], [[[0, 0], [0]], [[0, 0], [0, 0]]])
 
 
+def _components(inst):
+    """Each index's component number 0..d-1."""
+    return np.repeat(np.arange(len(inst.index_sets)), [len(x) for x in inst.index_sets])
+
+
 def test_uniform_majorizes_generic_on_enumerated_instance():
     for kind, n, d in [("clique", 5, 2), ("critical", 5, 1), ("link", 5, 1)]:
         t = (2,) if kind == "link" else ()
         inst = bd.subset_instance(n, d, 0.5, kind, t=t)
         gb = bd.generic_bound(inst)
+        comp = _components(inst)
         sizes = [len(x) for x in inst.index_sets]
-        alpha = [[max((len(inst.neighborhood(s, j + 1)) for s in inst.index_sets[i]),
-                      default=0) for j in range(d)] for i in range(d)]
-        beta = [[[max(max(inst.abs_moment(s, t_, u))
-                      for s in inst.index_sets[i]
-                      for t_ in inst.index_sets[j]
-                      for u in inst.index_sets[k])
-                  for k in range(d)] for j in range(d)] for i in range(d)]
-        ub = bd.uniform_bound(d, sizes, alpha, beta)
+        alpha = [[int(inst.nbr[comp == i][:, comp == j].sum(axis=1).max()) for j in range(d)]
+                 for i in range(d)]
+        beta = np.zeros((d, d, d))
+        for a, i in enumerate(comp):
+            caps = np.maximum(*inst.blocks(a))
+            for j, k in itertools.product(range(d), repeat=2):
+                beta[i, j, k] = max(beta[i, j, k], caps[np.ix_(comp == j, comp == k)].max())
+        ub = bd.uniform_bound(d, sizes, alpha, beta.tolist())
         assert ub.value >= gb.value - 1e-12, kind
 
 
-def exact_abs_moments_instance(n, d, p):
-    """Critical-count instance with moments from exhaustive enumeration."""
-    inst = bd.subset_instance(n, d, p, "critical")
-    idx = [s for comp in inst.index_sets for s in comp]
-    sigma = [math.sqrt(mo.crit_variance(n, k, p)) for k in range(1, d + 1)]
-    graphs = list(all_graphs(n))
-    weights = [graph_probability(g, p) for g in graphs]
-    cols = {}
-    for s in idx:
-        phi, i = s
-        mu = sum(w for g, w in zip(graphs, weights)
-                 if _crit_ind(g, phi))
-        cols[s] = [((1 if _crit_ind(g, phi) else 0) - mu) / sigma[i - 1]
-                   for g in graphs]
-
-    def abs_moment(s, t, u):
-        xs, xt, xu = cols[s], cols[t], cols[u]
-        triple = sum(w * abs(a * b * c) for w, a, b, c in zip(weights, xs, xt, xu))
-        st = sum(w * abs(a * b) for w, a, b in zip(weights, xs, xt))
-        eu = sum(w * abs(c) for w, c in zip(weights, xu))
-        return triple, st * eu
-
-    return bd.DissociatedInstance(d, inst.index_sets, inst.neighborhood, abs_moment)
+def _mask_weights(n, p):
+    """Every edge mask on n vertices and its probability p^e (1-p)^(m-e)."""
+    m = math.comb(n, 2)
+    masks = np.arange(1 << m)
+    e = np.bitwise_count(masks)
+    return masks, p ** e * (1.0 - p) ** (m - e)
 
 
-def _crit_ind(g, phi):
-    """1 iff phi is a clique of g left unmatched by the lexicographical
-    matching, built one size beyond phi so an upward match is seen."""
-    if any(not g.has_edge(a, b) for a, b in itertools.combinations(phi, 2)):
-        return 0
-    return int(phi not in _matched(g, min(len(phi) + 1, g.n)))
+def exact_instance(n, d, p, kind, t=()):
+    """subset_instance with its Bernoulli caps replaced by the exact absolute
+    moments of the standardized summands Y = (X - E X) / sigma over every
+    graph: with A = |Y| and weights w, E|Ya Yb Yc| is (A^T diag(w A_a) A)[b, c]
+    and E|Ya Yb| E|Yc| is (A^T diag(w) A)[a, b] (w^T A)[c]."""
+    stat = statistic(kind)
+    inst = bd.subset_instance(n, d, p, kind, t)
+    flat = [s for comp in inst.index_sets for s in comp]
+    masks, w = _mask_weights(n, p)
+    x = np.column_stack([stat.count(masks, n, phi, t) for phi, _ in flat]).astype(float)
+    sd = np.array(mo.sigma(stat.variances(n, d, p, len(t))))[_components(inst)]
+    abs_y = np.abs((x - w @ x) / sd)
+    pair = abs_y.T @ (w[:, None] * abs_y)
+    single = w @ abs_y
+
+    def blocks(a):
+        triple = abs_y.T @ ((w * abs_y[:, a])[:, None] * abs_y)
+        return triple, np.multiply.outer(pair[a], single)
+
+    return bd.DissociatedInstance(inst.index_sets, inst.nbr, blocks)
 
 
-@functools.lru_cache(maxsize=None)
-def _matched(g, max_size):
-    from cliquestats.morse import lex_matching
-    return lex_matching(g, max_size).simplices()
+def _reference_generic_bound(n, d, p, kind, t=()):
+    """generic_bound(subset_instance(...)) as the per-triple loop over
+    neighbourhood lists with a moment callback evaluated it: (value, terms)."""
+    stat = statistic(kind)
+    ts = len(t)
+    ground = [v for v in range(1, n + 1) if v not in t]
+    index_sets = [[(phi, i) for phi in itertools.combinations(ground, size)]
+                  for i, size in enumerate(stat.sizes(d), start=1)]
+    sd = mo.sigma(stat.variances(n, d, p, ts))
+
+    def neighborhood(s):
+        return [u for comp in index_sets for u in comp
+                if len(set(s[0]).intersection(u[0])) >= stat.min_overlap]
+
+    def abs_moment(s, t_, u):
+        m1 = stat.mu(s[0], s[1], p, ts)
+        m2 = stat.mu(t_[0], t_[1], p, ts)
+        val = (math.sqrt(m1 * m2 * (1.0 - m1) * (1.0 - m2))
+               / (sd[s[1] - 1] * sd[t_[1] - 1] * sd[u[1] - 1]))
+        return val, val
+
+    hoods = {s: neighborhood(s) for comp in index_sets for s in comp}
+    n_terms = sum(len(D) ** 2 for D in hoods.values())
+    n_terms += sum(len(hoods[t_]) for s, D in hoods.items() for t_ in D)
+    b1 = 0.0
+    b2 = 0.0
+    for s, D in hoods.items():
+        for t_ in D:
+            for u in D:
+                triple, split = abs_moment(s, t_, u)
+                b1 += 0.5 * triple + split
+            ds = set(D)
+            for v in hoods[t_]:
+                if v in ds:
+                    continue
+                triple, split = abs_moment(s, t_, v)
+                b2 += triple + split
+    return (b1 + b2) / 3.0, n_terms
+
+
+def _t(kind):
+    return (2,) if statistic(kind).needs_t else ()
+
+
+def test_generic_bound_matches_triple_loop_reference():
+    # every d <= 3 fits in n = 4..6, with t = (2,) for link
+    terms_of = {}
+    for kind, n, d, p in itertools.product(KINDS, (4, 5, 6), (1, 2, 3), (0.2, 0.5, 0.8)):
+        if (kind, n, d) == ("critical", 4, 3):  # the size-4 count is 0 on 4 vertices
+            for f in (bd.subset_instance, _reference_generic_bound):
+                with pytest.raises(ValueError, match="zero variance"):
+                    f(n, d, p, kind, _t(kind))
+            continue
+        want, terms = _reference_generic_bound(n, d, p, kind, _t(kind))
+        got = bd.generic_bound(bd.subset_instance(n, d, p, kind, _t(kind)))
+        assert math.isclose(got.value, want, rel_tol=1e-12), (kind, n, d, p)
+        assert got.params == {"terms": terms}, (kind, n, d, p)
+        terms_of[kind, n, d, p] = terms
+    assert len(terms_of) == 78
+    # the budget is the reference loop's term count, and binds exactly there
+    inst = bd.subset_instance(6, 3, 0.5, "critical")
+    terms = terms_of["critical", 6, 3, 0.5]
+    assert bd.generic_bound(inst, term_budget=terms).params["terms"] == terms
+    with pytest.raises(bd.BudgetExceededError, match="needs ~%d terms" % terms):
+        bd.generic_bound(inst, term_budget=terms - 1)
 
 
 def test_crit_bound_dominates_generic():
-    n, d, p = 5, 1, 0.5
-    cb = bd.crit_bound(n, d, p).smooth
-    capped_inst = bd.subset_instance(n, d, p, "critical")
-    gb_capped = bd.generic_bound(capped_inst).value
-    gb_exact = bd.generic_bound(exact_abs_moments_instance(n, d, p)).value
-    # exact moments <= Bernoulli moment caps <= grouped evaluation,
-    # and the grouping slack stays moderate
-    assert gb_exact <= gb_capped + 1e-9
-    assert gb_capped <= cb.value + 1e-9
-    assert cb.value <= 10 * gb_capped
+    # exact moments <= Bernoulli moment caps <= printed or grouped bound, for
+    # every kind; the critical grouping slack stays moderate
+    zero_variance = []
+    for kind in KINDS:
+        t, printed = _t(kind), statistic(kind).bound
+        for n, p in itertools.product((4, 5), (0.2, 0.5, 0.8)):
+            for d in range(1, n):  # every d that fits, with t = (2,) for link
+                try:
+                    capped = bd.generic_bound(bd.subset_instance(n, d, p, kind, t)).value
+                except ValueError as err:
+                    assert "zero variance" in str(err)
+                    with pytest.raises(ValueError, match="zero variance"):
+                        printed(n, d, p, len(t))
+                    zero_variance.append((kind, n, d, p))
+                    continue
+                exact = bd.generic_bound(exact_instance(n, d, p, kind, t)).value
+                cb = printed(n, d, p, len(t)).smooth.value
+                assert 0.0 < exact <= capped * (1 + 1e-12), (kind, n, d, p)
+                assert capped <= cb * (1 + 1e-12), (kind, n, d, p)
+                if kind == "critical":
+                    assert cb <= 10 * capped, (n, d, p)
+    # the top critical size, {1..n}, is never critical: where it is a clique,
+    # {2..n} is matched up to it
+    assert zero_variance == [("critical", n, n - 1, p) for n in (4, 5)
+                             for p in (0.2, 0.5, 0.8)]
 
 
 def test_crit_bound_basic():
@@ -233,40 +310,34 @@ def test_bound_report_rejects_non_finite_value(value):
 
 def test_instance_independence_factorization():
     # disjoint supports under the applicable overlap rule mean the joint
-    # indicator expectation factorizes (checked by enumeration)
+    # indicator expectation factorizes (checked over every graph)
     n, p = 5, 0.45
-    graphs = list(all_graphs(n))
-    weights = [graph_probability(g, p) for g in graphs]
+    masks, w = _mask_weights(n, p)
 
-    def clique_ind(g, phi):
-        return 1 if all(g.has_edge(a, b) for a, b in itertools.combinations(phi, 2)) else 0
+    def expect(kind, *phis):
+        count = statistic(kind).count
+        return w @ np.prod([count(masks, n, phi, ()) for phi in phis], axis=0)
 
-    # clique kind, share >= 2 rule: psi sharing <= 1 vertex with phi
-    phi, psi = (1, 2, 3), (3, 4, 5)
-    e_joint = sum(w * clique_ind(g, phi) * clique_ind(g, psi)
-                  for g, w in zip(graphs, weights))
-    e_prod = (sum(w * clique_ind(g, phi) for g, w in zip(graphs, weights))
-              * sum(w * clique_ind(g, psi) for g, w in zip(graphs, weights)))
-    assert math.isclose(e_joint, e_prod, abs_tol=1e-12)
-
+    # clique kind, share >= 2 rule: psi sharing <= 1 vertex with phi;
     # critical kind, share >= 1 rule: disjoint phi, psi
-    phi, psi = (2, 3), (4, 5)
-    e_joint = sum(w * _crit_ind(g, phi) * _crit_ind(g, psi)
-                  for g, w in zip(graphs, weights))
-    e_prod = (sum(w * _crit_ind(g, phi) for g, w in zip(graphs, weights))
-              * sum(w * _crit_ind(g, psi) for g, w in zip(graphs, weights)))
-    assert math.isclose(e_joint, e_prod, abs_tol=1e-12)
+    for kind, phi, psi in (("clique", (1, 2, 3), (3, 4, 5)), ("critical", (2, 3), (4, 5))):
+        assert math.isclose(expect(kind, phi, psi), expect(kind, phi) * expect(kind, psi),
+                            abs_tol=1e-12), kind
+    # a shared edge does not factorize
+    assert expect("clique", (1, 2, 3), (2, 3, 4)) > 1.1 * expect("clique", (1, 2, 3)) ** 2
 
 
 def test_subset_instance_neighborhood_rules():
-    inst = bd.subset_instance(5, 2, 0.5, "clique")
-    s = ((1, 2), 1)
-    hood = inst.neighborhood(s, 1)
-    assert s in hood  # self always dependent
-    assert all(len(set(phi) & {1, 2}) >= 2 for phi, _ in hood)
-    inst = bd.subset_instance(5, 1, 0.5, "critical")
-    hood = inst.neighborhood(((1, 2), 1), 1)
-    assert all(len(set(phi) & {1, 2}) >= 1 for phi, _ in hood)
+    # nbr[a, b] iff the index sets share min_overlap vertices: >= 2 for
+    # clique, >= 1 for critical and link; so every index is its own neighbour
+    for kind, rule in (("clique", 2), ("critical", 1), ("link", 1)):
+        inst = bd.subset_instance(6, 2, 0.5, kind, _t(kind))
+        flat = [phi for comp in inst.index_sets for phi, _ in comp]
+        want = [[len(set(a) & set(b)) >= rule for b in flat] for a in flat]
+        assert inst.nbr.dtype == bool and inst.nbr.tolist() == want, kind
+        assert inst.index_sets == [[(phi, i) for phi in itertools.combinations(
+            [v for v in range(1, 7) if v not in _t(kind)], size)]
+            for i, size in enumerate(statistic(kind).sizes(2), start=1)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from cliquestats.graphs import (EnumerationCapError, GnpParams, Graph, clique_count,
                                 clique_levels, clique_walk, cliques, gnp_generator, gnp_mask,
-                                gnp_masks, gnp_pairs, gnp_streams, gnp_uniforms,
-                                graph_probability, link_count, pair_matrix, sample_gnp)
-from reference import all_graphs, link_candidates
+                                gnp_masks, gnp_pairs, gnp_streams, gnp_uniforms, link_count,
+                                pair_matrix, sample_gnp)
+from reference import all_graphs, graph_probability, graphs_on_at_most_9, link_candidates
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 
@@ -201,12 +201,6 @@ def test_adjacency_symmetric_and_loopless(n, seed):
             if i != j:
                 assert g.has_edge(i, j) == g.has_edge(j, i)
     assert clique_count(g, 2) == g.edge_count
-
-
-@st.composite
-def graphs_on_at_most_9(draw):
-    n = draw(st.integers(1, 9))
-    return Graph(n, draw(st.integers(0, (1 << math.comb(n, 2)) - 1)))
 
 
 @given(graphs_on_at_most_9(), st.data())

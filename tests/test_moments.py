@@ -9,7 +9,8 @@ from cliquestats import bounds as bd
 from cliquestats import moments as mo
 from cliquestats import montecarlo as mc
 from cliquestats import oracle as orc
-from cliquestats.graphs import GnpParams, Graph, graph_probability
+from cliquestats.graphs import GnpParams, Graph
+from reference import graph_probability
 
 
 def test_comb0_conventions():

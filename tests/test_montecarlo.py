@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -489,6 +490,44 @@ def test_analytic_zero_variance_rejected():
 def test_simulate_raw_two_workers_bit_identical():
     cfg = mc.MCConfig("critical", 12, 0.5, 2, 400, 77)
     assert np.array_equal(mc.simulate_raw(cfg, threads=2), mc.simulate_raw(cfg))
+
+
+def test_parallel_map_starts_no_more_workers_than_jobs_or_cpus(monkeypatch):
+    # a fake pool records its size and maps in-process, so no process starts
+    import concurrent.futures
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    jobs = list(range(20))
+    want = [j * j for j in jobs]
+    for threads in (100000, 3, 8):
+        assert mc.parallel_map(lambda j: j * j, jobs, threads) == want
+    assert mc.parallel_map(lambda j: j * j, iter(jobs[:5]), 100000) == want[:5]
+    # one thread, one job or one CPU runs in-process, with no pool
+    assert mc.parallel_map(lambda j: j * j, jobs, 1) == want
+    assert mc.parallel_map(lambda j: j * j, jobs[:1], 4) == want[:1]
+    assert sizes == [8, 3, 8, 5]
+    # without sched_getaffinity, os.cpu_count() caps the pool
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert mc.parallel_map(lambda j: j * j, jobs, 100000) == want
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert mc.parallel_map(lambda j: j * j, jobs, 100000) == want
+    assert sizes == [8, 3, 8, 5, 2]
 
 
 def test_check_report_honors_empirical_standardization():

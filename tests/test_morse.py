@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from cliquestats.graphs import (GnpParams, Graph, clique_count, clique_levels, cliques,
                                 pair_matrix, sample_gnp)
 from cliquestats.morse import (CriticalVector, Matching, _below_mask, _crit_sizes, _validated,
-                               critical_counts_direct, critical_counts_formula, critical_minima,
-                               is_vertex_critical, lex_matching, truncated_critical_count,
+                               critical_counts_direct, critical_counts_formula, lex_matching,
                                verify_acyclic)
-from reference import all_graphs
+from reference import (all_graphs, critical_minima, graphs_on_at_most_9, is_vertex_critical,
+                       truncated_critical_count)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 FIG2_PAIRS = frozenset({
@@ -579,12 +579,6 @@ def test_critical_vector_accessors():
 def test_matching_dump_order():
     out = lex_matching(FIG2, 3).dump().splitlines()
     assert out == ["2 -> 1,2", "3 -> 2,3", "4 -> 1,4", "5 -> 3,5", "4,5 -> 3,4,5"]
-
-
-@st.composite
-def graphs_on_at_most_9(draw):
-    n = draw(st.integers(1, 9))
-    return Graph(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
 
 
 def _euler(counts):

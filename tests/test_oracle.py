@@ -152,6 +152,15 @@ def test_exact_distribution_matches_per_graph_reference(kind, t):
     assert (info.misses, info.hits) == (len(specs), len(specs) * (len(ps) - 1))
 
 
+def test_t_is_echoed_only_for_a_kind_that_takes_it():
+    for kind in ("critical", "clique"):
+        for t in ((), None):
+            assert exact_distribution(kind, 4, 0.5, 2, t=t).params == {"n": 4, "p": 0.5, "d": 2}
+            assert "t" not in exact_moments(kind, 4, 0.5, 2, t=t).params
+    assert exact_distribution("link", 5, 0.5, 2, t=(3, 1)).params["t"] == [1, 3]
+    assert exact_moments("link", 5, 0.5, 2, t=(3, 1)).params["t"] == [1, 3]
+
+
 def test_count_table_is_the_montecarlo_cache_hook():
     # perfbench empties the table cache through montecarlo before warming up
     assert mc._small_graph_counts is kinds._small_graph_counts
