@@ -91,8 +91,8 @@ class DissociatedInstance:
     index_sets[i] lists the indices of component i+1, and the indices are
     numbered 0..I-1 in that order, component by component.  nbr is a boolean
     (I, I) matrix: nbr[a, b] says index b lies in a's dependency
-    neighbourhood D_a.  blocks(a) returns two (I, I) arrays over (b, c), the
-    bounds on E|Xa Xb Xc| and on E|Xa Xb| E|Xc|.
+    neighbourhood D_a.  blocks(a) returns two (|D_a|, I) arrays over (b, c),
+    b in D_a in index order, the bounds on E|Xa Xb Xc| and on E|Xa Xb| E|Xc|.
     """
 
     index_sets: list
@@ -105,10 +105,10 @@ def generic_bound(inst: DissociatedInstance, term_budget: float = 1e8) -> BoundR
     b1 sums (T/2 + S) over b, c in D_a and b2 sums (T + S) over b in D_a and
     c in D_b \\ D_a, for the triple and split bounds T and S of blocks(a).
 
-    Intended for oracle-scale cross-validation: each block is dense, so an
-    index costs O(I^2) however small its neighbourhood, and the triple sum
-    needs sum_a |D_a|^2 + sum_a sum_{b in D_a} |D_b| terms, which is
-    guarded by a term budget.
+    Intended for oracle-scale cross-validation: each block is dense over c,
+    so an index costs O(|D_a| I), and the triple sum needs
+    sum_a |D_a|^2 + sum_a sum_{b in D_a} |D_b| terms, which is guarded by a
+    term budget.
     """
     nbr = inst.nbr
     size = nbr.sum(axis=1)
@@ -119,7 +119,7 @@ def generic_bound(inst: DissociatedInstance, term_budget: float = 1e8) -> BoundR
     b1 = 0.0
     b2 = 0.0
     for a, hood in enumerate(nbr):
-        triple, split = (x[hood] for x in inst.blocks(a))
+        triple, split = inst.blocks(a)
         b1 += np.sum((0.5 * triple + split)[:, hood])
         b2 += np.sum((triple + split)[nbr[hood] & ~hood])
     value = float(b1 + b2) / 3.0
@@ -177,11 +177,13 @@ def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedIns
     c = np.sqrt(mu * (1.0 - mu)) / sd
     pair_caps = np.multiply.outer(c, 1.0 / sd)
 
+    nbr = inc @ inc.T >= stat.min_overlap
+
     def blocks(a):
-        cap = c[a] * pair_caps
+        cap = c[a] * pair_caps[nbr[a]]
         return cap, cap
 
-    return DissociatedInstance(index_sets, inc @ inc.T >= stat.min_overlap, blocks)
+    return DissociatedInstance(index_sets, nbr, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,19 @@ def standardize(raw: np.ndarray, cfg: MCConfig) -> np.ndarray:
     return (raw - mean) / sd
 
 
-def parallel_map(fn, jobs, threads: int) -> list:
-    """[fn(job) for job in jobs], spread over at most ``threads`` worker
-    processes, and no more than there are jobs or CPUs this process may use
-    (the pool forks all its workers at once).  fn and the jobs must pickle."""
-    jobs = list(jobs)
+def pool_workers(threads: int, jobs: int) -> int:
+    """The worker processes parallel_map starts for this many jobs: at most
+    ``threads``, and no more than there are jobs or CPUs this process may
+    use (the pool forks all its workers at once)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(threads, len(jobs), cpus or 1)
+    return min(threads, jobs, cpus or 1)
+
+
+def parallel_map(fn, jobs, threads: int) -> list:
+    """[fn(job) for job in jobs], spread over pool_workers(threads, len(jobs))
+    worker processes.  fn and the jobs must pickle."""
+    jobs = list(jobs)
+    workers = pool_workers(threads, len(jobs))
     if workers <= 1:
         return [fn(job) for job in jobs]
     # imported here: the process pool loads multiprocessing and socket, which
@@ -278,44 +284,61 @@ class ConvexFamily:
         return "%d rectangles + %d halfspaces" % (rects, len(self.halfspaces))
 
 
+def _sorted_quantiles(s: np.ndarray) -> np.ndarray:
+    """np.quantile(s, qs) at the QUANTILE_CUTS inner deciles qs, for a sorted
+    1-D array s, without np.quantile's copy and partition: numpy's linear
+    rule reads s at the floor of the virtual index (N - 1) q and the next
+    one, and interpolates as its _lerp does, a + (b - a) g, or b - (b - a)(1 - g)
+    where the fraction g is at least 1/2, so the cuts are bit for bit its own."""
+    virtual = (len(s) - 1) * np.linspace(0.0, 1.0, QUANTILE_CUTS + 2)[1:-1]
+    below = np.floor(virtual)
+    gamma = virtual - below
+    below = below.astype(np.intp)
+    a, b = s[below], s[below + 1]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
+def _project(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """s @ u.  At d = 1 it is the one rounded product per row that the
+    (N, 1) matmul returns too (up to the sign of a zero, which no <= sees),
+    without the matmul's slow path for one column."""
+    return s[:, 0] * u[0] if len(u) == 1 else s @ u
+
+
 def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
     """Rectangles between QUANTILE_CUTS pooled quantiles per axis, and
     halfspaces {x : <u,x> <= c} at as many quantiles of the projection on
     each of HALFSPACE_DIRECTIONS unit directions drawn from stream 2^32 of
-    the seed."""
+    the seed.  Each column and each projection is sorted once and its cuts
+    read off the sorted values; one projection is held at a time."""
     pooled = np.vstack([w, z])
-    qs = np.linspace(0.0, 1.0, QUANTILE_CUTS + 2)[1:-1]
-    # a quantile depends only on the multiset of values (up to the sign of a
-    # zero cut, which no comparison sees), and np.quantile's partition runs
-    # faster on sorted input
-    grid = [np.quantile(np.sort(col), qs) for col in pooled.T]
+    grid = [_sorted_quantiles(np.sort(col)) for col in pooled.T]
     rng = gnp_generator(seed, 2 ** 32)
     halfspaces = []
     for _ in range(HALFSPACE_DIRECTIONS):
         u = rng.standard_normal(pooled.shape[1])
         u /= np.linalg.norm(u)
-        for c in np.quantile(np.sort(pooled @ u), qs):
-            halfspaces.append((u, float(c)))
-    return ConvexFamily([np.asarray(g) for g in grid], halfspaces)
+        projection = _project(pooled, u)
+        projection.sort()
+        halfspaces += [(u, float(c)) for c in _sorted_quantiles(projection)]
+    return ConvexFamily(grid, halfspaces)
 
 
 def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
     """The cumulative cell histogram of the samples on the grid, padded with
     a zero layer in front of each axis: entry (l_1, ..., l_d) is
     P(X_i <= level l_i for all i) over grid levels 0..len(grid_i)+1 meaning
-    (-inf, cuts..., +inf)."""
-    d = samples.shape[1]
+    (-inf, cuts..., +inf).  Cells are counted as integers, then divided by
+    the row count."""
     shape = tuple(len(g) + 1 for g in grid)
-    idx = tuple(np.searchsorted(grid[i], samples[:, i], side="right")
-                for i in range(d))
-    hist = np.zeros(shape)
-    np.add.at(hist, idx, 1.0)
-    hist /= len(samples)
-    cum = hist
-    for axis in range(d):
+    cells = np.ravel_multi_index(tuple(np.searchsorted(g, col, side="right")
+                                       for g, col in zip(grid, samples.T)), shape)
+    cum = np.bincount(cells, minlength=math.prod(shape)).reshape(shape) / len(samples)
+    for axis in range(len(shape)):
         cum = np.cumsum(cum, axis=axis)
     pad = np.zeros(tuple(s + 1 for s in shape))
-    pad[tuple(slice(1, None) for _ in range(d))] = cum
+    pad[tuple(slice(1, None) for _ in shape)] = cum
     return pad
 
 
@@ -325,17 +348,20 @@ def _rect_blocks(cum: np.ndarray):
     first-axis interval, in itertools.product order of the intervals.
 
     Each probability is the inclusion-exclusion sum over the 2^d corners,
-    added from 0.0 in itertools.product order with sign -1 per lo end, so
-    it is bit-identical to summing corner by corner."""
+    added to 0.0 in itertools.product order, subtracted at an odd number of
+    lo ends, so it is bit-identical to summing corner by corner.  The corners
+    on axes 2..d are gathered once, for all first-axis levels."""
     ends = [np.triu_indices(s, 1) for s in cum.shape]
-    terms = [((-1) ** corner.count(0), corner[0],
-              np.ix_(*(e[b] for e, b in zip(ends[1:], corner[1:]))))
+    trailing = {corner: cum[(slice(None),) + np.ix_(*(e[b] for e, b in zip(ends[1:], corner)))]
+                for corner in itertools.product((0, 1), repeat=cum.ndim - 1)}
+    terms = [(np.subtract if corner.count(0) % 2 else np.add, corner[0], trailing[corner[1:]])
              for corner in itertools.product((0, 1), repeat=cum.ndim)]
+    shape = tuple(len(lo) for lo, _ in ends[1:])
     for first in zip(*ends[0]):
-        block = 0.0
-        for sign, b, rest in terms:
-            block = block + sign * cum[first[b]][rest]
-        yield np.ravel(block)
+        block = np.zeros(shape)
+        for op, b, gathered in terms:
+            op(block, gathered[first[b]], out=block)
+        yield block.ravel()
 
 
 def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,
@@ -348,7 +374,7 @@ def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,
                 _rect_blocks(_rect_probs(z, family.grid)))
     # a count over the row count is np.mean of the bool array, bit for bit
     halfspaces = tuple(np.concatenate([
-        np.count_nonzero((s @ u)[None, :] <= np.array(cuts)[:, None], axis=1) / len(s)
+        np.count_nonzero(_project(s, u)[None, :] <= np.array(cuts)[:, None], axis=1) / len(s)
         for u, cuts in _runs(family.halfspaces)]) for s in (w, z))
     best = (-1.0, 0.0)
     for pw, pz in itertools.chain(rects, [halfspaces]):

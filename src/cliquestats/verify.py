@@ -131,12 +131,15 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     corpora.append((name, name, random_n, 3,
                     [gnp_mask(rng, params.n, params.p)
                      for rng in gnp_streams(params.seed, 0, random_graphs)]))
-    jobs = [(n, d, masks[len(masks) * i // threads:len(masks) * (i + 1) // threads])
-            for _, _, n, d, masks in corpora for i in range(threads)]
+    # one job per corpus and worker: len(jobs) >= the workers, so parallel_map
+    # starts exactly that many
+    workers = mc.pool_workers(threads, sum(len(masks) for *_, masks in corpora))
+    jobs = [(n, d, masks[len(masks) * i // workers:len(masks) * (i + 1) // workers])
+            for _, _, n, d, masks in corpora for i in range(workers)]
     counts = mc.parallel_map(_equiv_tally, jobs, threads)
     results = []
     for c, (eq_name, acy_name, *_) in enumerate(corpora):
-        bad_eq, bad_acy = map(sum, zip(*counts[c * threads:(c + 1) * threads]))
+        bad_eq, bad_acy = map(sum, zip(*counts[c * workers:(c + 1) * workers]))
         results.append(_gate("morse equivalence " + eq_name, bad_eq == 0,
                              "%d mismatches" % bad_eq))
         results.append(_gate("acyclicity " + acy_name, bad_acy == 0))

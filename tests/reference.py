@@ -1,14 +1,22 @@
 """Per-graph references for the tests: every graph on n vertices, one Graph
 at a time, each statistic's count vector from a walk on one Graph (the
 reference that kinds._small_graph_counts' tables must equal), the walk's
-critical minima, and a hypothesis strategy for small graphs."""
+critical minima, and a hypothesis strategy for small graphs.  Also the
+convex discrepancy estimator as it was before its cuts, blocks and
+histogram were computed in fewer passes: the reference that
+montecarlo.convex_discrepancy must equal bit for bit."""
 
+import itertools
+import math
 from math import comb
 
+import numpy as np
 from hypothesis import strategies as st
 
 from cliquestats.graphs import (MAX_ENUM_VERTICES, EnumerationCapError, Graph, check_p,
-                                clique_walk)
+                                clique_walk, gnp_generator)
+from cliquestats.montecarlo import (HALFSPACE_DIRECTIONS, QUANTILE_CUTS, ConvexFamily,
+                                    DiscrepancyReport, _columns, _runs)
 from cliquestats.morse import _below_mask, critical_counts_formula
 
 
@@ -76,3 +84,70 @@ def is_vertex_critical(g: Graph, v: int) -> bool:
     """A vertex is critical iff it has no neighbour with a smaller label;
     vertex 1 always is."""
     return not g.adj[v] & _below_mask(v)
+
+
+def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
+    """montecarlo.convex_family with one np.quantile call per pooled column
+    and per projection."""
+    pooled = np.vstack([w, z])
+    qs = np.linspace(0.0, 1.0, QUANTILE_CUTS + 2)[1:-1]
+    grid = [np.quantile(np.sort(col), qs) for col in pooled.T]
+    rng = gnp_generator(seed, 2 ** 32)
+    halfspaces = []
+    for _ in range(HALFSPACE_DIRECTIONS):
+        u = rng.standard_normal(pooled.shape[1])
+        u /= np.linalg.norm(u)
+        for c in np.quantile(np.sort(pooled @ u), qs):
+            halfspaces.append((u, float(c)))
+    return ConvexFamily([np.asarray(g) for g in grid], halfspaces)
+
+
+def rect_probs(samples: np.ndarray, grid) -> np.ndarray:
+    """montecarlo._rect_probs with the histogram filled by np.add.at."""
+    d = samples.shape[1]
+    shape = tuple(len(g) + 1 for g in grid)
+    idx = tuple(np.searchsorted(grid[i], samples[:, i], side="right")
+                for i in range(d))
+    hist = np.zeros(shape)
+    np.add.at(hist, idx, 1.0)
+    hist /= len(samples)
+    cum = hist
+    for axis in range(d):
+        cum = np.cumsum(cum, axis=axis)
+    pad = np.zeros(tuple(s + 1 for s in shape))
+    pad[tuple(slice(1, None) for _ in range(d))] = cum
+    return pad
+
+
+def rect_blocks(cum: np.ndarray):
+    """montecarlo._rect_blocks with 2^d np.ix_ gathers per first-axis
+    interval, each corner added as sign * value from 0.0."""
+    ends = [np.triu_indices(s, 1) for s in cum.shape]
+    terms = [((-1) ** corner.count(0), corner[0],
+              np.ix_(*(e[b] for e, b in zip(ends[1:], corner[1:]))))
+             for corner in itertools.product((0, 1), repeat=cum.ndim)]
+    for first in zip(*ends[0]):
+        block = 0.0
+        for sign, b, rest in terms:
+            block = block + sign * cum[first[b]][rest]
+        yield np.ravel(block)
+
+
+def convex_discrepancy(w_samples, z_samples, bound=None, seed: int = 0) -> DiscrepancyReport:
+    """montecarlo.convex_discrepancy on the functions above, with every
+    projection a matmul."""
+    w, z = _columns(w_samples, z_samples)
+    family = convex_family(w, z, seed=seed)
+    rects = zip(rect_blocks(rect_probs(w, family.grid)),
+                rect_blocks(rect_probs(z, family.grid)))
+    halfspaces = tuple(np.concatenate([
+        np.count_nonzero((s @ u)[None, :] <= np.array(cuts)[:, None], axis=1) / len(s)
+        for u, cuts in _runs(family.halfspaces)]) for s in (w, z))
+    best = (-1.0, 0.0)
+    for pw, pz in itertools.chain(rects, [halfspaces]):
+        est = np.abs(pw - pz)
+        i = int(np.argmax(est))
+        if est[i] > best[0]:
+            best = (float(est[i]), math.sqrt(pw[i] * (1.0 - pw[i]) / len(w)
+                                             + pz[i] * (1.0 - pz[i]) / len(z)))
+    return DiscrepancyReport(best[0], best[1], family.description, bound)

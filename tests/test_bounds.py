@@ -35,7 +35,7 @@ def test_convex_bound():
 
 def iid_instance(N, moment):
     """N summands, each its own neighbourhood, every moment bound equal."""
-    block = np.full((N, N), moment)
+    block = np.full((1, N), moment)
     return bd.DissociatedInstance([[(i, 1) for i in range(N)]], np.eye(N, dtype=bool),
                                   lambda a: (block, block))
 
@@ -95,9 +95,10 @@ def test_uniform_majorizes_generic_on_enumerated_instance():
                  for i in range(d)]
         beta = np.zeros((d, d, d))
         for a, i in enumerate(comp):
-            caps = np.maximum(*inst.blocks(a))
+            caps = np.maximum(*inst.blocks(a))  # rows b in D_a
             for j, k in itertools.product(range(d), repeat=2):
-                beta[i, j, k] = max(beta[i, j, k], caps[np.ix_(comp == j, comp == k)].max())
+                sel = caps[np.ix_(comp[inst.nbr[a]] == j, comp == k)]
+                beta[i, j, k] = max(beta[i, j, k], sel.max(initial=0.0))
         ub = bd.uniform_bound(d, sizes, alpha, beta.tolist())
         assert ub.value >= gb.value - 1e-12, kind
 
@@ -114,7 +115,7 @@ def exact_instance(n, d, p, kind, t=()):
     """subset_instance with its Bernoulli caps replaced by the exact absolute
     moments of the standardized summands Y = (X - E X) / sigma over every
     graph: with A = |Y| and weights w, E|Ya Yb Yc| is (A^T diag(w A_a) A)[b, c]
-    and E|Ya Yb| E|Yc| is (A^T diag(w) A)[a, b] (w^T A)[c]."""
+    and E|Ya Yb| E|Yc| is (A^T diag(w) A)[a, b] (w^T A)[c], for b in D_a."""
     stat = statistic(kind)
     inst = bd.subset_instance(n, d, p, kind, t)
     flat = [s for comp in inst.index_sets for s in comp]
@@ -126,8 +127,9 @@ def exact_instance(n, d, p, kind, t=()):
     single = w @ abs_y
 
     def blocks(a):
-        triple = abs_y.T @ ((w * abs_y[:, a])[:, None] * abs_y)
-        return triple, np.multiply.outer(pair[a], single)
+        hood = abs_y[:, inst.nbr[a]]
+        triple = hood.T @ ((w * abs_y[:, a])[:, None] * abs_y)
+        return triple, np.multiply.outer(pair[a, inst.nbr[a]], single)
 
     return bd.DissociatedInstance(inst.index_sets, inst.nbr, blocks)
 

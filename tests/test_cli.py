@@ -10,15 +10,23 @@ import pytest
 from cliquestats import cli
 from cliquestats import verify as vf
 
-RUN = [sys.executable, "-m", "cliquestats.cli"]
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, module="cliquestats.cli"):
     """Run the CLI in a child that imports this checkout's package first."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(RUN + list(args), capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path, **(env or {})})
+
+
+def test_python_dash_m_package_runs_the_cli(capsys):
+    # python -m cliquestats prints what cli.main prints and exits with its code
+    res = run_cli("verify", "--suite", "figure2", module="cliquestats")
+    assert cli.main(["verify", "--suite", "figure2"]) == 0
+    assert res.returncode == 0 and res.stdout == capsys.readouterr().out
+    res = run_cli("verify", "--suite", "nope", module="cliquestats")
+    assert res.returncode == 2 and "invalid choice" in res.stderr
 
 
 def test_moments_clique_example():

@@ -12,6 +12,7 @@ from cliquestats import moments as mo
 from cliquestats import montecarlo as mc
 from cliquestats import oracle as orc
 from cliquestats import verify as vf
+import reference
 
 
 def test_config_validation():
@@ -353,6 +354,56 @@ def _convex_cases():
 def test_convex_discrepancy_matches_scalar_reference(w, z, seed):
     rep = mc.convex_discrepancy(w, z, seed=seed)
     assert (rep.estimate, rep.stderr) == _convex_reference(w, z, seed)
+
+
+def _workload_cases():
+    # the analysis workload's shape: 20,000 rows per set, correlation 0.3
+    for d in (1, 2, 3):
+        cov = np.full((d, d), 0.3) + 0.7 * np.eye(d)
+        yield pytest.param(mc.mvn_samples(cov, 20_000, 20 + d),
+                           mc.mvn_samples(cov, 20_000, 30 + d), d, id="d=%d-20000-rows" % d)
+
+
+@pytest.mark.parametrize("w, z, seed", list(_convex_cases()) + list(_workload_cases()))
+def test_convex_discrepancy_matches_earlier_estimator(w, z, seed):
+    # against the estimator as it was, with np.quantile cuts, np.ix_ corner
+    # gathers, an (N, 1) matmul at d = 1 and np.add.at: == throughout, as a
+    # zero cut's sign may differ between sorted and unsorted quantile input
+    rep = mc.convex_discrepancy(w, z, seed=seed)
+    want = reference.convex_discrepancy(w, z, seed=seed)
+    assert (rep.estimate, rep.stderr, rep.family) == (want.estimate, want.stderr, want.family)
+    w, z = mc._columns(w, z)
+    fam, ref_fam = mc.convex_family(w, z, seed), reference.convex_family(w, z, seed)
+    assert len(fam.grid) == len(ref_fam.grid)
+    assert all(np.array_equal(g, h) for g, h in zip(fam.grid, ref_fam.grid))
+    assert [c for _, c in fam.halfspaces] == [c for _, c in ref_fam.halfspaces]
+    assert all(np.array_equal(u, v) for (u, _), (v, _) in zip(fam.halfspaces, ref_fam.halfspaces))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 11, 1300, 40_000])
+@pytest.mark.parametrize("ties", [False, True])
+def test_sorted_quantiles_match_np_quantile(n, ties):
+    rng = np.random.Generator(np.random.Philox(key=np.array([n, ties], dtype=np.uint64)))
+    x = rng.standard_normal(n) * 3
+    if ties:
+        x = np.round(2 * x) / 2
+    x.sort()
+    qs = np.linspace(0.0, 1.0, mc.QUANTILE_CUTS + 2)[1:-1]
+    assert np.array_equal(mc._sorted_quantiles(x), np.quantile(x, qs))
+
+
+def test_convex_discrepancy_memory_is_bounded():
+    # one block per first-axis interval and one projection at a time: a
+    # whole-family array at d = 3 peaked at 7.0 MB
+    cov = np.full((3, 3), 0.3) + 0.7 * np.eye(3)
+    w, z = mc.mvn_samples(cov, 20_000, 5), mc.mvn_samples(cov, 20_000, 6)
+    tracemalloc.start()
+    try:
+        mc.convex_discrepancy(w, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, peak
 
 
 def _logistic_reference(u):
