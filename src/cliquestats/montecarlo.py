@@ -9,11 +9,12 @@ reruns are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,7 @@ TABLE_BLOCK = 1024
 PSD_TOL = 1e-9  # relative to the trace: how negative an eigenvalue may round
 QUANTILE_CUTS = 9  # per axis of the rectangle grid, and per halfspace direction
 HALFSPACE_DIRECTIONS = 16
+RECT_GATHER_BYTES = 10 ** 9  # convex_discrepancy's corner gathers: 234 MB at d = 4
 
 
 @dataclass(frozen=True)
@@ -74,62 +76,53 @@ def standardize(raw: np.ndarray, cfg: MCConfig) -> np.ndarray:
     return (raw - mean) / sd
 
 
-def pool_workers(threads: int, jobs: int) -> int:
-    """The worker processes parallel_map starts for this many jobs: at most
-    ``threads``, and no more than there are jobs or CPUs this process may
-    use (the pool forks all its workers at once)."""
+def pool_workers(threads: int, items: int) -> int:
+    """The parts parallel_map cuts this many items into, each a worker: at most
+    ``threads``, and no more than there are items or CPUs this process may use."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return min(threads, jobs, cpus or 1)
+    return min(threads, items, cpus or 1)
 
 
-def parallel_map(fn, jobs, threads: int) -> list:
-    """[fn(job) for job in jobs], spread over pool_workers(threads, len(jobs))
-    worker processes.  fn and the jobs must pickle."""
-    jobs = list(jobs)
-    workers = pool_workers(threads, len(jobs))
+def parallel_map(fn, items, threads: int) -> list:
+    """[fn(part) for part in parts], the parts being the sequence items cut into
+    pool_workers(threads, len(items)) contiguous slices, in order: mapped
+    in-process if one, else on a pool with a worker each; fn and parts must pickle."""
+    workers = pool_workers(threads, len(items))
+    parts = [items[len(items) * i // workers:len(items) * (i + 1) // workers]
+             for i in range(workers)]
     if workers <= 1:
-        return [fn(job) for job in jobs]
-    # imported here: the process pool loads multiprocessing and socket, which
-    # a serial caller never needs
+        return [fn(part) for part in parts]
+    # imported on first use: a serial caller loads no multiprocessing or socket
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        return list(pool.map(fn, parts))
 
 
-def _raw_chunk(cfg: MCConfig) -> np.ndarray:
-    """Where count tables give every count, read them for a block of replicates
-    drawn at once; else run the replicate kernel on each replicate's stream."""
+def _raw_chunk(cfg: MCConfig, streams: range) -> np.ndarray:
+    """Rows for these streams of cfg's seed: from count tables for a block of
+    replicates drawn at once, where they give every count; else per stream."""
     stat = statistic(cfg.kind)
-    rows = np.empty((cfg.replicates, cfg.d))
+    rows = np.empty((len(streams), cfg.d))
     words = stat.table_words(cfg)
     if words is None:
-        for r, rng in enumerate(gnp_streams(cfg.master_seed, cfg.replicate_offset,
-                                            cfg.replicates)):
+        for r, rng in enumerate(gnp_streams(cfg.master_seed, streams.start, len(streams))):
             rows[r] = stat.replicate(cfg, rng)
         return rows
-    for lo in range(0, cfg.replicates, TABLE_BLOCK):
-        u = gnp_uniforms(cfg.master_seed, cfg.replicate_offset + lo,
-                         min(TABLE_BLOCK, cfg.replicates - lo), words)
+    for lo in range(0, len(streams), TABLE_BLOCK):
+        u = gnp_uniforms(cfg.master_seed, streams[lo],
+                         min(TABLE_BLOCK, len(streams) - lo), words)
         rows[lo:lo + len(u)] = stat.table_rows(cfg, u)
     return rows
 
 
 def simulate_raw(cfg: MCConfig, threads: int = 1) -> np.ndarray:
-    """Raw count vectors, one row per replicate.
-
-    Replicates are keyed by (master_seed, offset + index), so splitting the
-    range across workers and stacking in index order reproduces the serial
-    result bit for bit.
-    """
+    """Raw count vectors, one row per replicate: replicate r reads stream
+    offset + r, so the parts parallel_map cuts the stream range into, stacked
+    in order, are the serial rows bit for bit."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if threads == 1 or cfg.replicates < 4 * threads:
-        return _raw_chunk(cfg)
-    edges = np.linspace(0, cfg.replicates, threads + 1, dtype=int)
-    chunks = [replace(cfg, replicates=int(hi - lo),
-                      replicate_offset=cfg.replicate_offset + int(lo))
-              for lo, hi in zip(edges, edges[1:]) if hi > lo]
-    return np.vstack(parallel_map(_raw_chunk, chunks, threads))
+    streams = range(cfg.replicate_offset, cfg.replicate_offset + cfg.replicates)
+    return np.vstack(parallel_map(functools.partial(_raw_chunk, cfg), streams, threads))
 
 
 def simulate_vectors(cfg: MCConfig) -> np.ndarray:
@@ -325,6 +318,15 @@ def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
     return ConvexFamily(grid, halfspaces)
 
 
+def check_rect_gathers(d: int) -> None:
+    """Refuse a d whose rectangle corner gathers, 2^(d-1) arrays of L C(L, 2)^(d-1)
+    floats per sample set at L grid levels, exceed RECT_GATHER_BYTES: d <= 4."""
+    size = 2 ** d * (QUANTILE_CUTS + 2) * math.comb(QUANTILE_CUTS + 2, 2) ** (d - 1) * 8
+    if size > RECT_GATHER_BYTES:
+        raise ValueError("convex discrepancy at d=%d: its rectangle corners need %.1f GB, "
+                         "over the %.1f GB budget" % (d, size / 1e9, RECT_GATHER_BYTES / 1e9))
+
+
 def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
     """The cumulative cell histogram of the samples on the grid, padded with
     a zero layer in front of each axis: entry (l_1, ..., l_d) is
@@ -369,6 +371,7 @@ def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,
     """Max over the convex family of |P(W in A) - P(Z in A)| with the binomial
     standard error of the argmax set (the first one, in family order)."""
     w, z = _columns(w_samples, z_samples)
+    check_rect_gathers(w.shape[1])
     family = convex_family(w, z, seed=seed)
     rects = zip(_rect_blocks(_rect_probs(w, family.grid)),
                 _rect_blocks(_rect_probs(z, family.grid)))

@@ -10,6 +10,7 @@ informative.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,16 +97,15 @@ def _equiv_on_graph(g: Graph, d: int) -> tuple[bool, bool]:
     return eq, verify_acyclic(m, g)
 
 
-def _equiv_tally(job) -> tuple[int, int]:
-    """Equivalence and acyclicity failures over the n-vertex graphs with the
-    given edge masks."""
-    n, d, masks = job
-    bad_eq = bad_acy = 0
-    for mask in masks:
+def _equiv_tally(items) -> Counter:
+    """Equivalence and acyclicity failures over (corpus, n, d, mask) items,
+    keyed (corpus, "eq") and (corpus, "acy")."""
+    tally = Counter()
+    for corpus, n, d, mask in items:
         eq, acy = _equiv_on_graph(Graph(n, mask), d)
-        bad_eq += not eq
-        bad_acy += not acy
-    return bad_eq, bad_acy
+        tally[corpus, "eq"] += not eq
+        tally[corpus, "acy"] += not acy
+    return tally
 
 
 def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
@@ -115,8 +115,8 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     n in {5,6} and on seeded G(12, 1/2) samples; lexicographical matchings
     verified acyclic on the same corpus.
 
-    Each corpus, a range or list of edge masks, is split into one job per
-    worker, so worker counts do not change the result.
+    parallel_map gets the graphs of all corpora as one sequence; each corpus's
+    failures are summed over the parts, so worker counts do not change them.
     """
     if random_graphs < 1:
         raise ValueError("random_graphs must be >= 1")
@@ -131,18 +131,13 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     corpora.append((name, name, random_n, 3,
                     [gnp_mask(rng, params.n, params.p)
                      for rng in gnp_streams(params.seed, 0, random_graphs)]))
-    # one job per corpus and worker: len(jobs) >= the workers, so parallel_map
-    # starts exactly that many
-    workers = mc.pool_workers(threads, sum(len(masks) for *_, masks in corpora))
-    jobs = [(n, d, masks[len(masks) * i // workers:len(masks) * (i + 1) // workers])
-            for _, _, n, d, masks in corpora for i in range(workers)]
-    counts = mc.parallel_map(_equiv_tally, jobs, threads)
+    items = [(c, n, d, mask) for c, (*_, n, d, masks) in enumerate(corpora) for mask in masks]
+    tally = sum(mc.parallel_map(_equiv_tally, items, threads), Counter())
     results = []
     for c, (eq_name, acy_name, *_) in enumerate(corpora):
-        bad_eq, bad_acy = map(sum, zip(*counts[c * workers:(c + 1) * workers]))
-        results.append(_gate("morse equivalence " + eq_name, bad_eq == 0,
-                             "%d mismatches" % bad_eq))
-        results.append(_gate("acyclicity " + acy_name, bad_acy == 0))
+        results += [_gate("morse equivalence " + eq_name, not tally[c, "eq"],
+                          "%d mismatches" % tally[c, "eq"]),
+                    _gate("acyclicity " + acy_name, not tally[c, "acy"])]
     return results
 
 
@@ -271,6 +266,7 @@ def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
     and check them against the applicable bound."""
     import json
 
+    mc.check_rect_gathers(cfg.d)  # before the bounds and the simulation
     stat = statistic(cfg.kind)
     ts = len(cfg.t)
     pair = stat.bound(cfg.n, cfg.d, cfg.p, ts)

@@ -272,6 +272,44 @@ def test_threads_below_1_exit2(args, capsys, monkeypatch):
     assert "threads must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    # the per-replicate route, the table route, and the matched-normal report
+    ["--kind", "clique", "--n", "8", "--p", "0.5", "--d", "2", "--replicates", "300"],
+    ["--kind", "clique", "--n", "6", "--p", "0.3", "--d", "2", "--replicates", "300",
+     "--format", "csv"],
+    ["--kind", "critical", "--n", "10", "--p", "0.5", "--d", "2", "--replicates", "300",
+     "--check"],
+], ids=["json", "csv", "check"])
+def test_simulate_output_does_not_depend_on_threads(args):
+    one, three = (run_cli("simulate", *args, "--master-seed", "9", "--threads", t)
+                  for t in ("1", "3"))
+    assert one.returncode == three.returncode == 0, three.stderr
+    if "--format" in args:  # no spec echo in a csv dump
+        assert one.stdout == three.stdout
+    else:  # the spec echoes threads, and nothing else differs
+        assert json.loads(three.stdout)["spec"]["threads"] == 3
+        assert one.stdout.replace('"threads": 1', '"threads": 3') == three.stdout
+
+
+def test_verify_morse_equivalence_does_not_depend_on_threads():
+    one, three = (run_cli("verify", "--suite", "morse-equivalence", "--graphs", "40",
+                          "--threads", t) for t in ("1", "3"))
+    assert one.returncode == three.returncode == 0, three.stderr
+    assert one.stdout == three.stdout and "40 random graphs n=12" in one.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "clique", "--n", "40", "--d", "5"],
+    ["--kind", "link", "--n", "7", "--t-size", "1", "--d", "6"],
+])
+def test_simulate_check_convex_beyond_d4_exit2_before_simulating(args, capsys, monkeypatch):
+    # the rectangle corner gathers would take 25.8 GB at d = 5
+    from cliquestats import montecarlo as mc
+    monkeypatch.setattr(mc, "_raw_chunk", lambda *a: pytest.fail("a replicate ran"))
+    assert cli.main(["simulate", *args, "--p", "0.5", "--check"]) == 2
+    assert "convex discrepancy at d=%s" % args[-1] in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite,reps,least", [
     ("rates", 3, 4), ("rates", 0, 4), ("oracle-mc", 6, 10), ("oracle-mc", 9, 10)])
 def test_verify_too_few_replicates_exit2_before_simulating(suite, reps, least, capsys,

@@ -29,8 +29,8 @@ def test_src_imports_only_stdlib_and_numpy():
 
 
 def test_import_loads_no_process_pool():
-    # a serial caller pays nothing for the pool: parallel_map imports it on
-    # its threads > 1 branch, which the threads=2 tests cover
+    # a serial caller pays nothing for the pool: parallel_map imports it only
+    # for more than one part, which the threads=2 tests cover
     probe = ("import sys\n"
              "from cliquestats import (bounds, graphs, moments, montecarlo, morse, oracle,\n"
              "                         verify, cli)\n"

@@ -406,6 +406,21 @@ def test_convex_discrepancy_memory_is_bounded():
     assert peak < 3e6, peak
 
 
+def test_convex_discrepancy_refuses_d5_before_a_gather():
+    # at d = 5 the corner gathers of both sample sets would take 25.8 GB, each
+    # one small enough to be granted: refused on d alone
+    w, z = mc.mvn_samples(np.eye(5), 200, 1), mc.mvn_samples(np.eye(5), 200, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"d=5: its rectangle corners need 25\.8 GB"):
+            mc.convex_discrepancy(w, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20, peak
+    mc.check_rect_gathers(4)  # 234 MB, within the budget
+
+
 def _logistic_reference(u):
     """The masked logistic: 1/(1+exp(-u)) where u >= 0 and exp(u)/(1+exp(u))
     elsewhere, each half gathered and scattered through a boolean mask."""
@@ -543,42 +558,53 @@ def test_simulate_raw_two_workers_bit_identical():
     assert np.array_equal(mc.simulate_raw(cfg, threads=2), mc.simulate_raw(cfg))
 
 
-def test_parallel_map_starts_no_more_workers_than_jobs_or_cpus(monkeypatch):
-    # a fake pool records its size and maps in-process, so no process starts
-    import concurrent.futures
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    jobs = list(range(20))
-    want = [j * j for j in jobs]
-    for threads in (100000, 3, 8):
-        assert mc.parallel_map(lambda j: j * j, jobs, threads) == want
-    assert mc.parallel_map(lambda j: j * j, iter(jobs[:5]), 100000) == want[:5]
-    # one thread, one job or one CPU runs in-process, with no pool
-    assert mc.parallel_map(lambda j: j * j, jobs, 1) == want
-    assert mc.parallel_map(lambda j: j * j, jobs[:1], 4) == want[:1]
-    assert sizes == [8, 3, 8, 5]
-    # without sched_getaffinity, os.cpu_count() caps the pool
+def test_parallel_map_starts_no_more_workers_than_jobs_or_cpus(monkeypatch, fake_pool, cpus):
+    # the items are cut into min(threads, items, CPUs) contiguous parts, in
+    # order and of sizes that differ by at most one, with a worker per part
+    cpus(8)
+    items = list(range(20))
+    for threads, parts in ((100000, 8), (3, 3), (8, 8)):
+        got = mc.parallel_map(lambda part: part, items, threads)
+        assert fake_pool.pop() == (parts, got)
+        assert [i for part in got for i in part] == items
+        assert {len(part) for part in got} <= {20 // parts, -(-20 // parts)}
+    # a range is cut into ranges; fn's results come back in part order
+    assert mc.parallel_map(len, range(10 ** 20, 10 ** 20 + 5), 100000) == [1] * 5
+    assert fake_pool.pop()[1] == [range(10 ** 20 + i, 10 ** 20 + i + 1) for i in range(5)]
+    # one thread, one item or one CPU maps the whole sequence in-process
+    assert mc.parallel_map(lambda part: part, items, 1) == [items]
+    assert mc.parallel_map(lambda part: part, items[:1], 4) == [items[:1]]
+    assert mc.parallel_map(lambda part: part, [], 4) == []
+    assert not fake_pool
+    # without sched_getaffinity, os.cpu_count() caps the parts
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert mc.parallel_map(lambda j: j * j, jobs, 100000) == want
+    assert mc.parallel_map(sum, items, 100000) == [sum(items[:10]), sum(items[10:])]
+    assert fake_pool.pop()[0] == 2
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert mc.parallel_map(lambda j: j * j, jobs, 100000) == want
-    assert sizes == [8, 3, 8, 5, 2]
+    assert mc.parallel_map(sum, items, 100000) == [sum(items)]
+    assert not fake_pool
+
+
+@pytest.mark.parametrize("cfg", [
+    # the golden run whose last replicate reads stream 2^64 - 1, and a run
+    # whose parts start mid-block: the table route; critical n = 12: the
+    # per-replicate route
+    mc.MCConfig("clique", 6, 0.5, 2, 500, 2 ** 64 - 1, replicate_offset=2 ** 64 - 500),
+    mc.MCConfig("clique", 6, 0.3, 2, mc.TABLE_BLOCK + 37, 8, replicate_offset=5),
+    mc.MCConfig("critical", 12, 0.5, 2, 60, 77),
+], ids=["clique-golden", "clique-blocks", "critical"])
+def test_simulate_raw_cuts_the_streams_by_workers(cfg, fake_pool, cpus):
+    serial = mc.simulate_raw(cfg).tobytes()
+    streams = list(range(cfg.replicate_offset, cfg.replicate_offset + cfg.replicates))
+    for k in (2, 8):
+        cpus(k)
+        for threads in (2, 3, 2000):
+            assert mc.simulate_raw(cfg, threads=threads).tobytes() == serial, (k, threads)
+            size, parts = fake_pool.pop()
+            assert size == len(parts) == mc.pool_workers(threads, cfg.replicates) == min(threads, k)
+            assert [s for part in parts for s in part] == streams
+    assert not fake_pool
 
 
 def test_check_report_honors_empirical_standardization():

@@ -623,43 +623,28 @@ def test_morse_equivalence_suite_two_workers_match_serial(monkeypatch):
         assert [r.detail for r in rows] == ["512 mismatches", "", "%d mismatches" % odd, ""]
 
 
-def test_morse_equivalence_suite_splits_by_workers_not_threads(monkeypatch):
-    # a fake pool records the jobs it is given and maps them in-process, so
-    # no process starts; each corpus is split into one job per worker
-    import concurrent.futures
-    import os
-
+def test_morse_equivalence_suite_splits_by_workers_not_threads(monkeypatch, fake_pool, cpus):
+    # the three corpora go to parallel_map as one item list, cut into a part
+    # per worker; each graph is checked once, in corpus order
     from cliquestats import verify
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            pools.append((self.max_workers, jobs))
-            return map(fn, jobs)
-
-    kwargs = dict(random_graphs=21, random_n=8, seed=3, enum_ns=(5,))
+    kwargs = dict(random_graphs=21, random_n=8, seed=3, enum_ns=(4, 5))
     serial = verify.suite_morse_equivalence(**kwargs)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    for cpus, threads, workers in ((2, 2000, 2), (2, 3, 2), (8, 3, 3), (8, 2000, 8)):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
+    random_masks = [sample_gnp(GnpParams(8, 0.5, 3), r).edge_mask for r in range(21)]
+    want = ([(0, 4, 3, m) for m in range(64)] + [(1, 5, 3, m) for m in range(1024)]
+            + [(2, 8, 3, m) for m in random_masks])
+    for k, threads, workers in ((2, 2000, 2), (2, 3, 2), (8, 3, 3), (8, 2000, 8)):
+        cpus(k)
         assert verify.suite_morse_equivalence(threads=threads, **kwargs) == serial
-        size, jobs = pools.pop()
-        assert size == workers and len(jobs) == 2 * workers, (cpus, threads)
-        # the chunks of each corpus cover it once, in order
-        assert [m for _, _, masks in jobs[:workers] for m in masks] == list(range(1024))
-        assert len([m for _, _, masks in jobs[workers:] for m in masks]) == 21
-    assert not pools
+        size, parts = fake_pool.pop()
+        assert size == len(parts) == workers, (k, threads)
+        assert [item for part in parts for item in part] == want
+    # each corpus's failures are summed over the parts it is spread across
+    monkeypatch.setattr(verify, "_equiv_on_graph",
+                        lambda g, d: (g.edge_count % 2 == 0, g.edge_count % 3 != 0))
+    flagged = verify.suite_morse_equivalence(**kwargs)
+    assert verify.suite_morse_equivalence(threads=8, **kwargs) == flagged != serial
+    assert len(fake_pool.pop()[1]) == 8
+    assert not fake_pool
 
 
 def test_equiv_on_graph_reads_the_public_gates_off_one_walk(monkeypatch):
