@@ -18,7 +18,8 @@ import numpy as np
 
 MAX_ENUM_VERTICES = 6
 
-LEVEL_BLOCK = 256  # rows per clique_levels product: a level holds O(LEVEL_BLOCK n^2) bytes
+LEVEL_BLOCK = 256  # rows per clique_levels product: a block's float32 rows and product take
+# 8 LEVEL_BLOCK (n + 1) bytes, and its children's boolean rows up to LEVEL_BLOCK (n + 1)^2
 
 
 class EnumerationCapError(ValueError):
@@ -341,30 +342,38 @@ def clique_walk(adj, cand, top: int, minima=None) -> list[int]:
 
 def clique_levels(a, top: int, critical: bool = False, minima=None) -> list[int]:
     """clique_walk's counts on every vertex of pair_matrix a, a level at a time: row s
-    of a boolean x is C(s), x @ a (float64; low = a^T, low[u] = u's neighbours below u)
-    is |C(s + u)| for each child s + u, and x[s] & low[u] is its row.  Clique counts
-    of sizes 0..top, or critical counts (the walk's rule, from size 2 on).  With
-    minima (top + 1 lists), critical mode appends min(s + u) = u to minima[|s| + 1]
-    for each critical child, as clique_walk does."""
+    of a boolean x is C(s), x @ a (low = a^T, low[u] = u's neighbours below u) is
+    |C(s + u)| for each child s + u, and x[s] & low[u] is its row.  Clique counts of
+    sizes 0..top, or critical counts (the walk's rule, from size 2 on).  With minima
+    (top + 1 lists), critical mode appends min(s + u) = u to minima[|s| + 1] for each
+    critical child, as clique_walk does.
+
+    The product is float32: each entry, and each partial sum in any BLAS order, is an
+    integer <= n < 2^24, so it is exact whatever order the BLAS adds in.  A block's
+    clique total can pass 2^24 (n >= about 363), so it is summed in float64.  In
+    critical mode, u = min C(s) has x[s, u] set and (x @ a)[s, u] = |C(s) & low[u]| = 0,
+    since low[u] lies below u; it is the one u <= min C(s) in C(s).  So the critical
+    children of s are the entries of row s of x & (x @ a == 0) after its first, and
+    they number that array's entries less the non-empty rows of x."""
     n = len(a) - 1
     low = np.ascontiguousarray(a.T)  # C({u}) = low[u]
-    lowt = a.astype(np.float64)
+    lowt = a.astype(np.float32)
     out = [0] * (top + 2) if critical else [1, n, int(np.count_nonzero(low))] + [0] * top
     last = top - 1 if critical else top - 2  # the deepest level that takes a product
 
     def level(x, size):  # x: C(s) of the cliques s of this size
         for i in range(0, len(x), LEVEL_BLOCK):
             xb = x[i:i + LEVEL_BLOCK]
-            xf = xb.astype(np.float64)
-            prod = xf @ lowt  # exact: no entry exceeds n
+            xf = xb.astype(np.float32)
+            prod = xf @ lowt  # exact: every entry and partial sum is an integer <= n
             if critical:  # s + u with C(s + u) empty and min C(s) < u
-                above_first = xb.argmax(axis=1)[:, None] < np.arange(n + 1)
-                crit = xb & (prod == 0) & above_first
-                out[size + 1] += int(np.count_nonzero(crit))
-                if minima is not None:
-                    minima[size + 1] += np.nonzero(crit)[1].tolist()
+                zero = xb & (prod == 0)  # the critical children and each row's min C(s)
+                out[size + 1] += int(np.count_nonzero(zero)) - int(np.count_nonzero(xb.any(axis=1)))
+                if minima is not None:  # row-major, so each row's min C(s) comes first
+                    s, u = np.nonzero(zero)
+                    minima[size + 1] += u[1:][s[1:] == s[:-1]].tolist()
             else:
-                out[size + 2] += int(np.vdot(xf, prod))
+                out[size + 2] += int((xf * prod).sum(dtype=np.float64))
             if size < last:
                 s, u = np.nonzero(xb & (prod > 0))
                 level(xb[s] & low[u], size + 1)

@@ -336,9 +336,24 @@ def test_clique_levels_match_walk_exhaustive():
             _assert_levels_match_walk(g, range(n + 1) if n < 6 else [n])
 
 
-@pytest.mark.parametrize("n,top", [(7, 7), (12, 5), (16, 4), (40, 3), (100, 2)])
+@pytest.mark.parametrize("n,top", [(7, 7), (12, 5), (16, 4), (40, 3), (40, 4), (100, 2)])
 def test_clique_levels_match_walk_random(n, top):
     for p in (0.0, 0.1, 0.5, 0.9, 1.0):
         for stream in range(3):
             _assert_levels_match_walk(sample_gnp(GnpParams(n, p, 29), stream=stream),
                                       range(top + 1))
+
+
+def test_clique_levels_exact_on_complete_graphs():
+    # Exactness must not rest on how the BLAS adds up: on K_1000 three blocks'
+    # triangle totals (1.9e7, 5.3e7, 9.1e7) pass 2^24, beyond which float32
+    # does not hold every integer, so only a float64 total is sure to be exact.
+    n = 1000
+    a = pair_matrix(n, np.ones(math.comb(n, 2), dtype=bool))
+    assert clique_levels(a, 3) == [1, n, math.comb(n, 2), math.comb(n, 3)]
+    # K_300's complex is a full simplex: vertex 1 is its only critical cell.
+    n = 300
+    a = pair_matrix(n, np.ones(math.comb(n, 2), dtype=bool))
+    minima = [[] for _ in range(3)]
+    assert clique_levels(a, 2, critical=True, minima=minima) == [0, 0, 0]
+    assert minima == [[], [], []]
