@@ -18,8 +18,8 @@ import numpy as np
 from .bounds import clique_bound, crit_bound, link_bound
 from .graphs import (MAX_ENUM_VERTICES, EnumerationCapError, clique_levels, gnp_masks,
                      gnp_pairs, pair_matrix, spans_clique)
-from .moments import (MomentReport, clique_cov, clique_mean, crit_mean, crit_mu,
-                      crit_variance, link_cov, link_mean, link_mu)
+from .moments import (clique_cov, clique_mean, crit_mean, crit_mu, crit_variance,
+                      link_cov, link_mean, link_mu)
 
 
 @dataclass(frozen=True)
@@ -70,36 +70,6 @@ class Statistic:
 
     def variances(self, n: int, d: int, p: float, t_size: int) -> list[float]:
         return [self.var(n, t_size, k, p) for k in self.dims(d)]
-
-    def cov_matrix(self, n: int, d: int, p: float, t_size: int):
-        """Closed-form covariance matrix, or None without a cross covariance."""
-        if self.cov is None:
-            return None
-        dims = self.dims(d)
-        return [[self.cov(n, t_size, k, l, p) for l in dims] for k in dims]
-
-    def moment_report(self, n: int, d: int, p: float, t_size: int,
-                      oracle_offdiag=None) -> MomentReport:
-        """See moments.statistic_cov_matrix; the closed forms check n, d and
-        t_size."""
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        params = {"n": n, "d": d, "p": p}
-        if self.needs_t:
-            params["t_size"] = t_size
-        mean = self.means(n, d, p, t_size)
-        cov = self.cov_matrix(n, d, p, t_size)
-        provenance = "analytic"
-        if cov is None:
-            var = self.variances(n, d, p, t_size)
-            if d > 1:
-                if oracle_offdiag is None:
-                    raise ValueError("%s off-diagonal covariances need an oracle "
-                                     "or empirical estimate for d > 1" % self.name)
-                offmat, provenance = oracle_offdiag
-            cov = [[var[i] if i == j else offmat[i][j] for j in range(d)]
-                   for i in range(d)]
-        return MomentReport(self.name, params, mean, cov, provenance)
 
 
 @lru_cache(maxsize=64)  # 64 tables take at most 64 x 2^15 masks x 5 x 2 bytes, about 21 MB

@@ -381,11 +381,31 @@ class MomentReport:
 
 def statistic_cov_matrix(kind: str, n: int, d: int, p: float, t_size: int = 1,
                          oracle_offdiag=None) -> MomentReport:
-    """Assemble the mean vector and covariance matrix for one statistic.
+    """Assemble the mean vector and covariance matrix for one statistic from
+    its closed forms, which check n, d and t_size.
 
     Critical counts have no closed-form cross-dimension covariance; for d > 1
     the off-diagonal entries must be supplied (exact-oracle or empirical) via
     ``oracle_offdiag``, a tuple (matrix, provenance).
     """
     from .kinds import statistic  # the registry is built on this module
-    return statistic(kind).moment_report(n, d, p, t_size, oracle_offdiag)
+    stat = statistic(kind)
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    params = {"n": n, "d": d, "p": p}
+    if stat.needs_t:
+        params["t_size"] = t_size
+    mean = stat.means(n, d, p, t_size)
+    provenance = "analytic"
+    if stat.cov is not None:
+        cov = [[stat.cov(n, t_size, k, l, p) for l in stat.dims(d)] for k in stat.dims(d)]
+    else:
+        var = stat.variances(n, d, p, t_size)
+        if d > 1:
+            if oracle_offdiag is None:
+                raise ValueError("%s off-diagonal covariances need an oracle "
+                                 "or empirical estimate for d > 1" % kind)
+            offmat, provenance = oracle_offdiag
+        cov = [[var[i] if i == j else offmat[i][j] for j in range(d)]
+               for i in range(d)]
+    return MomentReport(kind, params, mean, cov, provenance)

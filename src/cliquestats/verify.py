@@ -47,12 +47,6 @@ def _gate(name: str, ok: bool, detail: str = "") -> GateResult:
     return GateResult(name, "PASS" if ok else "FAIL", detail)
 
 
-def _rel_close(a: float, b: float, tol: float = REL_TOL_ORACLE) -> bool:
-    if a == b:
-        return True
-    return abs(a - b) <= tol * max(abs(a), abs(b))
-
-
 # ---------------------------------------------------------------------------
 # suite: oracle  (acceptance criterion 1)
 
@@ -72,10 +66,9 @@ def suite_oracle(n_max: int = 5, ps=(0.2, 0.5, 0.8), d_max: int = 3) -> list:
                 d = min(d_max, n - len(t) + 1 - stat.first_size)  # top size fits
                 em = orc.exact_moments(kind, n, p, d, t=t or None)
                 # off-diagonals without a closed form are the oracle's own
-                rep = stat.moment_report(n, d, p, len(t), (em.cov, em.provenance))
-                ok = all(_rel_close(a, b) for a, b in zip(em.mean, rep.mean))
-                ok = ok and all(_rel_close(em.cov[i][j], rep.cov[i][j])
-                                for i in range(d) for j in range(d))
+                rep = mo.statistic_cov_matrix(kind, n, d, p, len(t), (em.cov, em.provenance))
+                ok = all(math.isclose(a, b, rel_tol=REL_TOL_ORACLE) for a, b in
+                         zip(em.mean + sum(em.cov, []), rep.mean + sum(rep.cov, [])))
                 name = "oracle %s %s n=%d p=%.1f" % (
                     kind, "mean/var" if stat.cov is None else "moments", n, p)
                 results.append(_gate(name + (" t=%s" % (t,) if t else ""), ok))
@@ -188,18 +181,23 @@ def suite_bound_spots() -> list:
 def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
     """Standardized simulation W against a normal sample with the closed-form
     correlation, or with W's own covariance where there is none: returns the
-    raw count rows and the smooth and convex discrepancy reports."""
+    moment report (off-diagonals without a closed form are the raw rows'
+    empirical ones) and the smooth and convex discrepancy reports."""
     raw = mc.simulate_raw(cfg, threads=threads)
     w = mc.standardize(raw, cfg)
-    cov = statistic(cfg.kind).cov_matrix(cfg.n, cfg.d, cfg.p, len(cfg.t))
-    if cov is None:
-        corr = mc.empirical_cov(w)
-    else:
+    closed = statistic(cfg.kind).cov is not None
+    report = mo.statistic_cov_matrix(
+        cfg.kind, cfg.n, cfg.d, cfg.p, len(cfg.t),
+        None if closed else (mc.empirical_cov(raw).tolist(), "empirical"))
+    if closed:
+        cov = np.array(report.cov)
         sd = np.array(mo.sigma(np.diag(cov)))
-        corr = np.array(cov) / np.outer(sd, sd)
+        corr = cov / np.outer(sd, sd)
+    else:
+        corr = mc.empirical_cov(w)
     # the auxiliary seeds wrap so that the largest 64-bit master seed works
     z = mc.mvn_samples(corr, cfg.replicates, (cfg.master_seed + 1) % 2 ** 64)
-    return (raw, mc.smooth_discrepancy(w, z, bound=pair.smooth if pair else None),
+    return (report, mc.smooth_discrepancy(w, z, bound=pair.smooth if pair else None),
             mc.convex_discrepancy(w, z, bound=pair.convex if pair else None,
                                   seed=(cfg.master_seed + 2) % 2 ** 64))
 
@@ -267,13 +265,8 @@ def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
     import json
 
     mc.check_rect_gathers(cfg.d)  # before the bounds and the simulation
-    stat = statistic(cfg.kind)
-    ts = len(cfg.t)
-    pair = stat.bound(cfg.n, cfg.d, cfg.p, ts)
-    raw, sm, cx = _match_normal(cfg, threads, pair)
-    # off-diagonals without a closed form are the raw rows' empirical ones
-    moments_rep = stat.moment_report(cfg.n, cfg.d, cfg.p, ts,
-                                     (mc.empirical_cov(raw).tolist(), "empirical"))
+    pair = statistic(cfg.kind).bound(cfg.n, cfg.d, cfg.p, len(cfg.t))
+    moments_rep, sm, cx = _match_normal(cfg, threads, pair)
     return {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in cfg.__dict__.items()},

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -10,7 +11,8 @@ import pytest
 from cliquestats import cli
 from cliquestats import verify as vf
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(*args, env=None, module="cliquestats.cli"):
@@ -27,6 +29,28 @@ def test_python_dash_m_package_runs_the_cli(capsys):
     assert res.returncode == 0 and res.stdout == capsys.readouterr().out
     res = run_cli("verify", "--suite", "nope", module="cliquestats")
     assert res.returncode == 2 and "invalid choice" in res.stderr
+
+
+def _readme_commands():
+    """The cliquestats lines of README's "Command line" block, each with its
+    continuation lines joined and its comment cut, as argument lists."""
+    block = (ROOT / "README.md").read_text(encoding="utf-8") \
+        .split("## Command line", 1)[1].split("```", 2)[1]
+    lines = (line.split("#", 1)[0] for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cliquestats ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    # every subcommand is shown, so the block was found and read whole
+    assert {argv[0] for argv in commands} == {"moments", "bounds", "simulate", "verify",
+                                              "morse-demo"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README example does not parse: cliquestats " + " ".join(argv))
 
 
 def test_moments_clique_example():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import tracemalloc
@@ -623,7 +624,17 @@ def test_check_report_prints_raw_covariance_off_diagonal():
     # critical has no closed-form cross covariance: the report's off-diagonal
     # is the raw rows' sample covariance, on the scale of its diagonal
     cfg = mc.MCConfig("critical", 10, 0.5, 2, 500, 5)
-    cov = vf.matched_normal_report(cfg)["moments"]["cov"]
+    moments = vf.matched_normal_report(cfg)["moments"]
+    cov = moments["cov"]
     want = mc.empirical_cov(mc.simulate_raw(cfg))
     assert cov[0][1] == cov[1][0] == want[0, 1]
     assert cov[0][0] == mo.crit_variance(10, 1, 0.5)
+    assert moments["provenance"] == "empirical"
+    # clique and link have one: the whole report is the closed form's, so no
+    # empirical off-diagonal reaches it
+    for cfg in (mc.MCConfig("clique", 10, 0.5, 2, 500, 5),
+                mc.MCConfig("link", 10, 0.5, 2, 500, 5, t=(1, 2))):
+        moments = vf.matched_normal_report(cfg)["moments"]
+        rep = mo.statistic_cov_matrix(cfg.kind, cfg.n, cfg.d, cfg.p, len(cfg.t))
+        assert moments == json.loads(rep.to_json())
+        assert moments["provenance"] == "analytic"

@@ -9,6 +9,7 @@ from cliquestats import kinds
 from cliquestats import moments as mo
 from cliquestats import montecarlo as mc
 from cliquestats import oracle
+from cliquestats import verify as vf
 from cliquestats.oracle import ExactDistribution, exact_distribution, exact_moments
 from cliquestats.graphs import EnumerationCapError
 from cliquestats.kinds import STATS, _small_graph_counts
@@ -76,6 +77,15 @@ def test_serialization_sorted_support():
     sup = [tuple(v) for v in payload["support"]]
     assert sup == sorted(sup)
     assert len(payload["probabilities"]) == len(sup)
+
+
+def test_oracle_gate_fails_an_infinite_closed_form(monkeypatch):
+    # an infinite covariance is not relatively close to the finite oracle one
+    monkeypatch.setattr(kinds, "clique_cov", lambda *a: math.inf)
+    rows = vf.suite_oracle(n_max=3, ps=(0.5,))
+    clique = [r for r in rows if r.name.startswith("oracle clique ")]
+    assert clique and all(r.status == "FAIL" for r in clique)
+    assert all(r.ok for r in rows if r not in clique)
 
 
 @pytest.mark.parametrize("p", [1.5, -0.5, math.nan])
