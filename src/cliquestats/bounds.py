@@ -1,5 +1,7 @@
-"""Explicit error bounds for the multivariate normal approximation of
-dissociated sums, and their instantiations for the three count vectors.
+"""Explicit error bounds for the multivariate normal approximation of the
+three count vectors and of U-statistics: the paper's dissociated-sum bound,
+instantiated in closed form (its general evaluator on an enumerated instance
+is a test reference, in tests/reference.py).
 
 Every bound value is for the smooth test-function class (third partials
 bounded by 1) unless tagged as a convex-set bound, which is always obtained
@@ -8,12 +10,10 @@ from a smooth value through the quarter-power transfer rule.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -24,10 +24,6 @@ VACUOUS_AT = 2.0
 
 SMOOTH = "smooth |h|_3 <= 1"
 CONVEX = "convex sets"
-
-
-class BudgetExceededError(RuntimeError):
-    """Triple-sum evaluation would exceed the configured term budget."""
 
 
 @dataclass
@@ -62,17 +58,6 @@ class BoundPair:
     convex: BoundReport
 
 
-def moment_bound(mu1: float, mu2: float, c1: float, c2: float, c3: float) -> float:
-    """Upper bound on E|X1 X2 X3| and on E|X1 X2| E|X3| for centered scaled
-    Bernoulli variables X_i = c_i (xi_i - mu_i); the third variable only
-    contributes its scale."""
-    if not (0.0 <= mu1 <= 1.0 and 0.0 <= mu2 <= 1.0):
-        raise ValueError("means must lie in [0,1]")
-    if min(c1, c2, c3) <= 0.0:
-        raise ValueError("scales must be positive")
-    return c1 * c2 * c3 * math.sqrt(mu1 * mu2 * (1.0 - mu1) * (1.0 - mu2))
-
-
 def convex_bound(d: int, smooth_b: float) -> BoundReport:
     """Transfer a smooth-class bound to the convex-set class."""
     if not smooth_b >= 0:  # NaN too
@@ -82,108 +67,6 @@ def convex_bound(d: int, smooth_b: float) -> BoundReport:
     value = 2.0 ** 3.5 * 3.0 ** -0.75 * d ** (3.0 / 16.0) * smooth_b ** 0.25
     return BoundReport("convex-set-transfer", value, CONVEX,
                        params={"d": d, "smooth_b": smooth_b})
-
-
-@dataclass
-class DissociatedInstance:
-    """A vector of dissociated sums on arrays.
-
-    index_sets[i] lists the indices of component i+1, and the indices are
-    numbered 0..I-1 in that order, component by component.  nbr is a boolean
-    (I, I) matrix: nbr[a, b] says index b lies in a's dependency
-    neighbourhood D_a.  blocks(a) returns two (|D_a|, I) arrays over (b, c),
-    b in D_a in index order, the bounds on E|Xa Xb Xc| and on E|Xa Xb| E|Xc|.
-    """
-
-    index_sets: list
-    nbr: np.ndarray
-    blocks: Callable
-
-
-def generic_bound(inst: DissociatedInstance, term_budget: float = 1e8) -> BoundReport:
-    """Evaluate the two-part dissociated-sum bound, one moment block per index:
-    b1 sums (T/2 + S) over b, c in D_a and b2 sums (T + S) over b in D_a and
-    c in D_b \\ D_a, for the triple and split bounds T and S of blocks(a).
-
-    Intended for oracle-scale cross-validation: each block is dense over c,
-    so an index costs O(|D_a| I), and the triple sum needs
-    sum_a |D_a|^2 + sum_a sum_{b in D_a} |D_b| terms, which is guarded by a
-    term budget.
-    """
-    nbr = inst.nbr
-    size = nbr.sum(axis=1)
-    n_terms = int(size @ size + size @ nbr.sum(axis=0))
-    if n_terms > term_budget:
-        raise BudgetExceededError(
-            "triple sum needs ~%d terms (budget %d)" % (n_terms, int(term_budget)))
-    b1 = 0.0
-    b2 = 0.0
-    for a, hood in enumerate(nbr):
-        triple, split = inst.blocks(a)
-        b1 += np.sum((0.5 * triple + split)[:, hood])
-        b2 += np.sum((triple + split)[nbr[hood] & ~hood])
-    value = float(b1 + b2) / 3.0
-    return BoundReport("dissociated-sum-smooth", value,
-                       params={"terms": n_terms})
-
-
-def uniform_bound(d: int, sizes, alpha, beta) -> BoundReport:
-    """The uniform simplification: (1/3) sum_ijk |I_i| a_ij (3a_ik/2 + 2a_jk) b_ijk."""
-    if len(sizes) != d or len(alpha) != d or len(beta) != d:
-        raise ValueError("dimension mismatch")
-    for row in alpha:
-        if len(row) != d:
-            raise ValueError("alpha must be d x d")
-    for plane in beta:
-        if len(plane) != d or any(len(r) != d for r in plane):
-            raise ValueError("beta must be d x d x d")
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                total += (sizes[i] * alpha[i][j]
-                          * (1.5 * alpha[i][k] + 2.0 * alpha[j][k])
-                          * beta[i][j][k])
-    return BoundReport("uniform-neighborhood-smooth", total / 3.0,
-                       params={"d": d, "sizes": list(sizes)})
-
-
-# ---------------------------------------------------------------------------
-# built-in instances over vertex subsets
-
-
-def subset_instance(n: int, d: int, p: float, kind: str, t=()) -> DissociatedInstance:
-    """Fully enumerated dissociated-sum instance for one of the three count
-    vectors, with Bernoulli moment bounds.  Indices are (phi, i) pairs.
-
-    Neighbourhood rule: cliques share >= 2 vertices (edge-driven summands),
-    critical and link share >= 1 (summands also read edges incident to the
-    rest of the graph / to t), read off the index-by-vertex incidence matrix.
-    Both moment bounds of (a, b, c) are the cap c_a c_b / sigma_c, with
-    c = sqrt(mu (1 - mu)) / sigma for each index's component sd sigma.
-    """
-    from .kinds import statistic  # the registry is built on this module
-    stat = statistic(kind)
-    t = tuple(sorted(t))
-    ground = [v for v in range(1, n + 1) if v not in t]
-    index_sets = [[(phi, i) for phi in itertools.combinations(ground, size)]
-                  for i, size in enumerate(stat.sizes(d), start=1)]
-    flat = [s for comp in index_sets for s in comp]
-    inc = np.zeros((len(flat), n + 1), dtype=np.int64)
-    for a, (phi, _) in enumerate(flat):
-        inc[a, list(phi)] = 1
-    sd = np.array(sigma(stat.variances(n, d, p, len(t))))[[i - 1 for _, i in flat]]
-    mu = np.array([stat.mu(phi, i, p, len(t)) for phi, i in flat])
-    c = np.sqrt(mu * (1.0 - mu)) / sd
-    pair_caps = np.multiply.outer(c, 1.0 / sd)
-
-    nbr = inc @ inc.T >= stat.min_overlap
-
-    def blocks(a):
-        cap = c[a] * pair_caps[nbr[a]]
-        return cap, cap
-
-    return DissociatedInstance(index_sets, nbr, blocks)
 
 
 # ---------------------------------------------------------------------------

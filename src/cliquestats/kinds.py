@@ -2,7 +2,7 @@
 and argument checks, its summand indicator (on an array of edge masks), count
 table (the indicators summed, one int16 row per graph on n <= 6 vertices),
 replicate kernel (one draw through clique_levels) and count-table rows for a block
-of draws, its closed-form moments, its bound pair and its dissociated-sum pieces.
+of draws, its closed-form moments and its bound pair.
 The rest of the library looks kinds up here instead of branching on them."""
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ import numpy as np
 from .bounds import clique_bound, crit_bound, link_bound
 from .graphs import (MAX_ENUM_VERTICES, EnumerationCapError, clique_levels, gnp_masks,
                      gnp_pairs, pair_matrix, spans_clique)
-from .moments import (clique_cov, clique_mean, crit_mean, crit_mu, crit_variance,
-                      link_cov, link_mean, link_mu)
+from .moments import clique_cov, clique_mean, crit_mean, crit_variance, link_cov, link_mean
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class Statistic:
     name: str
     first_size: int
     needs_t: bool  # counts inside the link of a fixed vertex subset t
-    min_overlap: int  # summands sharing fewer vertices are independent
     count: Callable  # (edge masks, n, index set s, t) -> per mask, whether s counts
     replicate: Callable  # (MCConfig, generator) -> list of d numbers
     table_words: Callable  # MCConfig -> variates per replicate, None: not all from count tables
@@ -39,7 +37,6 @@ class Statistic:
     var: Callable  # (n, t_size, k, p) -> float
     cov: Callable | None  # (n, t_size, k, l, p) -> float, None: no closed form
     bound: Callable  # (n, d, p, t_size) -> BoundPair
-    mu: Callable  # (phi, component index i, p, t_size) -> P(summand phi is 1)
 
     def sizes(self, d: int) -> list[int]:
         return list(range(self.first_size, self.first_size + d))
@@ -146,35 +143,32 @@ def _link_table_rows(cfg, u) -> np.ndarray:
 
 STATS = {s.name: s for s in (
     Statistic(
-        "critical", first_size=2, needs_t=False, min_overlap=1,
+        "critical", first_size=2, needs_t=False,
         count=_is_critical,
         replicate=lambda cfg, rng: _draw_counts(rng, cfg.n, cfg.p, cfg.d, True),
         table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: crit_mean(n, k, p),
         var=lambda n, ts, k, p: crit_variance(n, k, p),
         cov=None,
-        bound=lambda n, d, p, ts: crit_bound(n, d, p),
-        mu=lambda phi, i, p, ts: crit_mu(i, min(phi), p)),
+        bound=lambda n, d, p, ts: crit_bound(n, d, p)),
     Statistic(
-        "link", first_size=1, needs_t=True, min_overlap=1,
+        "link", first_size=1, needs_t=True,
         count=lambda masks, n, s, t: spans_clique(masks, n, s + t, skip=t),
         replicate=_link_replicate,
         table_words=_link_table_words, table_rows=_link_table_rows,
         mean=lambda n, ts, k, p: link_mean(n, ts, k, p),
         var=lambda n, ts, k, p: link_cov(n, ts, k, k, p),
         cov=lambda n, ts, k, l, p: link_cov(n, ts, k, l, p),
-        bound=lambda n, d, p, ts: link_bound(n, ts, d, p),
-        mu=lambda phi, i, p, ts: link_mu(ts, len(phi) - 1, p)),
+        bound=lambda n, d, p, ts: link_bound(n, ts, d, p)),
     Statistic(
-        "clique", first_size=2, needs_t=False, min_overlap=2,
+        "clique", first_size=2, needs_t=False,
         count=lambda masks, n, s, t: spans_clique(masks, n, s),
         replicate=lambda cfg, rng: _draw_counts(rng, cfg.n, cfg.p, cfg.d),
         table_words=_graph_table_words, table_rows=_graph_table_rows,
         mean=lambda n, ts, k, p: clique_mean(n, k + 1, p),
         var=lambda n, ts, k, p: clique_cov(n, k, k, p),
         cov=lambda n, ts, k, l, p: clique_cov(n, k, l, p),
-        bound=lambda n, d, p, ts: clique_bound(n, d, p),
-        mu=lambda phi, i, p, ts: p ** comb(len(phi), 2)),
+        bound=lambda n, d, p, ts: clique_bound(n, d, p)),
 )}
 KINDS = tuple(STATS)
 

@@ -261,15 +261,16 @@ def crit_variance_lower(n: int, k: int, p: float) -> float:
 
 
 def smallest_positive_lower_bound_n(k: int, p: float, n_max: int = 1 << 20) -> int | None:
-    """Smallest n at which crit_variance_lower becomes positive (doubling then
-    bisecting), or None if it stays clamped up to n_max."""
+    """Smallest n at which crit_variance_lower becomes positive (doubling up
+    to n_max, then bisecting), or None if it stays clamped up to n_max."""
     _check_p_open(p)
-    lo = k + 1
-    hi = lo + 1
-    while hi <= n_max and crit_variance_lower(hi, k, p) <= 0.0:
-        lo, hi = hi, hi * 2
+    lo, hi = k + 1, k + 2
     if hi > n_max:
         return None
+    while crit_variance_lower(hi, k, p) <= 0.0:
+        if hi == n_max:
+            return None
+        lo, hi = hi, min(hi * 2, n_max)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if crit_variance_lower(mid, k, p) > 0.0:

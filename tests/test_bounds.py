@@ -10,17 +10,19 @@ from cliquestats import bounds as bd
 from cliquestats import moments as mo
 from cliquestats.graphs import check_p
 from cliquestats.kinds import KINDS, statistic
+from reference import (SUMMANDS, BudgetExceededError, DissociatedInstance, generic_bound,
+                       moment_bound, subset_instance, uniform_bound)
 
 
 def test_moment_bound_examples():
-    assert math.isclose(bd.moment_bound(0.5, 0.5, 1, 1, 1), 0.25, rel_tol=1e-14)
-    assert bd.moment_bound(0.0, 0.5, 1, 1, 1) == 0.0
-    one = bd.moment_bound(0.3, 0.6, 1.0, 2.0, 3.0)
-    assert math.isclose(bd.moment_bound(0.3, 0.6, 2.0, 2.0, 3.0), 2 * one)
+    assert math.isclose(moment_bound(0.5, 0.5, 1, 1, 1), 0.25, rel_tol=1e-14)
+    assert moment_bound(0.0, 0.5, 1, 1, 1) == 0.0
+    one = moment_bound(0.3, 0.6, 1.0, 2.0, 3.0)
+    assert math.isclose(moment_bound(0.3, 0.6, 2.0, 2.0, 3.0), 2 * one)
     with pytest.raises(ValueError):
-        bd.moment_bound(1.2, 0.5, 1, 1, 1)
+        moment_bound(1.2, 0.5, 1, 1, 1)
     with pytest.raises(ValueError):
-        bd.moment_bound(0.5, 0.5, 0.0, 1, 1)
+        moment_bound(0.5, 0.5, 0.0, 1, 1)
 
 
 def test_convex_bound():
@@ -36,47 +38,47 @@ def test_convex_bound():
 def iid_instance(N, moment):
     """N summands, each its own neighbourhood, every moment bound equal."""
     block = np.full((1, N), moment)
-    return bd.DissociatedInstance([[(i, 1) for i in range(N)]], np.eye(N, dtype=bool),
-                                  lambda a: (block, block))
+    return DissociatedInstance([[(i, 1) for i in range(N)]], np.eye(N, dtype=bool),
+                               lambda a: (block, block))
 
 
 def test_generic_bound_single_fair_sign():
     # one +-1 summand, its own neighbourhood: (1/3)(0.5*1 + 1*1) = 0.5
-    assert math.isclose(bd.generic_bound(iid_instance(1, 1.0)).value, 0.5)
+    assert math.isclose(generic_bound(iid_instance(1, 1.0)).value, 0.5)
 
 
 def test_generic_bound_empty():
-    inst = bd.DissociatedInstance([[]], np.zeros((0, 0), dtype=bool), None)
-    assert bd.generic_bound(inst).value == 0.0
+    inst = DissociatedInstance([[]], np.zeros((0, 0), dtype=bool), None)
+    assert generic_bound(inst).value == 0.0
 
 
 def test_generic_bound_iid_scaling():
     # N independent standardized summands scaled by N^(-1/2):
     # B = N * (1/3) * (3/2) * N^(-3/2) = 0.5 / sqrt(N)
-    b100 = bd.generic_bound(iid_instance(100, 100 ** -1.5)).value
-    b400 = bd.generic_bound(iid_instance(400, 400 ** -1.5)).value
+    b100 = generic_bound(iid_instance(100, 100 ** -1.5)).value
+    b400 = generic_bound(iid_instance(400, 400 ** -1.5)).value
     assert math.isclose(b100, 0.05, rel_tol=1e-12)
     assert math.isclose(b400 / b100, 0.5, rel_tol=1e-12)
 
 
 def test_generic_bound_budget():
     # one summand: 1^2 terms in b1 and 1 in b2's count
-    assert bd.generic_bound(iid_instance(1, 1.0), term_budget=2).params == {"terms": 2}
-    with pytest.raises(bd.BudgetExceededError):
-        bd.generic_bound(iid_instance(1, 1.0), term_budget=1)
+    assert generic_bound(iid_instance(1, 1.0), term_budget=2).params == {"terms": 2}
+    with pytest.raises(BudgetExceededError):
+        generic_bound(iid_instance(1, 1.0), term_budget=1)
 
 
 def test_uniform_bound_examples():
-    rep = bd.uniform_bound(1, [7], [[2.0]], [[[0.3]]])
+    rep = uniform_bound(1, [7], [[2.0]], [[[0.3]]])
     assert math.isclose(rep.value, (1 / 3) * 7 * 2.0 * (1.5 * 2.0 + 2 * 2.0) * 0.3)
-    assert bd.uniform_bound(2, [3, 4], [[1, 1], [1, 1]],
-                            [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]).value == 0.0
+    assert uniform_bound(2, [3, 4], [[1, 1], [1, 1]],
+                         [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]).value == 0.0
     with pytest.raises(ValueError):
-        bd.uniform_bound(2, [3], [[1]], [[[1]]])
+        uniform_bound(2, [3], [[1]], [[[1]]])
     with pytest.raises(ValueError, match="alpha must be d x d"):
-        bd.uniform_bound(2, [3, 4], [[1, 1], [1]], [[[0, 0], [0, 0]]] * 2)
+        uniform_bound(2, [3, 4], [[1, 1], [1]], [[[0, 0], [0, 0]]] * 2)
     with pytest.raises(ValueError, match="beta must be d x d x d"):
-        bd.uniform_bound(2, [3, 4], [[1, 1], [1, 1]], [[[0, 0], [0]], [[0, 0], [0, 0]]])
+        uniform_bound(2, [3, 4], [[1, 1], [1, 1]], [[[0, 0], [0]], [[0, 0], [0, 0]]])
 
 
 def _components(inst):
@@ -87,8 +89,8 @@ def _components(inst):
 def test_uniform_majorizes_generic_on_enumerated_instance():
     for kind, n, d in [("clique", 5, 2), ("critical", 5, 1), ("link", 5, 1)]:
         t = (2,) if kind == "link" else ()
-        inst = bd.subset_instance(n, d, 0.5, kind, t=t)
-        gb = bd.generic_bound(inst)
+        inst = subset_instance(n, d, 0.5, kind, t=t)
+        gb = generic_bound(inst)
         comp = _components(inst)
         sizes = [len(x) for x in inst.index_sets]
         alpha = [[int(inst.nbr[comp == i][:, comp == j].sum(axis=1).max()) for j in range(d)]
@@ -99,7 +101,7 @@ def test_uniform_majorizes_generic_on_enumerated_instance():
             for j, k in itertools.product(range(d), repeat=2):
                 sel = caps[np.ix_(comp[inst.nbr[a]] == j, comp == k)]
                 beta[i, j, k] = max(beta[i, j, k], sel.max(initial=0.0))
-        ub = bd.uniform_bound(d, sizes, alpha, beta.tolist())
+        ub = uniform_bound(d, sizes, alpha, beta.tolist())
         assert ub.value >= gb.value - 1e-12, kind
 
 
@@ -117,7 +119,7 @@ def exact_instance(n, d, p, kind, t=()):
     graph: with A = |Y| and weights w, E|Ya Yb Yc| is (A^T diag(w A_a) A)[b, c]
     and E|Ya Yb| E|Yc| is (A^T diag(w) A)[a, b] (w^T A)[c], for b in D_a."""
     stat = statistic(kind)
-    inst = bd.subset_instance(n, d, p, kind, t)
+    inst = subset_instance(n, d, p, kind, t)
     flat = [s for comp in inst.index_sets for s in comp]
     masks, w = _mask_weights(n, p)
     x = np.column_stack([stat.count(masks, n, phi, t) for phi, _ in flat]).astype(float)
@@ -131,13 +133,14 @@ def exact_instance(n, d, p, kind, t=()):
         triple = hood.T @ ((w * abs_y[:, a])[:, None] * abs_y)
         return triple, np.multiply.outer(pair[a, inst.nbr[a]], single)
 
-    return bd.DissociatedInstance(inst.index_sets, inst.nbr, blocks)
+    return DissociatedInstance(inst.index_sets, inst.nbr, blocks)
 
 
 def _reference_generic_bound(n, d, p, kind, t=()):
     """generic_bound(subset_instance(...)) as the per-triple loop over
     neighbourhood lists with a moment callback evaluated it: (value, terms)."""
     stat = statistic(kind)
+    min_overlap, summand_mu = SUMMANDS[kind]
     ts = len(t)
     ground = [v for v in range(1, n + 1) if v not in t]
     index_sets = [[(phi, i) for phi in itertools.combinations(ground, size)]
@@ -146,11 +149,11 @@ def _reference_generic_bound(n, d, p, kind, t=()):
 
     def neighborhood(s):
         return [u for comp in index_sets for u in comp
-                if len(set(s[0]).intersection(u[0])) >= stat.min_overlap]
+                if len(set(s[0]).intersection(u[0])) >= min_overlap]
 
     def abs_moment(s, t_, u):
-        m1 = stat.mu(s[0], s[1], p, ts)
-        m2 = stat.mu(t_[0], t_[1], p, ts)
+        m1 = summand_mu(s[0], s[1], p, ts)
+        m2 = summand_mu(t_[0], t_[1], p, ts)
         val = (math.sqrt(m1 * m2 * (1.0 - m1) * (1.0 - m2))
                / (sd[s[1] - 1] * sd[t_[1] - 1] * sd[u[1] - 1]))
         return val, val
@@ -183,22 +186,22 @@ def test_generic_bound_matches_triple_loop_reference():
     terms_of = {}
     for kind, n, d, p in itertools.product(KINDS, (4, 5, 6), (1, 2, 3), (0.2, 0.5, 0.8)):
         if (kind, n, d) == ("critical", 4, 3):  # the size-4 count is 0 on 4 vertices
-            for f in (bd.subset_instance, _reference_generic_bound):
+            for f in (subset_instance, _reference_generic_bound):
                 with pytest.raises(ValueError, match="zero variance"):
                     f(n, d, p, kind, _t(kind))
             continue
         want, terms = _reference_generic_bound(n, d, p, kind, _t(kind))
-        got = bd.generic_bound(bd.subset_instance(n, d, p, kind, _t(kind)))
+        got = generic_bound(subset_instance(n, d, p, kind, _t(kind)))
         assert math.isclose(got.value, want, rel_tol=1e-12), (kind, n, d, p)
         assert got.params == {"terms": terms}, (kind, n, d, p)
         terms_of[kind, n, d, p] = terms
     assert len(terms_of) == 78
     # the budget is the reference loop's term count, and binds exactly there
-    inst = bd.subset_instance(6, 3, 0.5, "critical")
+    inst = subset_instance(6, 3, 0.5, "critical")
     terms = terms_of["critical", 6, 3, 0.5]
-    assert bd.generic_bound(inst, term_budget=terms).params["terms"] == terms
-    with pytest.raises(bd.BudgetExceededError, match="needs ~%d terms" % terms):
-        bd.generic_bound(inst, term_budget=terms - 1)
+    assert generic_bound(inst, term_budget=terms).params["terms"] == terms
+    with pytest.raises(BudgetExceededError, match="needs ~%d terms" % terms):
+        generic_bound(inst, term_budget=terms - 1)
 
 
 def test_crit_bound_dominates_generic():
@@ -210,14 +213,14 @@ def test_crit_bound_dominates_generic():
         for n, p in itertools.product((4, 5), (0.2, 0.5, 0.8)):
             for d in range(1, n):  # every d that fits, with t = (2,) for link
                 try:
-                    capped = bd.generic_bound(bd.subset_instance(n, d, p, kind, t)).value
+                    capped = generic_bound(subset_instance(n, d, p, kind, t)).value
                 except ValueError as err:
                     assert "zero variance" in str(err)
                     with pytest.raises(ValueError, match="zero variance"):
                         printed(n, d, p, len(t))
                     zero_variance.append((kind, n, d, p))
                     continue
-                exact = bd.generic_bound(exact_instance(n, d, p, kind, t)).value
+                exact = generic_bound(exact_instance(n, d, p, kind, t)).value
                 cb = printed(n, d, p, len(t)).smooth.value
                 assert 0.0 < exact <= capped * (1 + 1e-12), (kind, n, d, p)
                 assert capped <= cb * (1 + 1e-12), (kind, n, d, p)
@@ -333,7 +336,7 @@ def test_subset_instance_neighborhood_rules():
     # nbr[a, b] iff the index sets share min_overlap vertices: >= 2 for
     # clique, >= 1 for critical and link; so every index is its own neighbour
     for kind, rule in (("clique", 2), ("critical", 1), ("link", 1)):
-        inst = bd.subset_instance(6, 2, 0.5, kind, _t(kind))
+        inst = subset_instance(6, 2, 0.5, kind, _t(kind))
         flat = [phi for comp in inst.index_sets for phi, _ in comp]
         want = [[len(set(a) & set(b)) >= rule for b in flat] for a in flat]
         assert inst.nbr.dtype == bool and inst.nbr.tolist() == want, kind

@@ -99,6 +99,9 @@ def test_crit_variance_lower_eventually_positive():
     assert mo.crit_variance_lower(n_star, 1, 0.5) > 0.0
     assert mo.crit_variance_lower(n_star - 1, 1, 0.5) == 0.0
     assert mo.smallest_positive_lower_bound_n(1, 0.5, n_max=1000) is None
+    # the doubling is capped at n_max, and n_max itself is tested
+    for n_max, want in ((19313, None), (19314, 19314), (20000, 19314)):
+        assert mo.smallest_positive_lower_bound_n(1, 0.5, n_max=n_max) == want, n_max
 
 
 def test_crit_tail_bound_values():
