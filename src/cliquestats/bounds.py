@@ -10,7 +10,6 @@ from a smooth value through the quarter-power transfer rule.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from math import comb
@@ -42,12 +41,11 @@ class BoundReport:
     def vacuous(self) -> bool:
         return self.value >= VACUOUS_AT
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "name": self.name, "value": self.value,
-            "smoothness_class": self.smoothness_class,
-            "rate_exponent": self.rate_exponent,
-            "vacuous": self.vacuous, "params": self.params}, indent=2)
+    def as_dict(self) -> dict:
+        return {"name": self.name, "value": self.value,
+                "smoothness_class": self.smoothness_class,
+                "rate_exponent": self.rate_exponent,
+                "vacuous": self.vacuous, "params": self.params}
 
 
 @dataclass

@@ -41,11 +41,14 @@ class UsageError(ValueError):
     pass
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get(SEED_ENV, "0"))
-    except ValueError:
-        raise UsageError("%s must be an integer" % SEED_ENV) from None
+def _seed(args) -> int:
+    """--master-seed, or the environment's seed when the flag is absent."""
+    if args.master_seed is None:
+        try:
+            args.master_seed = int(os.environ.get(SEED_ENV, "0"))
+        except ValueError:
+            raise UsageError("%s must be an integer" % SEED_ENV) from None
+    return args.master_seed
 
 
 def _write(path, text: str) -> None:
@@ -87,6 +90,7 @@ def cmd_moments(args) -> int:
     _need(args, "n", "p")
     if args.replicates is not None and args.replicates < 2:
         raise UsageError("need at least 2 replicates")
+    _seed(args)  # echoed in the spec
     offdiag = None
     if statistic(args.kind).cov is None and args.d > 1:
         if args.n <= MAX_ENUM_VERTICES:
@@ -99,7 +103,7 @@ def cmd_moments(args) -> int:
             offdiag = (mc.empirical_cov(raw).tolist(), "empirical")
     rep = mo.statistic_cov_matrix(args.kind, args.n, args.d, args.p,
                                   t_size=args.t_size, oracle_offdiag=offdiag)
-    _emit(args, {"report": json.loads(rep.to_json())})
+    _emit(args, {"report": rep.as_dict()})
     return 0
 
 
@@ -131,16 +135,18 @@ def cmd_bounds(args) -> int:
         reports = [fn(k_vec, alpha, args.beta)]
     else:
         raise UsageError("unknown theorem %r" % th)
-    _emit(args, {"reports": [json.loads(r.to_json()) for r in reports]})
+    _emit(args, {"reports": [r.as_dict() for r in reports]})
     return 0
 
 
 def cmd_simulate(args) -> int:
     _need(args, "n", "p")
+    if args.check and args.format == "csv":
+        raise UsageError("simulate --check does not take --format csv")
     stat = statistic(args.kind)
     t = tuple(range(1, args.t_size + 1)) if stat.needs_t else ()
     cfg = mc.MCConfig(args.kind, args.n, args.p, args.d, args.replicates,
-                      args.master_seed, t=t, standardization=args.standardization)
+                      _seed(args), t=t, standardization=args.standardization)
     if args.check:
         _emit(args, {"run": vf.matched_normal_report(cfg, threads=args.threads)})
         return 0
@@ -192,7 +198,7 @@ def cmd_morse_demo(args) -> int:
         with open(args.graph_file, encoding="utf-8") as fh:
             g = Graph.from_text(fh.read())
     else:
-        g = sample_gnp(GnpParams(args.n, args.p, args.master_seed))
+        g = sample_gnp(GnpParams(args.n, args.p, _seed(args)))
     size_cap = args.max_size if args.max_size else min(g.n, args.d + 2)
     m = lex_matching(g, size_cap)
     crit = critical_counts_direct(g, min(args.d, g.n - 1))
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--t-size", type=int, default=1)
     pm.add_argument("--replicates", type=int, default=None,
                     help="empirical off-diagonal sample size (critical, n>6, d>1)")
-    pm.add_argument("--master-seed", type=int, default=_default_seed())
+    pm.add_argument("--master-seed", type=int, default=None)
     pm.set_defaults(func=cmd_moments)
 
     pb = sub.add_parser("bounds", help="explicit error-bound reports")
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(ps)
     ps.add_argument("--t-size", type=int, default=1)
     ps.add_argument("--replicates", type=int, default=1000)
-    ps.add_argument("--master-seed", type=int, default=_default_seed())
+    ps.add_argument("--master-seed", type=int, default=None)
     ps.add_argument("--standardization", choices=["analytic", "empirical"],
                     default="analytic")
     ps.add_argument("--format", choices=["json", "csv"], default="json")
@@ -267,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--p", type=float, default=0.5)
     pd.add_argument("--d", type=int, default=2)
     pd.add_argument("--max-size", type=int, default=None)
-    pd.add_argument("--master-seed", type=int, default=_default_seed())
+    pd.add_argument("--master-seed", type=int, default=None)
     pd.add_argument("-o", "--output", default=None)
     pd.set_defaults(func=cmd_morse_demo)
     return ap

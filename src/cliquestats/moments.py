@@ -34,7 +34,6 @@ verify bytes, benchmark pins) depend on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -374,10 +373,9 @@ class MomentReport:
     cov: list
     provenance: str  # analytic | exact-oracle | empirical
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind, "params": self.params, "mean": self.mean,
-            "cov": self.cov, "provenance": self.provenance}, indent=2)
+    def as_dict(self) -> dict:
+        return {"kind": self.kind, "params": self.params, "mean": self.mean,
+                "cov": self.cov, "provenance": self.provenance}
 
 
 def statistic_cov_matrix(kind: str, n: int, d: int, p: float, t_size: int = 1,

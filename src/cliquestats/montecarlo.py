@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -180,11 +179,11 @@ class DiscrepancyReport:
     family: str
     bound_used: BoundReport | None = None
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         out = {"estimate": self.estimate, "stderr": self.stderr, "family": self.family}
         if self.bound_used is not None:
-            out["bound_used"] = json.loads(self.bound_used.to_json())
-        return json.dumps(out, indent=2)
+            out["bound_used"] = self.bound_used.as_dict()
+        return out
 
 
 def smooth_family(d: int) -> list:

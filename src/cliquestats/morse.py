@@ -83,9 +83,6 @@ class Matching:
     def simplices(self) -> frozenset:
         return frozenset(chain.from_iterable(self.pairs))
 
-    def __len__(self):
-        return len(self.pairs)
-
     def dump(self) -> str:
         """One line per pair, 'face -> coface', sizes ascending then lexicographic."""
         items = sorted(self.pairs, key=lambda fc: (len(fc[0]), fc[0]))

@@ -3,7 +3,6 @@ the three count vectors over all 2^C(n,2) graphs, n <= 6, from the count tables.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import comb
@@ -23,12 +22,6 @@ class ExactDistribution:
     params: dict
     support: list
     probabilities: list
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "kind": self.kind, "params": self.params,
-            "support": [list(v) for v in self.support],
-            "probabilities": self.probabilities}, indent=2)
 
 
 def exact_distribution(kind: str, n: int, p: float, d: int, t=None) -> ExactDistribution:

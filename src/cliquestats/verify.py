@@ -262,19 +262,15 @@ def suite_rates(reps: int = 100_000) -> list:
 def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
     """Full run artifact: simulate, match a normal, estimate discrepancies,
     and check them against the applicable bound."""
-    import json
-
     mc.check_rect_gathers(cfg.d)  # before the bounds and the simulation
     pair = statistic(cfg.kind).bound(cfg.n, cfg.d, cfg.p, len(cfg.t))
     moments_rep, sm, cx = _match_normal(cfg, threads, pair)
     return {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in cfg.__dict__.items()},
-        "moments": json.loads(moments_rep.to_json()),
-        "bounds": {"smooth": json.loads(pair.smooth.to_json()),
-                   "convex": json.loads(pair.convex.to_json())},
-        "discrepancies": {"smooth": json.loads(sm.to_json()),
-                          "convex": json.loads(cx.to_json())},
+        "moments": moments_rep.as_dict(),
+        "bounds": {"smooth": pair.smooth.as_dict(), "convex": pair.convex.as_dict()},
+        "discrepancies": {"smooth": sm.as_dict(), "convex": cx.as_dict()},
         "verdicts": {"smooth": mc.bound_check(sm, pair.smooth),
                      "convex": mc.bound_check(cx, pair.convex)},
     }

@@ -226,6 +226,28 @@ def test_non_integer_seed_env_exit2():
     assert "CLIQUESTATS_SEED" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["--help"],
+    ["bounds", "--theorem", "clique", "--n", "10", "--p", "0.5"],
+    ["verify", "--suite", "figure2"],
+    ["simulate", "--kind", "clique", "--n", "8", "--p", "0.5", "--replicates", "20",
+     "--master-seed", "3"],
+])
+def test_non_integer_seed_env_spares_a_command_that_does_not_read_it(args, monkeypatch, capsys):
+    monkeypatch.setenv("CLIQUESTATS_SEED", "abc")
+    assert cli.main(args) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_simulate_check_refuses_csv_before_simulating(capsys, monkeypatch):
+    from cliquestats import montecarlo as mc
+    monkeypatch.setattr(mc, "_raw_chunk", lambda *a: pytest.fail("a replicate ran"))
+    assert cli.main(["simulate", "--kind", "clique", "--n", "8", "--p", "0.5", "--check",
+                     "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--check does not take --format csv" in err
+
+
 def test_bounds_clique_n0_exit2(capsys):
     assert cli.main(["bounds", "--theorem", "clique", "--n", "0", "--d", "1",
                      "--p", "0.5"]) == 2

@@ -238,8 +238,7 @@ def test_clique_cov_cauchy_schwarz(n, i, j, p):
 
 def test_moment_report_json():
     rep = mo.statistic_cov_matrix("clique", 3, 1, 0.5)
-    import json
-    payload = json.loads(rep.to_json())
+    payload = rep.as_dict()
     assert set(payload) == {"kind", "params", "mean", "cov", "provenance"}
     with pytest.raises(ValueError, match="d must be >= 1"):
         mo.statistic_cov_matrix("clique", 3, 0, 0.5)

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import os
 import tracemalloc
@@ -636,5 +635,5 @@ def test_check_report_prints_raw_covariance_off_diagonal():
                 mc.MCConfig("link", 10, 0.5, 2, 500, 5, t=(1, 2))):
         moments = vf.matched_normal_report(cfg)["moments"]
         rep = mo.statistic_cov_matrix(cfg.kind, cfg.n, cfg.d, cfg.p, len(cfg.t))
-        assert moments == json.loads(rep.to_json())
+        assert moments == rep.as_dict()
         assert moments["provenance"] == "analytic"

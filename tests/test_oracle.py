@@ -1,5 +1,4 @@
 import functools
-import json
 import math
 
 import numpy as np
@@ -73,10 +72,8 @@ def test_cap_and_param_errors():
 
 def test_serialization_sorted_support():
     dist = exact_distribution("clique", 4, 0.5, 2)
-    payload = json.loads(dist.to_json())
-    sup = [tuple(v) for v in payload["support"]]
-    assert sup == sorted(sup)
-    assert len(payload["probabilities"]) == len(sup)
+    assert dist.support == sorted(dist.support)
+    assert len(dist.probabilities) == len(dist.support)
 
 
 def test_oracle_gate_fails_an_infinite_closed_form(monkeypatch):
@@ -156,8 +153,9 @@ def test_exact_distribution_matches_per_graph_reference(kind, t):
              for d in range(1, n - len(t) + 2 - stat.first_size)]
     for n, d in specs:
         for p in ps:
-            assert (exact_distribution(kind, n, p, d, t or None).to_json()
-                    == _per_graph_distribution(kind, n, p, d, t or None).to_json())
+            # repr tells signed zeros and ints from floats apart
+            assert (repr(exact_distribution(kind, n, p, d, t or None))
+                    == repr(_per_graph_distribution(kind, n, p, d, t or None)))
     info = _small_graph_counts.cache_info()
     assert (info.misses, info.hits) == (len(specs), len(specs) * (len(ps) - 1))
 
