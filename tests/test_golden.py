@@ -13,6 +13,10 @@ fails here.
   Their numbers pass through BLAS (matched-normal samples, covariances),
   whose last bits depend on the BLAS thread count, so floats compare at
   relative 1e-12 and strings, ints and verdicts compare exactly.
+* ``rates``: the ``verify --suite rates`` report at 500 replicates, compared
+  as ``close``.  Its gate details print BLAS-touched estimates at 3
+  significant digits, so they are strings and compare exactly; the suite
+  exits 1 from the critical grouped-bound gate, which fails by construction.
 
 An intended output change regenerates the data file with
 ``PYTHONPATH=src python tests/test_golden.py --write`` and says why in
@@ -93,6 +97,8 @@ CLOSE_ARGS = {
                                   "--replicates 500 --master-seed 6",
 }
 
+RATES_ARGS = "verify --suite rates --replicates 500"
+
 
 def raw_digest(kind, n, d, t, reps, seed, offset) -> str:
     rows = mc.simulate_raw(mc.MCConfig(kind, n, 0.5, d, reps, seed, t=t,
@@ -100,17 +106,18 @@ def raw_digest(kind, n, d, t, reps, seed, offset) -> str:
     return hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
 
 
-def cli_output(args: str, tmp_dir: str) -> str:
-    """The JSON report the CLI writes for ``args``, with the default seed."""
+def cli_output(args: str, tmp_dir: str, code: int = 0) -> str:
+    """The JSON report the CLI writes for ``args``, with the default seed,
+    after asserting the CLI's exit code."""
     out = os.path.join(tmp_dir, "report.json")
     old = os.environ.pop(cli.SEED_ENV, None)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(args.split() + ["-o", out])
+            got = cli.main(args.split() + ["-o", out])
     finally:
         if old is not None:
             os.environ[cli.SEED_ENV] = old
-    assert code == 0, args
+    assert got == code, args
     with open(out, encoding="utf-8") as fh:
         return fh.read()
 
@@ -124,6 +131,7 @@ def collect(tmp_dir: str) -> dict:
         "raw": {_raw_key(s): raw_digest(*s) for s in RAW_SPECS},
         "exact": {k: cli_output(a, tmp_dir) for k, a in EXACT_ARGS.items()},
         "close": {k: json.loads(cli_output(a, tmp_dir)) for k, a in CLOSE_ARGS.items()},
+        "rates": json.loads(cli_output(RATES_ARGS, tmp_dir, code=1)),
     }
 
 
@@ -164,6 +172,10 @@ def test_exact_reports(golden, key, tmp_path):
 def test_close_reports(golden, key, tmp_path):
     assert_close(json.loads(cli_output(CLOSE_ARGS[key], str(tmp_path))),
                  golden["close"][key])
+
+
+def test_rates_report(golden, tmp_path):
+    assert_close(json.loads(cli_output(RATES_ARGS, str(tmp_path), code=1)), golden["rates"])
 
 
 if __name__ == "__main__":
