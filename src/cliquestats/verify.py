@@ -178,11 +178,14 @@ def suite_bound_spots() -> list:
 # suite: rates  (acceptance criterion 6)
 
 
-def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
-    """Standardized simulation W against a normal sample with the closed-form
-    correlation, or with W's own covariance where there is none: returns the
-    moment report (off-diagonals without a closed form are the raw rows'
-    empirical ones) and the smooth and convex discrepancy reports."""
+def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
+    """Full run artifact: simulate, standardize to W, match a normal sample
+    with the closed-form correlation (or W's own covariance where there is
+    none), estimate the smooth and convex discrepancies, and check them
+    against the kind's bound pair.  Moment off-diagonals without a closed
+    form are the raw rows' empirical ones."""
+    mc.check_rect_gathers(cfg.d)  # before the bounds and the simulation
+    pair = statistic(cfg.kind).bound(cfg.n, cfg.d, cfg.p, len(cfg.t))
     raw = mc.simulate_raw(cfg, threads=threads)
     w = mc.standardize(raw, cfg)
     closed = statistic(cfg.kind).cov is not None
@@ -197,83 +200,67 @@ def _match_normal(cfg: mc.MCConfig, threads: int = 1, pair=None):
         corr = mc.empirical_cov(w)
     # the auxiliary seeds wrap so that the largest 64-bit master seed works
     z = mc.mvn_samples(corr, cfg.replicates, (cfg.master_seed + 1) % 2 ** 64)
-    return (report, mc.smooth_discrepancy(w, z, bound=pair.smooth if pair else None),
-            mc.convex_discrepancy(w, z, bound=pair.convex if pair else None,
-                                  seed=(cfg.master_seed + 2) % 2 ** 64))
-
-
-def _ratio_gate(name, r_small, r_big, ratio) -> GateResult:
-    # one-sided test of H: est_big <= ratio * est_small, at 3 stderr
-    slack = 3.0 * math.sqrt(r_big.stderr ** 2 + (ratio * r_small.stderr) ** 2)
-    lhs = r_big.estimate - ratio * r_small.estimate
-    return _gate(name, lhs <= slack,
-                 "est %.3g -> %.3g, margin %.3g vs %.3g" %
-                 (r_small.estimate, r_big.estimate, lhs, slack))
-
-
-def _strict_decrease_gate(name, r_small, r_big) -> GateResult:
-    drop = r_small.estimate - r_big.estimate
-    slack = 3.0 * math.sqrt(r_small.stderr ** 2 + r_big.stderr ** 2)
-    return _gate(name, drop > slack,
-                 "est %.3g -> %.3g, drop %.3g vs noise %.3g" %
-                 (r_small.estimate, r_big.estimate, drop, slack))
-
-
-def suite_rates(reps: int = 100_000) -> list:
-    """Decay-rate and non-vacuous-bound checks for the three statistics."""
-    if reps < 4:  # the clique n=100 check runs reps // 2
-        raise ValueError("reps must be >= 4 (got %d)" % reps)
-    results = []
-    seed = 20240
-
-    sm40, cx40 = _match_normal(mc.MCConfig("clique", 40, 0.5, 2, reps, seed))[1:]
-    sm80, cx80 = _match_normal(mc.MCConfig("clique", 80, 0.5, 2, reps, seed + 10))[1:]
-    results.append(_ratio_gate("clique d=2 smooth ratio<=0.75 n=40->80", sm40, sm80, 0.75))
-    results.append(_ratio_gate("clique d=2 convex rate<=2^-1/4 n=40->80",
-                               cx40, cx80, 2.0 ** -0.25))
-    b40 = bd.clique_bound(40, 2, 0.5).smooth
-    results.append(GateResult("clique d=2 bound check n=40 (vacuous at this scale)",
-                              mc.bound_check(sm40, b40),
-                              "est %.3g vs bound %.3g" % (sm40.estimate, b40.value)))
-
-    sm1 = _match_normal(mc.MCConfig("clique", 100, 0.5, 1, reps // 2, seed + 20))[1]
-    b1 = bd.clique_bound(100, 1, 0.5).smooth
-    results.append(GateResult("clique d=1 non-vacuous bound check n=100",
-                              mc.bound_check(sm1, b1),
-                              "est %.3g vs bound %.3g" % (sm1.estimate, b1.value)))
-
-    lsm100, lcx100 = _match_normal(
-        mc.MCConfig("link", 100, 0.5, 1, reps, seed + 30, t=(1,)))[1:]
-    lsm400, lcx400 = _match_normal(
-        mc.MCConfig("link", 400, 0.5, 1, reps, seed + 40, t=(1,)))[1:]
-    results.append(_ratio_gate("link d=1 smooth no-increase n=100->400",
-                               lsm100, lsm400, 1.0))
-    results.append(_strict_decrease_gate("link d=1 convex decrease n=100->400",
-                                         lcx100, lcx400))
-
-    bn = [(n, bd.crit_bound(n, 2, 0.5).smooth.value * n) for n in (40, 80, 160)]
-    worst = max(b / a for (_, a), (_, b) in zip(bn, bn[1:]))
-    results.append(_gate("critical grouped bound x n bounded (<=1.25x per doubling)",
-                         worst <= 1.25,
-                         "; ".join("n=%d: %.4g" % t for t in bn)))
-    return results
-
-
-def matched_normal_report(cfg: mc.MCConfig, threads: int = 1) -> dict:
-    """Full run artifact: simulate, match a normal, estimate discrepancies,
-    and check them against the applicable bound."""
-    mc.check_rect_gathers(cfg.d)  # before the bounds and the simulation
-    pair = statistic(cfg.kind).bound(cfg.n, cfg.d, cfg.p, len(cfg.t))
-    moments_rep, sm, cx = _match_normal(cfg, threads, pair)
+    sm = mc.smooth_discrepancy(w, z, bound=pair.smooth)
+    cx = mc.convex_discrepancy(w, z, bound=pair.convex, seed=(cfg.master_seed + 2) % 2 ** 64)
     return {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in cfg.__dict__.items()},
-        "moments": moments_rep.as_dict(),
+        "moments": report.as_dict(),
         "bounds": {"smooth": pair.smooth.as_dict(), "convex": pair.convex.as_dict()},
         "discrepancies": {"smooth": sm.as_dict(), "convex": cx.as_dict()},
         "verdicts": {"smooth": mc.bound_check(sm, pair.smooth),
                      "convex": mc.bound_check(cx, pair.convex)},
     }
+
+
+def _ratio_gate(name, small, big, family, ratio) -> GateResult:
+    # one-sided test of H: est_big <= ratio * est_small, at 3 stderr
+    r_small, r_big = small["discrepancies"][family], big["discrepancies"][family]
+    slack = 3.0 * math.sqrt(r_big["stderr"] ** 2 + (ratio * r_small["stderr"]) ** 2)
+    lhs = r_big["estimate"] - ratio * r_small["estimate"]
+    return _gate(name, lhs <= slack,
+                 "est %.3g -> %.3g, margin %.3g vs %.3g" %
+                 (r_small["estimate"], r_big["estimate"], lhs, slack))
+
+
+def _strict_decrease_gate(name, small, big, family) -> GateResult:
+    r_small, r_big = small["discrepancies"][family], big["discrepancies"][family]
+    drop = r_small["estimate"] - r_big["estimate"]
+    slack = 3.0 * math.sqrt(r_small["stderr"] ** 2 + r_big["stderr"] ** 2)
+    return _gate(name, drop > slack,
+                 "est %.3g -> %.3g, drop %.3g vs noise %.3g" %
+                 (r_small["estimate"], r_big["estimate"], drop, slack))
+
+
+def _smooth_bound_row(name, run) -> GateResult:
+    """The report's own smooth verdict, as simulate --check prints it."""
+    return GateResult(name, run["verdicts"]["smooth"], "est %.3g vs bound %.3g" % (
+        run["discrepancies"]["smooth"]["estimate"], run["bounds"]["smooth"]["value"]))
+
+
+def suite_rates(reps: int = 100_000) -> list:
+    """Decay-rate and non-vacuous-bound checks for the three statistics: five
+    simulate --check runs and the closed-form critical bound."""
+    if reps < 4:  # the clique n=100 check runs reps // 2
+        raise ValueError("reps must be >= 4 (got %d)" % reps)
+    seed = 20240
+    c40, c80, c100, l100, l400 = (matched_normal_report(mc.MCConfig(*spec)) for spec in (
+        ("clique", 40, 0.5, 2, reps, seed), ("clique", 80, 0.5, 2, reps, seed + 10),
+        ("clique", 100, 0.5, 1, reps // 2, seed + 20),
+        ("link", 100, 0.5, 1, reps, seed + 30, (1,)),
+        ("link", 400, 0.5, 1, reps, seed + 40, (1,))))
+    bn = [(n, bd.crit_bound(n, 2, 0.5).smooth.value * n) for n in (40, 80, 160)]
+    worst = max(b / a for (_, a), (_, b) in zip(bn, bn[1:]))
+    return [
+        _ratio_gate("clique d=2 smooth ratio<=0.75 n=40->80", c40, c80, "smooth", 0.75),
+        _ratio_gate("clique d=2 convex rate<=2^-1/4 n=40->80", c40, c80, "convex", 2.0 ** -0.25),
+        _smooth_bound_row("clique d=2 bound check n=40 (vacuous at this scale)", c40),
+        _smooth_bound_row("clique d=1 non-vacuous bound check n=100", c100),
+        _ratio_gate("link d=1 smooth no-increase n=100->400", l100, l400, "smooth", 1.0),
+        _strict_decrease_gate("link d=1 convex decrease n=100->400", l100, l400, "convex"),
+        _gate("critical grouped bound x n bounded (<=1.25x per doubling)", worst <= 1.25,
+              "; ".join("n=%d: %.4g" % t for t in bn)),
+    ]
 
 
 # ---------------------------------------------------------------------------
