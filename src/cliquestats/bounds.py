@@ -200,8 +200,8 @@ def _ustat_sum(k_vec, alpha_vec, beta) -> float:
         raise ValueError("k_vec and alpha_vec must have equal length")
     if any(k < 1 for k in k_vec):
         raise ValueError("subset sizes must be >= 1")
-    if any(a <= 0 for a in alpha_vec):
-        raise ValueError("variance floors must be positive")
+    if not all(0 < a < math.inf for a in alpha_vec):  # NaN fails too
+        raise ValueError("variance floors must be finite and positive")
     if beta < 0:
         raise ValueError("moment cap must be >= 0")
     K = [(2 * k * k - k) ** (-k / 2.0 + 0.5) for k in k_vec]

@@ -285,10 +285,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    except (ValueError, OSError, OverflowError, MemoryError) as exc:  # UsageError: ValueError
+    except (ValueError, OSError, OverflowError, ZeroDivisionError, MemoryError) as exc:
         given = " ".join(sys.argv[1:] if argv is None else argv)
-        if isinstance(exc, OverflowError):  # raised inside a formula: echo the values given
-            exc = "%s: overflow: %s" % (given, exc)
+        if isinstance(exc, ArithmeticError):  # raised inside a formula: echo the values given
+            exc = "%s: %s: %s" % (given, "overflow" if isinstance(exc, OverflowError)
+                                  else "division by zero", exc)
         elif isinstance(exc, MemoryError):  # e.g. pair variates of a very large n
             exc = "%s: out of memory: %s" % (given, str(exc) or "allocation failed")
         print("error: %s" % exc, file=sys.stderr)

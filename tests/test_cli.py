@@ -407,12 +407,50 @@ def test_morse_demo_out_of_memory_exit2(error, message, capsys, monkeypatch):
     ("bounds --theorem link --n 100 --t-size 1 --d 30 --p 0.5", "not finite"),
     ("bounds --theorem convex --d 2 --smooth-b inf", "not finite"),
     ("bounds --theorem ustat --k-vec 2,3 --alpha-vec 0.2,0.1 --beta inf", "not finite"),
+    # p ** -1 rounds to 1 at p = 1 - 2^-53, and 0.0 ** -1.5 divides by zero
+    ("bounds --theorem clique --n 40 --d 2 --p 0.9999999999999999", "division by zero"),
+    ("bounds --theorem link --n 40 --d 1 --t-size 1 --p 0.9999999999999999", "division by zero"),
+    ("simulate --kind clique --n 40 --d 2 --p 0.9999999999999999 --check", "division by zero"),
+    ("simulate --kind link --n 40 --d 1 --p 0.9999999999999999 --check", "division by zero"),
+    # the product of the floors underflows to 0
+    ("bounds --theorem ustat --k-vec 2 --alpha-vec 1e-320 --beta 1", "division by zero"),
+    ("bounds --theorem ustat --k-vec 2 --alpha-vec inf --beta 1", "finite and positive"),
+    ("bounds --theorem ustat-no-x --k-vec 2 --alpha-vec nan --beta 1", "finite and positive"),
 ])
 def test_overflow_and_infinite_values_exit2(args, message, capsys):
     assert cli.main(args.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def _strict(token):
+    raise ValueError("not JSON: %s" % token)
+
+
+# every kind through each numeric command at small n, with p at the edges of
+# (0, 1) where powers of p overflow, underflow or round to 1
+CONTRACT_PS = ("5e-324", "1e-160", repr(1 - 2 ** -53), repr(1 - 2 ** -52))
+CONTRACT_SWEEP = [
+    cmd % (kind, n, d, p) for p in CONTRACT_PS for kind in ("critical", "clique", "link")
+    for n, d in ((4, 1), (6, 2)) for cmd in (
+        "moments --kind %s --n %d --d %d --p %s",
+        "bounds --theorem %s --n %d --d %d --p %s",
+        "simulate --kind %s --n %d --d %d --p %s --replicates 50 --check")
+] + ["bounds --theorem ustat --k-vec 2 --alpha-vec %s --beta 1" % a for a in ("1e-320", "inf")]
+
+
+@pytest.mark.parametrize("args", CONTRACT_SWEEP)
+def test_contract_sweep_exits_0_with_json_or_2_with_one_line(args, capsys):
+    code = cli.main(args.split())
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        assert captured.err == ""
+        json.loads(captured.out, parse_constant=_strict)
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args,named", [
