@@ -285,6 +285,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # UsageError is a ValueError
     except (ValueError, OSError, OverflowError, ZeroDivisionError, MemoryError) as exc:
         given = " ".join(sys.argv[1:] if argv is None else argv)
         if isinstance(exc, ArithmeticError):  # raised inside a formula: echo the values given
