@@ -72,9 +72,8 @@ def _emit(args, payload: dict, text: str | None = None):
 
 
 def _spec_echo(args) -> dict:
-    skip = {"func", "output"}
     return {k: v for k, v in sorted(vars(args).items())
-            if k not in skip and v is not None}
+            if k not in ("func", "output") and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +106,11 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _fixed_subset(stat, t_size: int) -> tuple:
+    """The link's fixed vertex subset {1, ..., t_size}; the other kinds take none."""
+    return tuple(range(1, t_size + 1)) if stat.needs_t else ()
+
+
 def _number_list(text: str, flag: str, kind) -> list:
     try:
         return [kind(x) for x in text.split(",")]
@@ -119,7 +123,7 @@ def cmd_bounds(args) -> int:
     if th in KINDS:
         _need(args, "n", "p")
         stat = statistic(th)
-        stat.check(args.n, args.d, tuple(range(1, args.t_size + 1)) if stat.needs_t else ())
+        stat.check(args.n, args.d, _fixed_subset(stat, args.t_size))
         pair = stat.bound(args.n, args.d, args.p, args.t_size)
         reports = [pair.smooth, pair.convex]
     elif th == "convex":
@@ -144,21 +148,17 @@ def cmd_simulate(args) -> int:
     if args.check and args.format == "csv":
         raise UsageError("simulate --check does not take --format csv")
     stat = statistic(args.kind)
-    t = tuple(range(1, args.t_size + 1)) if stat.needs_t else ()
-    cfg = mc.MCConfig(args.kind, args.n, args.p, args.d, args.replicates,
-                      _seed(args), t=t, standardization=args.standardization)
+    cfg = mc.MCConfig(args.kind, args.n, args.p, args.d, args.replicates, _seed(args),
+                      t=_fixed_subset(stat, args.t_size), standardization=args.standardization)
     if args.check:
         _emit(args, {"run": vf.matched_normal_report(cfg, threads=args.threads)})
         return 0
     raw = mc.simulate_raw(cfg, threads=args.threads)
     std = mc.standardize(raw, cfg)
     if args.format == "csv":
-        header = ",".join(["T%d" % s for s in stat.sizes(cfg.d)]
-                          + ["W%d" % (i + 1) for i in range(cfg.d)])
-        lines = [header]
-        for r in range(raw.shape[0]):
-            lines.append(",".join("%.10g" % v for v in list(raw[r]) + list(std[r])))
-        _write(args.output, "\n".join(lines) + "\n")
+        rows = [["T%d" % s for s in stat.sizes(cfg.d)] + ["W%d" % (i + 1) for i in range(cfg.d)]]
+        rows += [["%.10g" % v for v in [*raw[r], *std[r]]] for r in range(len(raw))]
+        _write(args.output, "".join(",".join(row) + "\n" for row in rows))
         return 0
     cov = mc.empirical_cov(std)
     _emit(args, {
@@ -180,14 +180,12 @@ def cmd_verify(args) -> int:
         raise UsageError("suite %s does not take %s" % (
             args.suite, ", ".join("--" + f.replace("_", "-") for f in refused)))
     results = vf.run_suite(args.suite, **{takes[f]: getattr(args, f) for f in given})
-    lines = [r.row() for r in results]
     ok = all(r.ok for r in results)
-    payload = {"suite": args.suite,
-               "gates": [{"name": r.name, "status": r.status, "detail": r.detail}
-                         for r in results],
-               "passed": ok}
-    _emit(args, payload, text="\n".join(lines + ["", "suite %s: %s"
-                                                 % (args.suite, "PASS" if ok else "FAIL")]))
+    _emit(args, {"suite": args.suite, "passed": ok,
+                 "gates": [{"name": r.name, "status": r.status, "detail": r.detail}
+                           for r in results]},
+          text="\n".join([r.row() for r in results]
+                         + ["", "suite %s: %s" % (args.suite, "PASS" if ok else "FAIL")]))
     return 0 if ok else 1
 
 
@@ -222,12 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=False)
         p.add_argument("--p", type=float, required=False)
         p.add_argument("--d", type=int, default=1)
+        p.add_argument("--t-size", type=int, default=1)
         p.add_argument("-o", "--output", default=None)
 
     pm = sub.add_parser("moments", help="closed-form / oracle moment report")
     pm.add_argument("--kind", choices=KINDS, required=True)
     common(pm)
-    pm.add_argument("--t-size", type=int, default=1)
     pm.add_argument("--replicates", type=int, default=None,
                     help="empirical off-diagonal sample size (critical, n>6, d>1)")
     pm.add_argument("--master-seed", type=int, default=None)
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=[*KINDS, "convex", "ustat", "ustat-no-x"],
                     required=True)
     common(pb)
-    pb.add_argument("--t-size", type=int, default=1)
     pb.add_argument("--smooth-b", type=float, default=None)
     pb.add_argument("--k-vec", default=None)
     pb.add_argument("--alpha-vec", default=None)
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="seeded Monte Carlo sample dump")
     ps.add_argument("--kind", choices=KINDS, required=True)
     common(ps)
-    ps.add_argument("--t-size", type=int, default=1)
     ps.add_argument("--replicates", type=int, default=1000)
     ps.add_argument("--master-seed", type=int, default=None)
     ps.add_argument("--standardization", choices=["analytic", "empirical"],

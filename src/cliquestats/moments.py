@@ -103,12 +103,16 @@ def crit_mu(k: int, a: int, p: float) -> float:
     return p ** math.comb(k + 1, 2) * eta(a, k, p)
 
 
+class ZeroVarianceError(ValueError, ZeroDivisionError):
+    """A zero variance, which a bound or a standardization would divide by."""
+
+
 def sigma(variances) -> list[float]:
-    """Standard deviations of the given variances.  A zero one leaves its
-    component impossible to standardize, so it is an error."""
+    """Standard deviations of the given variances; a zero one is an error."""
     sd = [math.sqrt(v) for v in variances]
     if 0.0 in sd:
-        raise ValueError("a component has zero variance; cannot standardize")
+        raise ZeroVarianceError("component %d of %d has zero variance, and the bound or the "
+                                "standardization divides by it" % (sd.index(0.0) + 1, len(sd)))
     return sd
 
 

@@ -204,6 +204,20 @@ def test_bounds_critical_zero_variance_exit2():
     assert "zero variance" in res.stderr
 
 
+@pytest.mark.parametrize("args,component", [
+    # the critical variances underflow to 0 at p = 1e-160
+    ("bounds --theorem critical --n 6 --d 2 --p 1e-160", "1 of 2"),
+    ("simulate --kind critical --n 6 --d 2 --p 1e-160 --check", "1 of 2"),
+    ("bounds --theorem critical --n 3 --d 2 --p 0.5", "2 of 2"),
+])
+def test_zero_variance_exit2_echoes_the_command_and_names_the_component(args, component, capsys):
+    assert cli.main(args.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: %s: division by zero: component %s has zero variance, and the "
+                            "bound or the standardization divides by it\n" % (args, component))
+
+
 def test_simulate_empirical_degenerate_exit2():
     # every replicate of K4 has 6 edges: no sample variance to scale by
     res = run_cli("simulate", "--kind", "clique", "--n", "4", "--p", "1.0", "--d", "1",

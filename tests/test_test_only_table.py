@@ -2,12 +2,12 @@
 `module.name` it lists exists in that module, and no src module refers to
 it outside its own definition."""
 
-import ast
 import importlib
 import pathlib
 
+from ast_uses import src_uses
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "cliquestats"
 
 
 def _table_names():
@@ -19,31 +19,12 @@ def _table_names():
     return [tuple(cell.split(".")) for cell in cells]
 
 
-def _references(tree, module, owner, name):
-    """Line of each use of name in tree (a Name, an attribute or an import),
-    outside the top-level definition of name when module is its owner."""
-    return [node.lineno for top in tree.body
-            if not (module == owner and getattr(top, "name", None) == name)
-            for node in ast.walk(top)
-            if getattr(node, "id", None) == name or getattr(node, "attr", None) == name
-            or isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)]
-
-
 def test_table_lists_only_statements_no_src_module_reaches():
     names = _table_names()
     assert names and all(len(row) == 2 for row in names), names
     for owner, name in names:
         assert hasattr(importlib.import_module("cliquestats." + owner), name), (owner, name)
-        found = ["%s:%d" % (path.name, line) for path in sorted(SRC.glob("*.py"))
-                 for line in _references(ast.parse(path.read_text(encoding="utf-8")),
-                                         path.stem, owner, name)]
+        found = ["%s:%d" % (module, u.line) for module, u in src_uses()
+                 if not (module == owner and u.top == name)
+                 and u.kind in ("name", "import") and u.name.split(".")[-1] == name]
         assert not found, (owner, name, found)
-
-
-def test_reference_finder_sees_each_form():
-    src = ("from .moments import link_cov_lower\n"
-           "def link_cov_lower(n):\n    return link_cov_lower(n - 1)\n"
-           "def f(n):\n    return mo.link_cov_lower(n) + link_cov_lower(n)\n")
-    assert _references(ast.parse(src), "bounds", "moments", "link_cov_lower") == [1, 3, 5, 5]
-    # in its own module, the definition and the calls inside it are not uses
-    assert _references(ast.parse(src), "moments", "moments", "link_cov_lower") == [1, 5, 5]
