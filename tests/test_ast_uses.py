@@ -2,6 +2,8 @@
 
 import ast
 
+import pytest
+
 from ast_uses import reached, uses, within
 from test_fan_out import POOL_NAMES
 from test_kind_dispatch import KIND_NAMES
@@ -10,40 +12,38 @@ from test_morse_independence import FORMULA
 from test_pair_layout import GENERATOR_CALLS, LAYOUT_CALLS
 
 CALL, POOL, TABLE = ["call"], ["import", "name"], "_small_graph_counts"
-# (use kinds, names, sources in each of which the scan finds such a use)
-FOUND = [
-    (["compare"], KIND_NAMES, ['kind == "link"', '"clique" != kind', 'kind in ("x", "critical")',
-                               'kind in ["clique"]', 'kind in {"link"}',
-                               'match kind:\n    case "link":\n        pass\n']),
-    (POOL, POOL_NAMES, ["import concurrent.futures", "import multiprocessing as mp",
-                        "from concurrent.futures import ProcessPoolExecutor",
-                        "from multiprocessing import Pool", "futures.ProcessPoolExecutor(2)",
-                        "ProcessPoolExecutor(max_workers=2)", "multiprocessing.get_context('f')"]),
-    (CALL, LAYOUT_CALLS, ["np.packbits(x)", "numpy.unpackbits(x, count=3)", "np.tri(4, k=-1)",
-                          "int.from_bytes(b, 'little')", "mask.to_bytes(2, 'little')",
-                          "(1 << 9).to_bytes(2, 'little')", "packbits(x)", "f(unpackbits(x))"]),
-    (CALL, GENERATOR_CALLS, ["np.random.Philox(key=k)", "numpy.random.Generator(bitgen)",
-                             "Philox(k)", "np.random.default_rng([1, 2])"]),
-    (CALL, {"sample_gnp"}, ["sample_gnp(params, stream=r)", "graphs.sample_gnp(params)"]),
-]
-NOT_FOUND = [
-    (CALL, LAYOUT_CALLS, ["np.triu_indices(s, 1)"]),  # a rectangle's index pairs
-    (CALL, GENERATOR_CALLS, ["gnp_generator(seed, r)"]),  # the library's keyed generator
-    (POOL, POOL_NAMES, ["os.sched_getaffinity(0)"]),
+# rule: (use kinds, names, sources in each of which the scan finds such a use, look-alikes)
+FORMS = {
+    "kind_compare": (["compare"], KIND_NAMES, [
+        'kind == "link"', '"clique" != kind', 'kind in ("x", "critical")', 'kind in ["clique"]',
+        'kind in {"link"}', 'match kind:\n    case "link":\n        pass\n'], []),
+    "pool": (POOL, POOL_NAMES, [
+        "import concurrent.futures", "import multiprocessing as mp",
+        "from concurrent.futures import ProcessPoolExecutor", "from multiprocessing import Pool",
+        "futures.ProcessPoolExecutor(2)", "ProcessPoolExecutor(max_workers=2)",
+        "multiprocessing.get_context('f')"], ["os.sched_getaffinity(0)"]),
+    "layout_call": (CALL, LAYOUT_CALLS, [
+        "np.packbits(x)", "numpy.unpackbits(x, count=3)", "np.tri(4, k=-1)", "packbits(x)",
+        "int.from_bytes(b, 'little')", "mask.to_bytes(2, 'little')", "f(unpackbits(x))",
+        "(1 << 9).to_bytes(2, 'little')"], ["np.triu_indices(s, 1)"]),  # a rectangle's index pairs
+    "generator_call": (CALL, GENERATOR_CALLS, [
+        "np.random.Philox(key=k)", "numpy.random.Generator(bitgen)", "Philox(k)",
+        "np.random.default_rng([1, 2])"],
+        ["gnp_generator(seed, r)"]),  # the library's keyed generator
+    "sample_gnp_call": (CALL, {"sample_gnp"},
+                        ["sample_gnp(params, stream=r)", "graphs.sample_gnp(params)"], []),
     # defining or annotating with a class, importing, naming or passing a function is no call
-    (CALL, MATCHING | {"MomentReport"}, ["class MomentReport:\n    pass\n", "run(mvn_samples)",
-                                         "def h() -> MomentReport:\n    pass\n",
-                                         "from .montecarlo import smooth_discrepancy",
-                                         "est = [mc.convex_discrepancy]"]),
-]
+    "no_call": (CALL, MATCHING | {"MomentReport"}, [], [
+        "class MomentReport:\n    pass\n", "run(mvn_samples)", "est = [mc.convex_discrepancy]",
+        "def h() -> MomentReport:\n    pass\n", "from .montecarlo import smooth_discrepancy"]),
+}
 
 
-def test_each_form_is_found_and_no_look_alike():
-    for expected, cases in ((True, FOUND), (False, NOT_FOUND)):
-        for kinds, names, sources in cases:
-            for src in sources:
-                assert expected == any(u.kind in kinds and names & set(u.name.split("."))
-                                       for u in uses(ast.parse(src))), src
+@pytest.mark.parametrize("kinds, names, found, look_alikes", FORMS.values(), ids=list(FORMS))
+def test_each_form_is_found_and_no_look_alike(kinds, names, found, look_alikes):
+    for expected, src in [(True, s) for s in found] + [(False, s) for s in look_alikes]:
+        assert expected == any(u.kind in kinds and names & set(u.name.split("."))
+                               for u in uses(ast.parse(src))), src
 
 
 def test_imports_are_dotted_targets_with_their_top_level_defs():
