@@ -61,19 +61,17 @@ def _write(path, text: str) -> None:
 
 
 def _emit(args, payload: dict, text: str | None = None):
-    """Write the JSON report to -o, or to stdout; text, when given, goes to
-    stdout in the JSON's place."""
-    payload = {"version": __version__, "spec": _spec_echo(args), **payload}
+    """Write the JSON report, which echoes the run spec, to -o, or to stdout;
+    text, when given, goes to stdout in the JSON's place."""
+    skip = {"func", "output"}
+    spec = {k: v for k, v in sorted(vars(args).items())
+            if k not in skip and v is not None}
+    payload = {"version": __version__, "spec": spec, **payload}
     out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
         _write(args.output, out)
     if text or not args.output:
         _write(None, text + "\n" if text else out)
-
-
-def _spec_echo(args) -> dict:
-    return {k: v for k, v in sorted(vars(args).items())
-            if k not in ("func", "output") and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +128,13 @@ def cmd_bounds(args) -> int:
         if args.smooth_b is None:
             raise UsageError("--smooth-b required for the convex transfer")
         reports = [bd.convex_bound(args.d, args.smooth_b)]
-    elif th in ("ustat", "ustat-no-x"):
+    else:  # ustat or ustat-no-x: argparse refuses any other theorem
         if not args.k_vec or not args.alpha_vec or args.beta is None:
             raise UsageError("ustat bounds need --k-vec, --alpha-vec, --beta")
         k_vec = _number_list(args.k_vec, "--k-vec", int)
         alpha = _number_list(args.alpha_vec, "--alpha-vec", float)
         fn = bd.ustat_bound if th == "ustat" else bd.ustat_no_x_bound
         reports = [fn(k_vec, alpha, args.beta)]
-    else:
-        raise UsageError("unknown theorem %r" % th)
     _emit(args, {"reports": [r.as_dict() for r in reports]})
     return 0
 
@@ -156,9 +152,12 @@ def cmd_simulate(args) -> int:
     raw = mc.simulate_raw(cfg, threads=args.threads)
     std = mc.standardize(raw, cfg)
     if args.format == "csv":
-        rows = [["T%d" % s for s in stat.sizes(cfg.d)] + ["W%d" % (i + 1) for i in range(cfg.d)]]
-        rows += [["%.10g" % v for v in [*raw[r], *std[r]]] for r in range(len(raw))]
-        _write(args.output, "".join(",".join(row) + "\n" for row in rows))
+        header = ",".join(["T%d" % s for s in stat.sizes(cfg.d)]
+                          + ["W%d" % (i + 1) for i in range(cfg.d)])
+        lines = [header]
+        for r in range(raw.shape[0]):
+            lines.append(",".join("%.10g" % v for v in list(raw[r]) + list(std[r])))
+        _write(args.output, "\n".join(lines) + "\n")
         return 0
     cov = mc.empirical_cov(std)
     _emit(args, {
@@ -180,12 +179,11 @@ def cmd_verify(args) -> int:
         raise UsageError("suite %s does not take %s" % (
             args.suite, ", ".join("--" + f.replace("_", "-") for f in refused)))
     results = vf.run_suite(args.suite, **{takes[f]: getattr(args, f) for f in given})
+    lines = [r.row() for r in results]
     ok = all(r.ok for r in results)
-    _emit(args, {"suite": args.suite, "passed": ok,
-                 "gates": [{"name": r.name, "status": r.status, "detail": r.detail}
-                           for r in results]},
-          text="\n".join([r.row() for r in results]
-                         + ["", "suite %s: %s" % (args.suite, "PASS" if ok else "FAIL")]))
+    payload = {"suite": args.suite, "gates": [vars(r) for r in results], "passed": ok}
+    _emit(args, payload, text="\n".join(lines + ["", "suite %s: %s"
+                                                 % (args.suite, "PASS" if ok else "FAIL")]))
     return 0 if ok else 1
 
 

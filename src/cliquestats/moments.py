@@ -108,7 +108,8 @@ class ZeroVarianceError(ValueError, ZeroDivisionError):
 
 
 def sigma(variances) -> list[float]:
-    """Standard deviations of the given variances; a zero one is an error."""
+    """Standard deviations of the given variances.  A zero one is an error:
+    its component cannot be standardized, nor its bound computed."""
     sd = [math.sqrt(v) for v in variances]
     if 0.0 in sd:
         raise ZeroVarianceError("component %d of %d has zero variance, and the bound or the "

@@ -69,9 +69,9 @@ def within(target: str, module: str) -> bool:
 
 
 def reached(found, roots) -> set:
-    """The top-level functions and classes in found that roots are or name, at any depth."""
+    """The top-level defs in found that the defined roots are or name, at any depth."""
     defs = {u.name for u in found if u.kind == "def" and u.top is None}
-    reach, todo = set(), list(roots)
+    reach, todo = set(), [root for root in roots if root in defs]
     while todo:
         name = todo.pop()
         if name not in reach:

@@ -93,9 +93,9 @@ def test_reached_follows_calls_passed_functions_and_classes():
                 "class M:\n    def __init__(self, g):\n        clique_walk(g, 1, 2)\n"]:
         found = uses(ast.parse(src))
         assert FORMULA & {u.name for u in found if u.top in reached(found, [found[0].name])}, src
-    # a walk that the direct side does not reach is not its use
+    # a walk the direct side does not reach is not its use, and a root not defined is not reached
     found = uses(ast.parse("def lex_matching(g):\n    return clique_lists(g, 2)\n"
                            "def clique_lists(g, top):\n    return []\n"
                            "def critical_counts_formula(g):\n    return clique_walk(g, 1, 2)\n"))
-    assert reached(found, ["lex_matching"]) == {"lex_matching", "clique_lists"}
+    assert reached(found, ["lex_matching", "renamed"]) == {"lex_matching", "clique_lists"}
     assert not FORMULA & {u.name for u in found if u.top in {"lex_matching", "clique_lists"}}

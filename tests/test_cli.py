@@ -197,25 +197,29 @@ def test_verify_output_embeds_spec(tmp_path):
     assert payload["spec"]["command"] == "verify"
 
 
+ZERO_VARIANCE = ("error: %s: division by zero: component %s has zero variance, and the bound "
+                 "or the standardization divides by it\n")
+
+
 def test_bounds_critical_zero_variance_exit2():
     # no critical 2-simplex exists on 3 vertices, so its variance is 0
-    res = run_cli("bounds", "--theorem", "critical", "--n", "3", "--d", "2", "--p", "0.5")
+    args = "bounds --theorem critical --n 3 --d 2 --p 0.5"
+    res = run_cli(*args.split())
     assert res.returncode == 2
     assert "zero variance" in res.stderr
+    assert res.stderr == ZERO_VARIANCE % (args, "2 of 2")
 
 
-@pytest.mark.parametrize("args,component", [
+@pytest.mark.parametrize("args", [
     # the critical variances underflow to 0 at p = 1e-160
-    ("bounds --theorem critical --n 6 --d 2 --p 1e-160", "1 of 2"),
-    ("simulate --kind critical --n 6 --d 2 --p 1e-160 --check", "1 of 2"),
-    ("bounds --theorem critical --n 3 --d 2 --p 0.5", "2 of 2"),
+    "bounds --theorem critical --n 6 --d 2 --p 1e-160",
+    "simulate --kind critical --n 6 --d 2 --p 1e-160 --check",
 ])
-def test_zero_variance_exit2_echoes_the_command_and_names_the_component(args, component, capsys):
+def test_zero_variance_exit2_echoes_the_command_and_names_the_component(args, capsys):
     assert cli.main(args.split()) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: %s: division by zero: component %s has zero variance, and the "
-                            "bound or the standardization divides by it\n" % (args, component))
+    assert captured.err == ZERO_VARIANCE % (args, "1 of 2")
 
 
 def test_simulate_empirical_degenerate_exit2():

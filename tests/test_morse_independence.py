@@ -15,6 +15,6 @@ FORMULA = {"clique_walk", "clique_levels", "critical_counts_formula"}
 def test_direct_morse_gates_use_no_formula_walk():
     found = [u for module, u in src_uses() if module in ("morse", "graphs")]
     reach = reached(found, DIRECT)
-    assert "clique_lists" in reach  # the walk helper is inside the guard
+    assert {*DIRECT, "clique_lists"} <= reach  # no root renamed away; the walk helper inside
     assert not ["%s uses %s" % (u.top, u.name) for u in found
                 if u.top in reach and u.kind == "name" and u.name in FORMULA]
