@@ -87,26 +87,37 @@ def cmd_moments(args) -> int:
     _need(args, "n", "p")
     if args.replicates is not None and args.replicates < 2:
         raise UsageError("need at least 2 replicates")
+    stat = statistic(args.kind)
+    sampled = stat.cov is None and args.d > 1 and args.n > MAX_ENUM_VERTICES
+    if args.replicates is not None and not sampled:
+        raise UsageError("--replicates is read only where the off-diagonals are sampled "
+                         "(no closed form, d > 1, n > %d)" % MAX_ENUM_VERTICES)
+    _fixed_subset(args, stat)
     _seed(args)  # echoed in the spec
     offdiag = None
-    if statistic(args.kind).cov is None and args.d > 1:
-        if args.n <= MAX_ENUM_VERTICES:
-            em = orc.exact_moments(args.kind, args.n, args.p, args.d)
-            offdiag = (em.cov, "exact-oracle")
-        else:
-            raw = mc.simulate_raw(mc.MCConfig(
-                args.kind, args.n, args.p, args.d,
-                20_000 if args.replicates is None else args.replicates, args.master_seed))
-            offdiag = (mc.empirical_cov(raw).tolist(), "empirical")
+    if sampled:
+        raw = mc.simulate_raw(mc.MCConfig(
+            args.kind, args.n, args.p, args.d,
+            20_000 if args.replicates is None else args.replicates, args.master_seed))
+        offdiag = (mc.empirical_cov(raw).tolist(), "empirical")
+    elif stat.cov is None and args.d > 1:
+        em = orc.exact_moments(args.kind, args.n, args.p, args.d)
+        offdiag = (em.cov, "exact-oracle")
     rep = mo.statistic_cov_matrix(args.kind, args.n, args.d, args.p,
                                   t_size=args.t_size, oracle_offdiag=offdiag)
     _emit(args, {"report": rep.as_dict()})
     return 0
 
 
-def _fixed_subset(stat, t_size: int) -> tuple:
-    """The link's fixed vertex subset {1, ..., t_size}; the other kinds take none."""
-    return tuple(range(1, t_size + 1)) if stat.needs_t else ()
+def _fixed_subset(args, stat) -> tuple:
+    """The link's fixed vertex subset {1, ..., --t-size}.  A kind that takes none,
+    or a theorem that is no kind (stat None), refuses the flag; an absent
+    --t-size is 1, which the spec echoes."""
+    takes = stat is not None and stat.needs_t
+    if args.t_size is not None and not takes:
+        raise UsageError("--t-size is read only by a kind with a fixed subset")
+    args.t_size = 1 if args.t_size is None else args.t_size
+    return tuple(range(1, args.t_size + 1)) if takes else ()
 
 
 def _number_list(text: str, flag: str, kind) -> list:
@@ -118,10 +129,11 @@ def _number_list(text: str, flag: str, kind) -> list:
 
 def cmd_bounds(args) -> int:
     th = args.theorem
-    if th in KINDS:
+    stat = statistic(th) if th in KINDS else None
+    t = _fixed_subset(args, stat)
+    if stat is not None:
         _need(args, "n", "p")
-        stat = statistic(th)
-        stat.check(args.n, args.d, _fixed_subset(stat, args.t_size))
+        stat.check(args.n, args.d, t)
         pair = stat.bound(args.n, args.d, args.p, args.t_size)
         reports = [pair.smooth, pair.convex]
     elif th == "convex":
@@ -145,7 +157,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("simulate --check does not take --format csv")
     stat = statistic(args.kind)
     cfg = mc.MCConfig(args.kind, args.n, args.p, args.d, args.replicates, _seed(args),
-                      t=_fixed_subset(stat, args.t_size), standardization=args.standardization)
+                      t=_fixed_subset(args, stat), standardization=args.standardization)
     if args.check:
         _emit(args, {"run": vf.matched_normal_report(cfg, threads=args.threads)})
         return 0
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=False)
         p.add_argument("--p", type=float, required=False)
         p.add_argument("--d", type=int, default=1)
-        p.add_argument("--t-size", type=int, default=1)
+        p.add_argument("--t-size", type=int, default=None)
         p.add_argument("-o", "--output", default=None)
 
     pm = sub.add_parser("moments", help="closed-form / oracle moment report")

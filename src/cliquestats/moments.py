@@ -1,10 +1,9 @@
 """Closed-form moments for the three counting statistics.
 
-Critical counts: exact mean (the full alternating sum), a two-sided mean
-bracket, the four-part variance decomposition, the clamped variance lower
-bound, and the Markov tail bound for truncation.  Link counts: mean and the
-exact overlap-sum covariance plus its single-overlap lower bound.  Clique
-counts: mean and exact covariance.  All binomial coefficients with
+Critical counts: exact mean (the full alternating sum), the four-part
+variance decomposition, the clamped variance lower bound, and the Markov tail
+bound for truncation.  Link counts: mean and the exact overlap-sum covariance.
+Clique counts: mean and exact covariance.  All binomial coefficients with
 out-of-range arguments are 0, and 0^0 evaluates to 1.
 
 The variance decomposition follows the two-family overlap derivation (pairs
@@ -125,20 +124,6 @@ def crit_mean(n: int, k: int, p: float) -> float:
         comb0(n - l - 1, k) * ((1.0 - p ** (k + 1)) ** l - (1.0 - p ** k) ** l)
         for l in range(0, n - k))
     return p ** math.comb(k + 1, 2) * s
-
-
-def crit_mean_bounds(n: int, k: int, p: float) -> tuple[float, float]:
-    """Two-sided bracket for the critical mean."""
-    _check_crit_args(n, k)
-    check_p(p)
-    c = math.comb(k + 1, 2)
-    lo = p ** (c + k) * comb0(n - 2, k) * (1.0 - p)
-    hi_exp = c - k - 1
-    if p == 0.0 and hi_exp < 0:
-        hi = math.inf
-    else:
-        hi = p ** hi_exp * comb0(n - 1, k) * (1.0 - p)
-    return lo, hi
 
 
 def crit_variance(n: int, k: int, p: float) -> float:
@@ -331,18 +316,6 @@ def link_cov(n: int, t_size: int, k: int, l: int, p: float) -> float:
         comb0(n - t_size, k + 1) * comb0(k + 1, m) * comb0(n - t_size - k - 1, l + 1 - m)
         * mu_k * mu_l * (p ** (-math.comb(m, 2) - t_size * m) - 1.0)
         for m in range(1, l + 2))
-
-
-def link_cov_lower(n: int, t_size: int, k: int, l: int, p: float) -> float:
-    """Single-overlap lower bound on the link covariance."""
-    _check_link_args(n, t_size, max(k, l))
-    check_p(p)
-    if not 0.0 < p < 1.0:
-        return 0.0
-    if k < l:
-        k, l = l, k
-    return ((k + 1) * comb0(n - t_size, l + k + 1) * comb0(l + k + 1, l)
-            * link_mu(t_size, k, p) * link_mu(t_size, l, p) * (p ** (-t_size) - 1.0))
 
 
 def clique_mean(n: int, k: int, p: float) -> float:

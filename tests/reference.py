@@ -4,9 +4,13 @@ reference that kinds._small_graph_counts' tables must equal), the walk's
 critical minima, and a hypothesis strategy for small graphs.  Also the
 convex discrepancy estimator as it was before its cuts, blocks and
 histogram were computed in fewer passes: the reference that
-montecarlo.convex_discrepancy must equal bit for bit.  And the paper's
-general dissociated-sum bound on a fully enumerated instance, which the
-printed bounds of bounds.py must dominate at n <= 6."""
+montecarlo.convex_discrepancy must equal bit for bit.  The oracle law's
+moments summed atom by atom over Python tuples and floats, which
+ExactDistribution.moments must equal bit for bit.  Two paper statements no
+command prints: the two-sided bracket of the critical mean and the
+single-overlap lower bound on the link covariance.  And the paper's general
+dissociated-sum bound on a fully enumerated instance, which the printed
+bounds of bounds.py must dominate at n <= 6."""
 
 import itertools
 import math
@@ -23,7 +27,7 @@ from cliquestats.graphs import (MAX_ENUM_VERTICES, EnumerationCapError, Graph, c
 from cliquestats.montecarlo import (HALFSPACE_DIRECTIONS, QUANTILE_CUTS, ConvexFamily,
                                     DiscrepancyReport, _columns, _runs)
 from cliquestats.kinds import statistic
-from cliquestats.moments import crit_mu, link_mu, sigma
+from cliquestats.moments import _check_crit_args, _check_link_args, comb0, crit_mu, link_mu, sigma
 from cliquestats.morse import _below_mask, critical_counts_formula
 
 
@@ -158,6 +162,51 @@ def convex_discrepancy(w_samples, z_samples, bound=None, seed: int = 0) -> Discr
             best = (float(est[i]), math.sqrt(pw[i] * (1.0 - pw[i]) / len(w)
                                              + pz[i] * (1.0 - pz[i]) / len(z)))
     return DiscrepancyReport(best[0], best[1], family.description, bound)
+
+
+def law_moments(dist):
+    """The mean and covariance of an oracle law as exact_moments summed them
+    before the law owned its moments: math.fsum over the atoms as tuples of
+    ints and floats, each covariance term w * (v[a] - mean[a]) * (v[b] - mean[b])."""
+    support = [tuple(v) for v in dist.points.tolist()]
+    probabilities = dist.weights.tolist()
+    d = dist.points.shape[1]
+    mean = [math.fsum(w * v[a] for v, w in zip(support, probabilities))
+            for a in range(d)]
+    cov = [[math.fsum(w * (v[a] - mean[a]) * (v[b] - mean[b])
+                      for v, w in zip(support, probabilities))
+            for b in range(d)] for a in range(d)]
+    return mean, cov
+
+
+# ---------------------------------------------------------------------------
+# paper statements that no command prints
+
+
+def crit_mean_bounds(n: int, k: int, p: float) -> tuple[float, float]:
+    """Two-sided bracket for the critical mean."""
+    _check_crit_args(n, k)
+    check_p(p)
+    c = math.comb(k + 1, 2)
+    lo = p ** (c + k) * comb0(n - 2, k) * (1.0 - p)
+    hi_exp = c - k - 1
+    if p == 0.0 and hi_exp < 0:
+        hi = math.inf
+    else:
+        hi = p ** hi_exp * comb0(n - 1, k) * (1.0 - p)
+    return lo, hi
+
+
+def link_cov_lower(n: int, t_size: int, k: int, l: int, p: float) -> float:
+    """Single-overlap lower bound on the link covariance."""
+    _check_link_args(n, t_size, max(k, l))
+    check_p(p)
+    if not 0.0 < p < 1.0:
+        return 0.0
+    if k < l:
+        k, l = l, k
+    return ((k + 1) * comb0(n - t_size, l + k + 1) * comb0(l + k + 1, l)
+            * link_mu(t_size, k, p) * link_mu(t_size, l, p) * (p ** (-t_size) - 1.0))
 
 
 # ---------------------------------------------------------------------------

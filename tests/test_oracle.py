@@ -12,29 +12,35 @@ from cliquestats import verify as vf
 from cliquestats.oracle import ExactDistribution, exact_distribution, exact_moments
 from cliquestats.graphs import EnumerationCapError
 from cliquestats.kinds import STATS, _small_graph_counts
-from reference import GRAPH_COUNTS, all_graphs
+from reference import GRAPH_COUNTS, all_graphs, law_moments
 
 TABLE_KINDS = [("critical", ()), ("clique", ()), ("link", (2,)), ("link", (1, 3))]
 LINK_TS = [(1,), (2, 4), (2, 3), (1, 2, 3)]
+MOMENT_KINDS = [("critical", ()), ("clique", ()),
+                ("link", (1,)), ("link", (2,)), ("link", (1, 3)), ("link", (2, 4))]
+
+
+def _pmf(dist):
+    """The law as {count tuple: mass}."""
+    return dict(zip(map(tuple, dist.points.tolist()), dist.weights.tolist()))
 
 
 def test_distribution_critical_n3():
     dist = exact_distribution("critical", 3, 0.5, 1)
-    pmf = dict(zip(dist.support, dist.probabilities))
+    pmf = _pmf(dist)
     assert set(pmf) == {(0,), (1,)}
     assert math.isclose(pmf[(1,)], 1.0 / 8.0, rel_tol=1e-12)
-    assert math.isclose(sum(dist.probabilities), 1.0, abs_tol=1e-12)
+    assert math.isclose(dist.expect(np.ones_like)[0], 1.0, abs_tol=1e-12)
 
 
 def test_distribution_clique_point_mass():
     dist = exact_distribution("clique", 3, 1.0, 2)
-    assert dist.support == [(3, 1)]
-    assert dist.probabilities == [1.0]
+    assert dist.points.tolist() == [[3, 1]]
+    assert dist.weights.tolist() == [1.0]
 
 
 def test_distribution_link_binomial():
-    dist = exact_distribution("link", 3, 0.5, 1, t=(1,))
-    pmf = dict(zip(dist.support, dist.probabilities))
+    pmf = _pmf(exact_distribution("link", 3, 0.5, 1, t=(1,)))
     for m in range(3):
         assert math.isclose(pmf[(m,)], math.comb(2, m) * 0.5 ** 2, rel_tol=1e-12)
 
@@ -72,8 +78,8 @@ def test_cap_and_param_errors():
 
 def test_serialization_sorted_support():
     dist = exact_distribution("clique", 4, 0.5, 2)
-    assert dist.support == sorted(dist.support)
-    assert len(dist.probabilities) == len(dist.support)
+    assert dist.points.tolist() == sorted(dist.points.tolist())
+    assert dist.weights.shape == (len(dist.points),)
 
 
 def test_oracle_gate_fails_an_infinite_closed_form(monkeypatch):
@@ -141,23 +147,44 @@ def _per_graph_distribution(kind, n, p, d, t=None):
     params = {"n": n, "p": p, "d": d}
     if t is not None:
         params["t"] = list(t)
-    return ExactDistribution(kind, params, support, [masses[v] for v in support])
+    return ExactDistribution(kind, params, np.array(support, dtype=np.int64),
+                             np.array([masses[v] for v in support]))
+
+
+def _specs(kind, t):
+    """(n, d) of every oracle spec of the kind at this t."""
+    return [(n, d) for n in range(max((2, *t)), 7)
+            for d in range(1, n - len(t) + 2 - STATS[kind].first_size)]
 
 
 @pytest.mark.parametrize("kind,t", TABLE_KINDS)
 def test_exact_distribution_matches_per_graph_reference(kind, t):
     _small_graph_counts.cache_clear()
-    stat = STATS[kind]
     ps = (0.0, 1e-300, 0.2, 0.5, 1 - 1e-16, 1.0)  # the table built at p = 0 serves the rest
-    specs = [(n, d) for n in range(max((2, *t)), 7)
-             for d in range(1, n - len(t) + 2 - stat.first_size)]
+    specs = _specs(kind, t)
     for n, d in specs:
         for p in ps:
-            # repr tells signed zeros and ints from floats apart
-            assert (repr(exact_distribution(kind, n, p, d, t or None))
-                    == repr(_per_graph_distribution(kind, n, p, d, t or None)))
+            got = exact_distribution(kind, n, p, d, t or None)
+            want = _per_graph_distribution(kind, n, p, d, t or None)
+            assert (got.kind, repr(got.params)) == (want.kind, repr(want.params))
+            # dtypes tell ints from floats, and the weights' bits +0 from -0
+            assert (got.points.dtype, got.weights.dtype) == (np.int64, np.float64)
+            assert (got.points.shape, got.weights.shape) == (want.points.shape, want.weights.shape)
+            assert np.array_equal(got.points, want.points)
+            assert np.array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
     info = _small_graph_counts.cache_info()
     assert (info.misses, info.hits) == (len(specs), len(specs) * (len(ps) - 1))
+
+
+@pytest.mark.parametrize("kind,t", MOMENT_KINDS)
+def test_moments_match_the_summation_reference(kind, t):
+    """The law's mean and covariance, and exact_moments', equal the atom-by-atom fsums
+    bit for bit, at every spec and at p where powers of p underflow or round to 1."""
+    for n, d in _specs(kind, t):
+        for p in (0.0, 1e-300, 0.2, 0.37, 0.5, 0.8, 1 - 1e-16, 1.0):
+            want = repr(law_moments(exact_distribution(kind, n, p, d, t or None)))
+            em = exact_moments(kind, n, p, d, t or None)
+            assert repr((em.mean, em.cov)) == want, (n, d, p)
 
 
 def test_t_is_echoed_only_for_a_kind_that_takes_it():
