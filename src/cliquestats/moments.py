@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,6 +127,11 @@ def crit_mean(n: int, k: int, p: float) -> float:
     return p ** math.comb(k + 1, 2) * s
 
 
+# One matched-normal check asks for each (n, k, p) three times: its analytic
+# sd, crit_bound's sigmas and the moment report.  typed: an n or p of another
+# type (10.0, np.float64) is its own entry, so it still fails or returns as
+# the uncached call does.
+@lru_cache(maxsize=256, typed=True)
 def crit_variance(n: int, k: int, p: float) -> float:
     """Var of the critical count at size k+1, exact."""
     _check_crit_args(n, k)

@@ -206,11 +206,10 @@ def smooth_family(d: int) -> list:
 
 
 def _logistic(u: np.ndarray) -> np.ndarray:
-    # exp(-|u|) is exp(-u) where u >= 0 and exp(u) where u < 0: neither side
-    # overflows, and each element gets the operations of the masked form,
-    # 1/(1+e) or e/(1+e)
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+    # exp(min(u, 0)) / (1 + exp(-|u|)) is 1/(1+exp(-u)) where u >= 0 and
+    # exp(u)/(1+exp(u)) where u < 0, the masked form's operations per element;
+    # neither exp overflows, and no select follows the data's sign
+    return np.exp(np.minimum(u, 0.0)) / (1.0 + np.exp(-np.abs(u)))
 
 
 def _runs(pairs):
@@ -333,7 +332,10 @@ def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
     (-inf, cuts..., +inf).  Cells are counted as integers, then divided by
     the row count."""
     shape = tuple(len(g) + 1 for g in grid)
-    cells = np.ravel_multi_index(tuple(np.searchsorted(g, col, side="right")
+    # a value's cell index on an axis is its count of cuts <= it, which is
+    # searchsorted(g, col, side="right") for the sorted cuts, without the
+    # binary search's mispredicted branches
+    cells = np.ravel_multi_index(tuple(np.count_nonzero(col >= g[:, None], axis=0)
                                        for g, col in zip(grid, samples.T)), shape)
     cum = np.bincount(cells, minlength=math.prod(shape)).reshape(shape) / len(samples)
     for axis in range(len(shape)):
@@ -383,8 +385,10 @@ def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,
         est = np.abs(pw - pz)
         i = int(np.argmax(est))
         if est[i] > best[0]:
-            best = (float(est[i]), math.sqrt(pw[i] * (1.0 - pw[i]) / len(w)
-                                             + pz[i] * (1.0 - pz[i]) / len(z)))
+            # inclusion-exclusion can round a probability to -1e-16, whose
+            # p(1 - p) would be a negative variance
+            best = (float(est[i]), math.sqrt(max(pw[i] * (1.0 - pw[i]), 0.0) / len(w)
+                                             + max(pz[i] * (1.0 - pz[i]), 0.0) / len(z)))
     return DiscrepancyReport(best[0], best[1], family.description, bound)
 
 

@@ -114,7 +114,8 @@ def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
 
 
 def rect_probs(samples: np.ndarray, grid) -> np.ndarray:
-    """montecarlo._rect_probs with the histogram filled by np.add.at."""
+    """montecarlo._rect_probs with right-side searchsorted cell indices and
+    the histogram filled by np.add.at."""
     d = samples.shape[1]
     shape = tuple(len(g) + 1 for g in grid)
     idx = tuple(np.searchsorted(grid[i], samples[:, i], side="right")
@@ -159,8 +160,8 @@ def convex_discrepancy(w_samples, z_samples, bound=None, seed: int = 0) -> Discr
         est = np.abs(pw - pz)
         i = int(np.argmax(est))
         if est[i] > best[0]:
-            best = (float(est[i]), math.sqrt(pw[i] * (1.0 - pw[i]) / len(w)
-                                             + pz[i] * (1.0 - pz[i]) / len(z)))
+            best = (float(est[i]), math.sqrt(max(pw[i] * (1.0 - pw[i]), 0.0) / len(w)
+                                             + max(pz[i] * (1.0 - pz[i]), 0.0) / len(z)))
     return DiscrepancyReport(best[0], best[1], family.description, bound)
 
 

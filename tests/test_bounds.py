@@ -589,6 +589,7 @@ def test_block_memory_does_not_grow_with_n():
     bd.crit_bound(10, 2, 0.5)
     for f, args in ((mo.crit_variance, (320, 2, 0.5)), (mo.crit_variance, (1000, 1, 0.5)),
                     (bd.crit_bound, (320, 2, 0.5))):
+        mo.crit_variance.cache_clear()  # so no call below is a cache hit
         tracemalloc.start()
         try:
             f(*args)

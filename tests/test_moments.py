@@ -80,6 +80,18 @@ def test_crit_variance_domain():
     # degenerate endpoints: the count is a.s. zero
     assert mo.crit_variance(5, 1, 0.0) == 0.0
     assert mo.crit_variance(5, 1, 1.0) == 0.0
+    # the cache is typed: a float n is not the int's entry, and fails as the
+    # uncached call does
+    mo.crit_variance(5, 1, 0.5)
+    with pytest.raises(TypeError):
+        mo.crit_variance(5.0, 1, 0.5)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_crit_variance_cache_returns_the_computed_value(p):
+    for k in (1, 2, 3):
+        want = mo.crit_variance.__wrapped__(12, k, p).hex()
+        assert [mo.crit_variance(12, k, p).hex() for _ in range(2)] == [want, want]
 
 
 def test_crit_variance_lower_dominated_and_clamped():

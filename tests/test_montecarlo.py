@@ -463,7 +463,10 @@ def test_smooth_discrepancy_matches_function_by_function_reference(w, z, seed):
 
 def test_logistic_matches_masked_reference():
     rng = np.random.Generator(np.random.Philox(key=np.array([14, 0], dtype=np.uint64)))
+    # the smallest subnormal, values whose exp(-|u|) is below the rounding
+    # of 1 + e, and either side of exp's overflow at 709.78
     special = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, 1e-300, -1e-300,
+               5e-324, -5e-324, 1e-17, -1e-17, 708.4, -708.4, 709.8, -709.8,
                np.inf, -np.inf, np.nan]
     u = np.concatenate([special, 40 * rng.standard_normal(2000), special])
     with warnings.catch_warnings():
@@ -474,6 +477,41 @@ def test_logistic_matches_masked_reference():
     assert nan.sum() == 2
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _cell_cases():
+    rng = np.random.Generator(np.random.Philox(key=np.array([16, 0], dtype=np.uint64)))
+    for d in (1, 2, 3, 4):
+        for rows in (2, 3, 500):
+            x = np.round(2 * rng.standard_normal((rows, d))) / 2
+            # the pooled quantile grid of tied rows, and a hand-made grid
+            # with repeated cuts and every other row set to one of them
+            yield pytest.param(x, mc.convex_family(x, x[::-1]).grid, id="d=%d-%d-rows" % (d, rows))
+            repeated = np.sort(np.concatenate([[-1.0, -1.0, 0.0, 0.0, 0.0], x[:, 0]]))[:9]
+            with_cuts = np.where(np.arange(rows)[:, None] % 2 == 0, repeated[rows % 9], x)
+            yield pytest.param(with_cuts, [repeated] * d, id="d=%d-%d-rows-repeated" % (d, rows))
+        const = np.full((40, d), 0.5)
+        yield pytest.param(const, mc.convex_family(const, const).grid, id="d=%d-constant" % d)
+
+
+@pytest.mark.parametrize("samples, grid", list(_cell_cases()))
+def test_rect_probs_cells_match_searchsorted(samples, grid):
+    # each value's cell index, its count of cuts <= it, is the right-side
+    # searchsorted index: the cumulative histograms agree bit for bit
+    assert all(np.all(g[:-1] <= g[1:]) for g in grid)
+    assert np.array_equal(mc._rect_probs(samples, grid), reference.rect_probs(samples, grid))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_convex_stderr_of_a_rounded_negative_probability(d):
+    # inclusion-exclusion rounds one rectangle of these samples to -1.1e-16,
+    # and it becomes the argmax: its p(1 - p) counts as 0, not as a negative
+    # variance that math.sqrt refuses
+    w, z = np.zeros((3 if d == 2 else 2, d)), np.random.default_rng(3).standard_normal((5, d))
+    rep = mc.convex_discrepancy(w, z, seed=0)
+    want = reference.convex_discrepancy(w, z, seed=0)
+    assert math.isfinite(rep.stderr) and rep.stderr >= 0.0
+    assert (rep.estimate, rep.stderr, rep.family) == (want.estimate, want.stderr, want.family)
 
 
 @pytest.mark.parametrize("ties", [False, True])
@@ -617,6 +655,16 @@ def test_check_report_honors_empirical_standardization():
     assert report["discrepancies"]["smooth"]["estimate"] == want.estimate
     analytic = vf.matched_normal_report(mc.MCConfig("clique", 8, 0.5, 2, 2000, 3))
     assert analytic["discrepancies"]["smooth"]["estimate"] != want.estimate
+
+
+def test_critical_check_computes_each_variance_once():
+    # the analytic sd, crit_bound's sigmas and the moment report all ask for
+    # crit_variance(10, k, 0.5), k = 1, 2: the cache computes each once
+    mo.crit_variance.cache_clear()
+    vf.matched_normal_report(mc.MCConfig("critical", 10, 0.5, 2, 500, 5))
+    info = mo.crit_variance.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits >= 2
 
 
 def test_check_report_prints_raw_covariance_off_diagonal():
