@@ -297,23 +297,53 @@ def _project(s: np.ndarray, u: np.ndarray) -> np.ndarray:
     return s[:, 0] * u[0] if len(u) == 1 else s @ u
 
 
-def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
-    """Rectangles between QUANTILE_CUTS pooled quantiles per axis, and
-    halfspaces {x : <u,x> <= c} at as many quantiles of the projection on
-    each of HALFSPACE_DIRECTIONS unit directions drawn from stream 2^32 of
-    the seed.  Each column and each projection is sorted once and its cuts
-    read off the sorted values; one projection is held at a time."""
-    pooled = np.vstack([w, z])
-    grid = [_sorted_quantiles(np.sort(col)) for col in pooled.T]
+def _directions(pooled: np.ndarray, seed: int):
+    """Each of HALFSPACE_DIRECTIONS unit directions u drawn from stream 2^32
+    of the seed, with the pooled rows' projection on u, its QUANTILE_CUTS
+    cuts and the pooled count <= each cut.  The projection is sorted once,
+    as a copy, and both the cuts and the counts are read off the copy."""
     rng = gnp_generator(seed, 2 ** 32)
-    halfspaces = []
     for _ in range(HALFSPACE_DIRECTIONS):
         u = rng.standard_normal(pooled.shape[1])
         u /= np.linalg.norm(u)
         projection = _project(pooled, u)
-        projection.sort()
-        halfspaces += [(u, float(c)) for c in _sorted_quantiles(projection)]
-    return ConvexFamily(grid, halfspaces)
+        ordered = np.sort(projection)
+        cuts = _sorted_quantiles(ordered)
+        below = np.searchsorted(ordered, cuts, side="right")
+        del ordered  # not held while the caller reads the projection
+        yield u, projection, cuts, below
+
+
+def _grid(pooled: np.ndarray) -> list:
+    """QUANTILE_CUTS pooled quantiles per axis, each column sorted once."""
+    return [_sorted_quantiles(np.sort(col)) for col in pooled.T]
+
+
+def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
+    """Rectangles between QUANTILE_CUTS pooled quantiles per axis, and
+    halfspaces {x : <u,x> <= c} at as many quantiles of the projection on
+    each direction u of _directions."""
+    pooled = np.vstack([w, z])
+    return ConvexFamily(_grid(pooled), [(u, float(c)) for u, _, cuts, _ in _directions(pooled, seed)
+                                        for c in cuts])
+
+
+def _halfspace_probs(w: np.ndarray, z: np.ndarray, seed: int):
+    """convex_family(w, z, seed), and the probability of each of its
+    halfspaces under W and under Z, in family order.  W's count <= a cut is
+    read off the pooled projection's first rows, and Z's is the pooled count
+    less W's; a count over the row count is np.mean of the bool array, bit
+    for bit."""
+    pooled = np.vstack([w, z])
+    halfspaces, w_below, pooled_below = [], [], []
+    for u, projection, cuts, below in _directions(pooled, seed):
+        part = projection[:len(w)]
+        halfspaces += [(u, float(c)) for c in cuts]
+        w_below += [np.count_nonzero(part <= c) for c in cuts]
+        pooled_below.append(below)
+    w_below = np.array(w_below)
+    z_below = np.concatenate(pooled_below) - w_below
+    return ConvexFamily(_grid(pooled), halfspaces), (w_below / len(w), z_below / len(z))
 
 
 def check_rect_gathers(d: int) -> None:
@@ -334,9 +364,14 @@ def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
     shape = tuple(len(g) + 1 for g in grid)
     # a value's cell index on an axis is its count of cuts <= it, which is
     # searchsorted(g, col, side="right") for the sorted cuts, without the
-    # binary search's mispredicted branches
-    cells = np.ravel_multi_index(tuple(np.count_nonzero(col >= g[:, None], axis=0)
-                                       for g, col in zip(grid, samples.T)), shape)
+    # binary search's mispredicted branches; at most QUANTILE_CUTS, a uint8
+    index = []
+    for g, col in zip(grid, samples.T):
+        cell = np.zeros(len(col), np.uint8)
+        for c in g:
+            cell += col >= c
+        index.append(cell)
+    cells = np.ravel_multi_index(tuple(index), shape)
     cum = np.bincount(cells, minlength=math.prod(shape)).reshape(shape) / len(samples)
     for axis in range(len(shape)):
         cum = np.cumsum(cum, axis=axis)
@@ -347,8 +382,11 @@ def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
 
 def _rect_blocks(cum: np.ndarray):
     """Probabilities of the rectangles (lo_1, hi_1) x ... x (lo_d, hi_d),
-    lo_i < hi_i, from the padded cumulative array; one flat block per
-    first-axis interval, in itertools.product order of the intervals.
+    lo_i < hi_i, from the padded cumulative array, in itertools.product order
+    of the intervals; one flat block per run of consecutive first-axis
+    intervals, as many as keep a block within the C(L, 2)^2 rectangles of
+    L grid levels on two axes: the whole family at d <= 2, one first-axis
+    interval a block at d >= 3.
 
     Each probability is the inclusion-exclusion sum over the 2^d corners,
     added to 0.0 in itertools.product order, subtracted at an odd number of
@@ -360,8 +398,13 @@ def _rect_blocks(cum: np.ndarray):
     terms = [(np.subtract if corner.count(0) % 2 else np.add, corner[0], trailing[corner[1:]])
              for corner in itertools.product((0, 1), repeat=cum.ndim)]
     shape = tuple(len(lo) for lo, _ in ends[1:])
-    for first in zip(*ends[0]):
-        block = np.zeros(shape)
+    step = math.comb(QUANTILE_CUTS + 2, 2) ** 2 // math.prod(shape)
+    lo, hi = ends[0]
+    # a block of one interval indexes its corners as views of the gathers
+    groups = zip(lo, hi) if step <= 1 else ((lo[k:k + step], hi[k:k + step])
+                                            for k in range(0, len(lo), step))
+    for first in groups:
+        block = np.zeros(np.shape(first[0]) + shape)
         for op, b, gathered in terms:
             op(block, gathered[first[b]], out=block)
         yield block.ravel()
@@ -373,13 +416,9 @@ def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,
     standard error of the argmax set (the first one, in family order)."""
     w, z = _columns(w_samples, z_samples)
     check_rect_gathers(w.shape[1])
-    family = convex_family(w, z, seed=seed)
+    family, halfspaces = _halfspace_probs(w, z, seed)
     rects = zip(_rect_blocks(_rect_probs(w, family.grid)),
                 _rect_blocks(_rect_probs(z, family.grid)))
-    # a count over the row count is np.mean of the bool array, bit for bit
-    halfspaces = tuple(np.concatenate([
-        np.count_nonzero(_project(s, u)[None, :] <= np.array(cuts)[:, None], axis=1) / len(s)
-        for u, cuts in _runs(family.halfspaces)]) for s in (w, z))
     best = (-1.0, 0.0)
     for pw, pz in itertools.chain(rects, [halfspaces]):
         est = np.abs(pw - pz)
@@ -389,7 +428,9 @@ def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,
             # p(1 - p) would be a negative variance
             best = (float(est[i]), math.sqrt(max(pw[i] * (1.0 - pw[i]), 0.0) / len(w)
                                              + max(pz[i] * (1.0 - pz[i]), 0.0) / len(z)))
-    return DiscrepancyReport(best[0], best[1], family.description, bound)
+    # and it can round a rectangle's gap to just past 1, which no two
+    # probabilities are apart
+    return DiscrepancyReport(min(best[0], 1.0), best[1], family.description, bound)
 
 
 def bound_check(report: DiscrepancyReport, bound: BoundReport) -> str:

@@ -11,9 +11,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cliquestats"
 
 class Use(NamedTuple):
     """kind "import": the dotted target, one leading dot per level of a relative
-    import; "call": the callee's name or attribute; "name": a name or attribute;
-    "str": a string; "compare": a string compared, alone or in a tuple, list or
-    set, or matched by a case; "def": a function or class.  func and top are the
+    import; "call": the callee's name or attribute; "arg": that name, a colon
+    and the source of one argument, positional or a keyword's value, as
+    ast.unparse writes it; "name": a name or attribute; "str": a string;
+    "compare": a string compared, alone or in a tuple, list or set, or matched
+    by a case; "def": a function or class.  func and top are the
     innermost function and the top-level function or class around it, or None."""
     kind: str
     name: str
@@ -36,7 +38,11 @@ def uses(tree) -> list[Use]:
             base = "." * node.level + (node.module + "." if node.module else "")
             add("import", *(base + a.name for a in node.names))
         elif isinstance(node, ast.Call):
-            add("call", getattr(node.func, "attr", getattr(node.func, "id", None)))
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            add("call", callee)
+            if callee is not None:
+                add("arg", *("%s:%s" % (callee, ast.unparse(a))
+                             for a in [*node.args, *(k.value for k in node.keywords)]))
         elif isinstance(node, (ast.Name, ast.Attribute)):
             add("name", node.id if isinstance(node, ast.Name) else node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):

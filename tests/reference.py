@@ -162,7 +162,7 @@ def convex_discrepancy(w_samples, z_samples, bound=None, seed: int = 0) -> Discr
         if est[i] > best[0]:
             best = (float(est[i]), math.sqrt(max(pw[i] * (1.0 - pw[i]), 0.0) / len(w)
                                              + max(pz[i] * (1.0 - pz[i]), 0.0) / len(z)))
-    return DiscrepancyReport(best[0], best[1], family.description, bound)
+    return DiscrepancyReport(min(best[0], 1.0), best[1], family.description, bound)
 
 
 def law_moments(dist):

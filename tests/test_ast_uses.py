@@ -6,6 +6,7 @@ import pytest
 
 from ast_uses import reached, uses, within
 from test_fan_out import POOL_NAMES
+from test_halfspace_directions import HALFSPACE_STREAM
 from test_kind_dispatch import KIND_NAMES
 from test_matched_normal import MATCHING
 from test_morse_independence import FORMULA
@@ -31,6 +32,10 @@ FORMS = {
         "np.random.Philox(key=k)", "numpy.random.Generator(bitgen)", "Philox(k)",
         "np.random.default_rng([1, 2])"],
         ["gnp_generator(seed, r)"]),  # the library's keyed generator
+    "halfspace_stream": (["arg"], HALFSPACE_STREAM, [
+        "gnp_generator(seed, 2 ** 32)", "rng = graphs.gnp_generator(int(s), stream=2**32)"],
+        ["gnp_generator(seed, 0)", "gnp_generator(seed, 2 ** 31)", "f(seed, 2 ** 32)",
+         "gnp_generator(seed, r)", "gnp_generator"]),
     "sample_gnp_call": (CALL, {"sample_gnp"},
                         ["sample_gnp(params, stream=r)", "graphs.sample_gnp(params)"], []),
     # defining or annotating with a class, importing, naming or passing a function is no call

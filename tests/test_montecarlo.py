@@ -380,6 +380,46 @@ def test_convex_discrepancy_matches_earlier_estimator(w, z, seed):
     assert all(np.array_equal(u, v) for (u, _), (v, _) in zip(fam.halfspaces, ref_fam.halfspaces))
 
 
+def _pooled_count_cases():
+    rng = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
+    for d in (1, 2, 3):
+        yield pytest.param(rng.standard_normal((1501, d)), rng.standard_normal((1199, d)) - 0.1,
+                           2, id="d=%d-1501-1199-rows" % d)
+        yield pytest.param(rng.standard_normal((2, d)), rng.standard_normal((3, d)), 5,
+                           id="d=%d-2-3-rows" % d)
+        # a third of the rows all zeros of either sign, so the middle cuts
+        # are zeros and the zero rows' projections fall on them
+        signs = np.where(rng.random((900, d)) < 0.5, 0.0, -0.0)
+        zeros = np.where(np.arange(900)[:, None] % 3 == 0, signs, rng.standard_normal((900, d)))
+        yield pytest.param(zeros[:500], zeros[500:], 6, id="d=%d-signed-zeros" % d)
+        # 30 distinct rows, each repeated: every cut is the projection of some rows
+        rows = np.round(4 * rng.standard_normal((30, d))) / 4
+        yield pytest.param(rows[rng.integers(0, 30, 1001)], rows[rng.integers(0, 20, 801)], 8,
+                           id="d=%d-rows-on-cuts" % d)
+
+
+@pytest.mark.parametrize("w, z, seed", list(_pooled_count_cases()))
+def test_convex_pooled_counts_match_earlier_estimator(w, z, seed):
+    # the halfspace counts come from one pooled projection, Z's as the pooled
+    # count less W's; the earlier estimator projected W and Z apart
+    rep = mc.convex_discrepancy(w, z, seed=seed)
+    want = reference.convex_discrepancy(w, z, seed=seed)
+    assert (rep.estimate, rep.stderr, rep.family) == (want.estimate, want.stderr, want.family)
+
+
+@pytest.mark.parametrize("w, z, seed", list(_pooled_count_cases()) + list(_convex_cases()))
+def test_halfspace_probs_are_each_sets_mean_below_the_cut(w, z, seed):
+    w, z = mc._columns(w, z)
+    family, (pw, pz) = mc._halfspace_probs(w, z, seed)
+    fam = mc.convex_family(w, z, seed)
+    assert all(np.array_equal(g, h) for g, h in zip(family.grid, fam.grid))
+    assert [c for _, c in family.halfspaces] == [c for _, c in fam.halfspaces]
+    assert pw.tolist() == [float(np.mean(w @ u <= c)) for u, c in fam.halfspaces]
+    assert pz.tolist() == [float(np.mean(z @ u <= c)) for u, c in fam.halfspaces]
+    if len(w) > 100:  # a cut with W rows on both sides of it, so the check is not vacuous
+        assert 0.0 < pw.min() < pw.max() < 1.0
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 10, 11, 1300, 40_000])
 @pytest.mark.parametrize("ties", [False, True])
 def test_sorted_quantiles_match_np_quantile(n, ties):
@@ -392,10 +432,11 @@ def test_sorted_quantiles_match_np_quantile(n, ties):
     assert np.array_equal(mc._sorted_quantiles(x), np.quantile(x, qs))
 
 
-def test_convex_discrepancy_memory_is_bounded():
-    # one block per first-axis interval and one projection at a time: a
-    # whole-family array at d = 3 peaked at 7.0 MB
-    cov = np.full((3, 3), 0.3) + 0.7 * np.eye(3)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_convex_discrepancy_memory_is_bounded(d):
+    # one block per first-axis interval at d = 3 and one projection at a
+    # time: a whole-family array at d = 3 peaked at 7.0 MB
+    cov = np.full((d, d), 0.3) + 0.7 * np.eye(d)
     w, z = mc.mvn_samples(cov, 20_000, 5), mc.mvn_samples(cov, 20_000, 6)
     tracemalloc.start()
     try:
@@ -511,6 +552,8 @@ def test_convex_stderr_of_a_rounded_negative_probability(d):
     rep = mc.convex_discrepancy(w, z, seed=0)
     want = reference.convex_discrepancy(w, z, seed=0)
     assert math.isfinite(rep.stderr) and rep.stderr >= 0.0
+    # the argmax rectangle's gap rounds to 1.0000000000000002: reported as 1
+    assert rep.estimate <= 1.0
     assert (rep.estimate, rep.stderr, rep.family) == (want.estimate, want.stderr, want.family)
 
 
