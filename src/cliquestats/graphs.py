@@ -1,6 +1,6 @@
 """Graphs on vertex set {1..n}: G(n,p) sampling, clique indicators over arrays
 of edge masks, clique listing by one ascending walk, and the descending clique
-walk, on bitmask rows or level by level.
+walk, on bitmask rows (counts) or level by level (counts and critical counts).
 
 Edges are stored one bit per unordered pair, in lexicographic pair order
 ((1,2), (1,3), ..., (1,n), (2,3), ...).  Adjacency rows are n-bit masks
@@ -90,9 +90,6 @@ class Graph:
     def empty(cls, n: int) -> "Graph":
         return cls(n, 0)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj[i] & (1 << j))
-
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)
                 if self.adj[i] >> j & 1]
@@ -110,15 +107,9 @@ class Graph:
     def __repr__(self):
         return "Graph(n=%d, edges=%d)" % (self.n, self.edge_count)
 
-    def to_text(self) -> str:
-        """Fixture format: first line n, then one 'i j' line per edge."""
-        lines = [str(self.n)]
-        lines += ["%d %d" % e for e in self.edges()]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "Graph":
-        """Parse the fixture format; a malformed line is named by its number."""
+        """Parse n, then one 'i j' line per edge; a malformed line is named by its number."""
         rows = [(no, ln.split()) for no, ln in enumerate(text.splitlines(), 1)
                 if ln.strip()]
         if not rows:
@@ -280,6 +271,13 @@ def pair_matrix(n: int, pairs) -> np.ndarray:
     return a
 
 
+def mask_pairs(n: int, mask: int) -> np.ndarray:
+    """gnp_mask unpacked: the boolean pair vector, pair b an edge iff bit b is set."""
+    m = comb(n, 2)
+    return np.unpackbits(np.frombuffer(mask.to_bytes(m // 8 + 1, "little"), dtype=np.uint8),
+                         count=m, bitorder="little").view(bool)
+
+
 def sample_gnp(params: GnpParams, stream: int = 0) -> Graph:
     """Draw one graph from G(n,p): each pair present independently with
     probability p."""
@@ -315,25 +313,22 @@ def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     return [s for s, _ in clique_lists(g, k)[k]]
 
 
-def clique_walk(adj, cand, top: int, minima=None) -> list[int]:
+def clique_walk(adj, cand, top: int) -> list[int]:
     """Counts of the cliques of every size 0..top inside mask cand, from one
     walk: s = P + {v} grows by C(s) = C(P) & adj[v] & below(v), the vertices
-    of cand below min(s) adjacent to all of s.  With minima (top + 1 lists),
-    min(s) goes to minima[|s|] for each critical s: size >= 2, C(s) empty
-    and C(P) & below(v) not.  Without it, size top is C(P).bit_count() alone."""
+    of cand below min(s) adjacent to all of s.  Size top is C(P).bit_count()
+    alone."""
     counts = [1] + [0] * top
 
     def grow(c, size):  # c = C(P) for a clique P of this size
         counts[size + 1] += c.bit_count()
-        mask = c if size + 1 < top or minima is not None else 0
+        mask = c if size + 1 < top else 0
         while mask:
             low = mask & -mask
             mask ^= low
             child = c & adj[low.bit_length() - 1] & (low - 1)
-            if child and size + 1 < top:
+            if child:
                 grow(child, size + 1)
-            elif minima is not None and not child and size and c & (low - 1):
-                minima[size + 1].append(low.bit_length() - 1)
 
     if top > 0:
         grow(cand, 0)
@@ -341,12 +336,12 @@ def clique_walk(adj, cand, top: int, minima=None) -> list[int]:
 
 
 def clique_levels(a, top: int, critical: bool = False, minima=None) -> list[int]:
-    """clique_walk's counts on every vertex of pair_matrix a, a level at a time: row s
-    of a boolean x is C(s), x @ a (low = a^T, low[u] = u's neighbours below u) is
-    |C(s + u)| for each child s + u, and x[s] & low[u] is its row.  Clique counts of
-    sizes 0..top, or critical counts (the walk's rule, from size 2 on).  With minima
-    (top + 1 lists), critical mode appends min(s + u) = u to minima[|s| + 1] for each
-    critical child, as clique_walk does.
+    """Clique or critical counts of sizes 0..top of pair_matrix a, a level at a time:
+    row s of a boolean x is C(s), the vertices below min(s) adjacent to all of s, x @ a
+    (low = a^T, low[u] = u's neighbours below u) is |C(s + u)| for each child s + u, and
+    x[s] & low[u] is its row.  From size 2 on, s + u is critical (matched neither up nor
+    down) iff C(s + u) is empty and C(s) & below(u) is not.  With minima (top + 1 lists),
+    critical mode appends min(s + u) = u to minima[|s| + 1] for each critical child.
 
     The product is float32: each entry, and each partial sum in any BLAS order, is an
     integer <= n < 2^24, so it is exact whatever order the BLAS adds in.  A block's

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bounds import clique_bound, crit_bound, link_bound
 from .graphs import (MAX_ENUM_VERTICES, EnumerationCapError, clique_levels, gnp_masks,
-                     gnp_pairs, pair_matrix, spans_clique)
+                     gnp_pairs, mask_pairs, pair_matrix, spans_clique)
 from .moments import clique_cov, clique_mean, crit_mean, crit_variance, link_cov, link_mean
 
 
@@ -98,6 +98,14 @@ def _graph_table_words(cfg):
 
 def _graph_table_rows(cfg, u) -> np.ndarray:
     return _small_graph_counts(cfg.kind, cfg.n, cfg.d, ())[gnp_masks(u, cfg.p)]
+
+
+def critical_counts(n: int, edge_mask: int, d: int) -> list:
+    """The critical counts of sizes 2..d+1 that a replicate drawing this edge mask
+    gets: its row of the count table at n <= 6, else clique_levels' critical mode."""
+    if n <= MAX_ENUM_VERTICES and d > 0:  # below d = 1 no size is counted
+        return _small_graph_counts("critical", n, d, ())[edge_mask].tolist()
+    return clique_levels(pair_matrix(n, mask_pairs(n, edge_mask)), d + 1, True)[2:]
 
 
 def _draw_counts(rng, n: int, p: float, d: int, critical: bool = False) -> list:

@@ -5,8 +5,9 @@ Vertices of a simplex are kept as sorted tuples.  For a clique s, the set
 I(s) = {j < min(s) : s+{j} is a clique} decides the upward match: s pairs
 with s+{min I(s)} whenever I(s) is nonempty.  The matching is built from one
 ascending walk (clique_lists), which gives I(s) as C(s) & below(min s).
-Criticality for sizes >= 2 is what the counting formula covers, read off the
-independent descending walk (clique_walk).  Vertex criticality (vertex v is
+Criticality for sizes >= 2 is what the counting formula covers, evaluated by
+the kernels a replicate runs (kinds.critical_counts): the count table at
+n <= 6 and clique_levels' critical mode above it.  Vertex criticality (vertex v is
 critical iff it has no smaller-labelled neighbour) is outside the
 CLT-statistics scope; tests/reference.py keeps it for the weak Morse checks.
 """
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import lt
 
-from .graphs import Graph, clique_lists, clique_walk
+from .graphs import Graph, clique_lists
+from .kinds import critical_counts
 
 
 _NOT_INCREASING = "a simplex is not a strictly increasing tuple of vertices >= 1"
@@ -101,11 +103,6 @@ class CriticalVector:
     def d(self) -> int:
         return len(self.counts)
 
-    def by_size(self, size: int) -> int:
-        if not 2 <= size <= self.d + 1:
-            raise ValueError("size %d outside 2..%d" % (size, self.d + 1))
-        return self.counts[size - 2]
-
 
 def _below_mask(v: int) -> int:
     # bits 1..v-1
@@ -158,12 +155,10 @@ def critical_counts_direct(g: Graph, d: int) -> CriticalVector:
 
 
 def critical_counts_formula(g: Graph, d: int) -> CriticalVector:
-    """The product-indicator sum for each size 2..d+1.  Subsets that are not
-    cliques contribute 0, so the sum runs over the cliques of one walk."""
-    sizes = _crit_sizes(d, g.n)
-    minima = [[] for _ in range(d + 2)]
-    clique_walk(g.adj, g.vertex_mask, d + 1, minima)
-    return CriticalVector(tuple(len(minima[size]) for size in sizes))
+    """The product-indicator sum for each size 2..d+1, as a replicate drawing
+    g's edges counts it."""
+    _crit_sizes(d, g.n)
+    return CriticalVector(tuple(critical_counts(g.n, g.edge_mask, d)))
 
 
 def verify_acyclic(m: Matching, g: Graph) -> bool:

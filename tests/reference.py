@@ -1,7 +1,9 @@
 """Per-graph references for the tests: every graph on n vertices, one Graph
-at a time, each statistic's count vector from a walk on one Graph (the
-reference that kinds._small_graph_counts' tables must equal), the walk's
-critical minima, and a hypothesis strategy for small graphs.  Also the
+at a time, edge lookup by adjacency row, each statistic's count vector from
+a walk on one Graph (the reference that kinds._small_graph_counts' tables
+must equal), the critical walk and its minima (the scalar reference for
+clique_levels' critical mode and the critical count table), and a
+hypothesis strategy for small graphs.  Also the
 convex discrepancy estimator as it was before its cuts, blocks and
 histogram were computed in fewer passes: the reference that
 montecarlo.convex_discrepancy must equal bit for bit.  The oracle law's
@@ -28,7 +30,7 @@ from cliquestats.montecarlo import (HALFSPACE_DIRECTIONS, QUANTILE_CUTS, ConvexF
                                     DiscrepancyReport, _columns, _runs)
 from cliquestats.kinds import statistic
 from cliquestats.moments import _check_crit_args, _check_link_args, comb0, crit_mu, link_mu, sigma
-from cliquestats.morse import _below_mask, critical_counts_formula
+from cliquestats.morse import _below_mask
 
 
 def all_graphs(n: int):
@@ -57,6 +59,11 @@ def graph_probability(g: Graph, p: float) -> float:
     return p ** e * (1.0 - p) ** (m - e)
 
 
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    """Whether i~j in g: bit j of i's adjacency row."""
+    return bool(g.adj[i] >> j & 1)
+
+
 def link_candidates(g: Graph, t) -> int:
     """Mask of the vertices outside t adjacent to every vertex of t."""
     cand = g.vertex_mask
@@ -65,9 +72,33 @@ def link_candidates(g: Graph, t) -> int:
     return cand
 
 
+def critical_walk(g: Graph, top: int) -> list[list[int]]:
+    """minima[k], k = 0..top: min(s) of each critical k-clique s of g, from one
+    descending walk.  s = P + {v} grows by C(s) = C(P) & adj[v] & below(v), the
+    vertices below min(s) adjacent to all of s, and s is critical iff |s| >= 2,
+    C(s) is empty and C(P) & below(v) is not: the matching pairs s neither up
+    nor down."""
+    adj, minima = g.adj, [[] for _ in range(top + 1)]
+
+    def grow(c, size):  # c = C(P) for a clique P of this size
+        mask = c
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            child = c & adj[low.bit_length() - 1] & (low - 1)
+            if child and size + 1 < top:
+                grow(child, size + 1)
+            elif not child and size and c & (low - 1):
+                minima[size + 1].append(low.bit_length() - 1)
+
+    if top > 0:
+        grow(g.vertex_mask, 0)
+    return minima
+
+
 # kind -> (Graph, d, t) -> the d counts of the kind's sizes on that graph
 GRAPH_COUNTS = {
-    "critical": lambda g, d, t: critical_counts_formula(g, d).counts,
+    "critical": lambda g, d, t: tuple(map(len, critical_walk(g, d + 1)[2:])),
     "link": lambda g, d, t: tuple(clique_walk(g.adj, link_candidates(g, t), d)[1:]),
     "clique": lambda g, d, t: tuple(clique_walk(g.adj, g.vertex_mask, d + 1)[2:]),
 }
@@ -75,13 +106,11 @@ GRAPH_COUNTS = {
 
 def critical_minima(g: Graph, k: int) -> list[int]:
     """min(s) of every critical size-k simplex s, in ascending order, from
-    clique_walk on g: the walk reference that clique_levels' minima are
+    critical_walk on g: the walk reference that clique_levels' minima are
     tested against."""
     if not 2 <= k <= g.n:
         raise ValueError("k must lie in [2, n]")
-    minima = [[] for _ in range(k + 1)]
-    clique_walk(g.adj, g.vertex_mask, k, minima)
-    return sorted(minima[k])
+    return sorted(critical_walk(g, k)[k])
 
 
 def truncated_critical_count(g: Graph, k: int, K: int) -> int:

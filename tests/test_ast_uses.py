@@ -11,7 +11,7 @@ from test_kind_dispatch import KIND_NAMES
 from test_matched_normal import MATCHING
 from test_morse_independence import FORMULA
 from test_pair_layout import GENERATOR_CALLS, LAYOUT_CALLS
-from test_reachability import unreached
+from test_reachability import unreached, unused_methods
 
 CALL, POOL, TABLE = ["call"], ["import", "name"], "_small_graph_counts"
 # rule: (use kinds, names, sources in each of which the scan finds such a use, look-alikes)
@@ -119,3 +119,18 @@ def test_unreached_leaves_out_what_main_a_module_statement_or_a_given_name_reach
                            "def only_orphan():\n    return helper()\n"
                            "def named_in_a_string():\n    return 'orphan'\n"))
     assert unreached(found, {"bench_only"}) == {"orphan", "only_orphan", "named_in_a_string"}
+
+
+def test_unused_methods_flags_a_method_named_only_in_its_own_body():
+    found = uses(ast.parse("class Vector:\n"
+                           "    def __len__(self):\n        return 0\n"
+                           "    def by_size(self, k):\n        return self.by_size(k - 1)\n"
+                           "    def dims(self):\n        return 1\n"
+                           "    def dump(self):\n        return 2\n"
+                           "    @property\n    def d(self):\n        return 3\n"
+                           "def report(v):\n    return v.dims() + getattr(v, 'x.d')\n"
+                           "def outer():\n    def inner():\n        pass\n"))
+    # a dunder, a method another def calls or names in a string, and a nested
+    # function are not flagged; a name perfbench uses saves a method
+    assert unused_methods(found, set()) == {"by_size", "dump"}
+    assert unused_methods(found, {"dump"}) == {"by_size"}

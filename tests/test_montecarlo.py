@@ -174,14 +174,14 @@ def test_clique_counts_match_graph_module():
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_critical_edge_counts_match_scalar_formula(n):
-    # clique_levels' critical edges vs the clique walk on the same draws
+    # clique_levels' critical edges vs the critical walk on the same draws
     from cliquestats.graphs import GnpParams, sample_gnp
-    from cliquestats.morse import critical_counts_formula
+    from reference import critical_walk
     for p in (0.1, 0.5, 0.9):
         raw = mc.simulate_raw(mc.MCConfig("critical", n, p, 1, 20, 8, replicate_offset=5))
-        want = [critical_counts_formula(sample_gnp(GnpParams(n, p, 8), stream=5 + r), 1).counts
+        want = [len(critical_walk(sample_gnp(GnpParams(n, p, 8), stream=5 + r), 2)[2])
                 for r in range(20)]
-        assert raw.tolist() == [list(map(float, w)) for w in want]
+        assert raw.tolist() == [[float(w)] for w in want]
 
 
 def test_triangle_counts_exact_beyond_float32():

@@ -1,13 +1,16 @@
 import itertools
 import random
+from dataclasses import replace
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquestats.graphs import (GnpParams, Graph, clique_count, clique_levels, cliques,
-                                pair_matrix, sample_gnp)
+                                pair_matrix, sample_gnp, spans_clique)
+from cliquestats.kinds import STATS, _small_graph_counts
 from cliquestats.morse import (CriticalVector, Matching, _below_mask, _crit_sizes, _validated,
                                critical_counts_direct, critical_counts_formula, lex_matching,
                                verify_acyclic)
@@ -571,9 +574,6 @@ def test_morse_gates_match_reference_random_n12():
 def test_critical_vector_accessors():
     v = CriticalVector((4, 2, 1))
     assert v.d == 3
-    assert v.by_size(2) == 4 and v.by_size(4) == 1
-    with pytest.raises(ValueError):
-        v.by_size(5)
 
 
 def test_matching_dump_order():
@@ -668,3 +668,56 @@ def test_equiv_on_graph_reads_the_public_gates_off_one_walk(monkeypatch):
         return CriticalVector(counts[:-1] + (counts[-1] + 1,))
     monkeypatch.setattr(verify, "critical_counts_formula", top_off_by_one)
     assert verify._equiv_on_graph(Graph.complete(5), 3) == (False, True)
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty count-table cache, emptied again after the test, so no table a
+    patched rule built outlives it."""
+    _small_graph_counts.cache_clear()
+    yield
+    _small_graph_counts.cache_clear()
+
+
+def _status(rows):
+    return {r.name: r.status for r in rows}
+
+
+def test_morse_gate_reads_the_critical_count_table(monkeypatch, fresh_tables):
+    # an up range that stops one short of min(s) breaks the tables the
+    # replicates of n <= 6 read, and the gate sees it on both exhaustive corpora
+    from cliquestats import verify
+
+    def up_off_by_one(masks, n, s, t):
+        up = [spans_clique(masks, n, (j,) + s) for j in range(1, s[0] - 1)]
+        down = [spans_clique(masks, n, (j,) + s[1:]) for j in range(1, s[0])]
+        return spans_clique(masks, n, s) & ~np.any(up, axis=0) & np.any(down, axis=0)
+
+    monkeypatch.setitem(STATS, "critical", replace(STATS["critical"], count=up_off_by_one))
+    status = _status(verify.suite_morse_equivalence(random_graphs=20))
+    assert status == {"morse equivalence all 1024 graphs n=5": "FAIL",
+                      "acyclicity all graphs n=5": "PASS",
+                      "morse equivalence all 32768 graphs n=6": "FAIL",
+                      "acyclicity all graphs n=6": "PASS",
+                      "morse equivalence 20 random graphs n=12": "PASS",
+                      "acyclicity 20 random graphs n=12": "PASS"}
+
+
+def test_morse_gate_reads_clique_levels_critical_mode(monkeypatch):
+    # clique counts in place of critical ones: above n = 6 the gate reads
+    # clique_levels as the replicates do, so the random corpus fails
+    from cliquestats import kinds, verify
+    monkeypatch.setattr(kinds, "clique_levels", lambda a, top, critical=False: clique_levels(a, top))
+    status = _status(verify.suite_morse_equivalence(random_graphs=20, enum_ns=(5,)))
+    assert status == {"morse equivalence all 1024 graphs n=5": "PASS",
+                      "acyclicity all graphs n=5": "PASS",
+                      "morse equivalence 20 random graphs n=12": "FAIL",
+                      "acyclicity 20 random graphs n=12": "PASS"}
+
+
+def test_formula_matches_direct_below_d_1():
+    # no sizes, no counts: the table route reads no table with d < 1 columns
+    for g in (Graph.empty(1), FIG2, Graph.complete(6), sample_gnp(GnpParams(9, 0.5, 2))):
+        for d in (0, -1):
+            assert critical_counts_formula(g, d) == critical_counts_direct(g, d) \
+                == CriticalVector(())

@@ -1,15 +1,17 @@
 """The Morse-equivalence gate compares two independent enumerations: the direct
 construction (lex_matching, critical_counts_direct, verify_acyclic, and the
 one-walk helpers _lex_walk and _unmatched that verify's gate calls) reads the
-ascending walk clique_lists, and the formula reads the descending walk.  No
-function the direct side reaches in morse.py or graphs.py may use
-clique_walk, clique_levels or critical_counts_formula."""
+ascending walk clique_lists, and the formula reads the kernels a replicate
+runs, kinds.critical_counts: the count table (_small_graph_counts over
+_is_critical) and clique_levels.  No function the direct side reaches in
+morse.py or graphs.py may use those, clique_walk or critical_counts_formula."""
 
 from ast_uses import reached, src_uses
 
 DIRECT = ("lex_matching", "critical_counts_direct", "verify_acyclic", "_lex_walk",
           "_unmatched")
-FORMULA = {"clique_walk", "clique_levels", "critical_counts_formula"}
+FORMULA = {"clique_walk", "clique_levels", "critical_counts_formula", "critical_counts",
+           "_small_graph_counts", "_is_critical"}
 
 
 def test_direct_morse_gates_use_no_formula_walk():

@@ -1,14 +1,15 @@
-"""The small-graph count table has three readers: kinds.py's two table-route
-functions, which turn a block of draws into count-table rows, and
-oracle.exact_distribution.  No other src function reads _small_graph_counts,
-so no replicate kernel keeps a table branch; montecarlo.py only re-exports it
-for the benchmark's cache hook."""
+"""The small-graph count table has four readers: kinds.py's two table-route
+functions, which turn a block of draws into count-table rows, kinds.py's
+critical_counts, which gives the Morse-equivalence gate the row a replicate
+of one graph gets, and oracle.exact_distribution.  No other src function
+reads _small_graph_counts, so no replicate kernel keeps a table branch;
+montecarlo.py only re-exports it for the benchmark's cache hook."""
 
 from ast_uses import src_uses
 
 TABLE = "_small_graph_counts"
 READERS = {("kinds", "_graph_table_rows"), ("kinds", "_link_table_rows"),
-           ("oracle", "exact_distribution")}
+           ("kinds", "critical_counts"), ("oracle", "exact_distribution")}
 IMPORTERS = {"oracle", "montecarlo"}
 
 
