@@ -203,10 +203,15 @@ def cmd_morse_demo(args) -> int:
     if args.d < 1 or (args.max_size is not None and args.max_size < 1):
         raise UsageError("--d and --max-size must be >= 1")
     if args.graph_file:
+        ignored = [f for f in ("n", "p", "master_seed") if getattr(args, f) is not None]
+        if ignored:
+            raise UsageError("%s: read only when no --graph-file is given" % ", ".join(
+                "--" + f.replace("_", "-") for f in ignored))
         with open(args.graph_file, encoding="utf-8") as fh:
             g = Graph.from_text(fh.read())
-    else:
-        g = sample_gnp(GnpParams(args.n, args.p, _seed(args)))
+    else:  # absent --n and --p draw from G(8, 1/2)
+        g = sample_gnp(GnpParams(8 if args.n is None else args.n,
+                                 0.5 if args.p is None else args.p, _seed(args)))
     size_cap = args.max_size if args.max_size else min(g.n, args.d + 2)
     m = lex_matching(g, size_cap)
     crit = critical_counts_direct(g, min(args.d, g.n - 1))
@@ -275,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("morse-demo", help="print a lexicographical matching")
     pd.add_argument("--graph-file", default=None)
-    pd.add_argument("--n", type=int, default=8)
-    pd.add_argument("--p", type=float, default=0.5)
+    pd.add_argument("--n", type=int, default=None)
+    pd.add_argument("--p", type=float, default=None)
     pd.add_argument("--d", type=int, default=2)
     pd.add_argument("--max-size", type=int, default=None)
     pd.add_argument("--master-seed", type=int, default=None)

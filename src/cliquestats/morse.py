@@ -1,10 +1,12 @@
 """Lexicographical acyclic matching on clique complexes and critical-simplex
 counting, by direct matching construction and by the product-indicator sum.
 
-Vertices of a simplex are kept as sorted tuples.  For a clique s, the set
-I(s) = {j < min(s) : s+{j} is a clique} decides the upward match: s pairs
-with s+{min I(s)} whenever I(s) is nonempty.  The matching is built from one
-ascending walk (clique_lists), which gives I(s) as C(s) & below(min s).
+A Matching keeps each simplex as a sorted tuple of vertices.  For a clique
+s, the set I(s) = {j < min(s) : s+{j} is a clique} decides the upward match:
+s pairs with s+{min I(s)} whenever I(s) is nonempty.  The matching and the
+direct counts are read off one ascending walk on vertex bitmasks (_lex_walk),
+which carries I(s) = C(s) & below(min s) down from each clique's prefix;
+tuples are built only for the pairs of a Matching.
 Criticality for sizes >= 2 is what the counting formula covers, evaluated by
 the kernels a replicate runs (kinds.critical_counts): the count table at
 n <= 6 and clique_levels' critical mode above it.  Vertex criticality (vertex v is
@@ -15,10 +17,11 @@ CLT-statistics scope; tests/reference.py keeps it for the weak Morse checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import lt
 
-from .graphs import Graph, clique_lists
+from .graphs import Graph
 from .kinds import critical_counts
 
 
@@ -41,34 +44,38 @@ def _check_pairs(pairs):
             seen.add(s)
 
 
-def _lexicographic(pairs) -> bool:
-    """Every pair is (face, (j,) + face) with 1 <= j < face[0] and face
-    strictly increasing, for pairs of simplices with int vertices."""
+def _lexicographic(pairs):
+    """The simplices of pairs when each pair is (face, (j,) + face), two tuples
+    of int vertices with 1 <= j < face[0] and face strictly increasing, and
+    no simplex is in two pairs; else None."""
     try:
         for face, coface in pairs:
-            if not (face and coface[1:] == face and 1 <= coface[0] < face[0]):
-                return False
-            if len(face) > 1 and not all(map(lt, face, face[1:])):
-                return False
-    except ValueError:  # a pair that is not two simplices
-        return False
-    return True
+            if not (type(face) is tuple is type(coface) and face and coface[1:] == face
+                    and 0 < coface[0] < face[0]
+                    and (len(face) == 1 or all(map(lt, face, face[1:])))):
+                return None
+    except (TypeError, ValueError):  # not two simplices, or vertices that do not compare
+        return None
+    matched = set(chain.from_iterable(pairs))
+    if len(matched) == 2 * len(pairs) and {*map(type, chain.from_iterable(matched))} <= {int}:
+        return matched
+    return None
 
 
 def _validated(pairs) -> set:
-    """The simplices of pairs, once Matching's checks pass: every simplex a
-    tuple of int vertices >= 1, then _check_pairs.  Lexicographic pairs are
-    valid as they stand, so when every pair is one, a set size finds repeats;
-    else the vertex minimum and _check_pairs run, and the first fault raises."""
-    simplices = [s for pair in pairs for s in pair]
-    if not ({*map(type, simplices)} <= {tuple}
-            and {*map(type, chain.from_iterable(simplices))} <= {int}):
-        raise ValueError(_NOT_INCREASING)
-    matched = set(simplices)
-    if not (_lexicographic(pairs) and len(matched) == len(simplices)):
-        if min(chain.from_iterable(simplices), default=1) < 1:
+    """The simplices of pairs, once Matching's checks pass.  Lexicographic
+    pairs are valid as they stand, so when every pair is one, a set size
+    finds repeats; else every simplex must be a tuple of int vertices >= 1,
+    then _check_pairs runs, and the first fault raises."""
+    matched = _lexicographic(pairs)
+    if matched is None:
+        simplices = [s for pair in pairs for s in pair]
+        if not ({*map(type, simplices)} <= {tuple}
+                and {*map(type, chain.from_iterable(simplices))} <= {int}
+                and min(chain.from_iterable(simplices), default=1) >= 1):
             raise ValueError(_NOT_INCREASING)
         _check_pairs(pairs)
+        matched = set(simplices)
     return matched
 
 
@@ -104,23 +111,81 @@ class CriticalVector:
         return len(self.counts)
 
 
-def _below_mask(v: int) -> int:
-    # bits 1..v-1
-    return (1 << v) - 2
+def _lex_walk(g: Graph, top: int) -> list:
+    """levels[k - 1], k = 1..top: the k-cliques s of g in lexicographic order,
+    from one ascending walk, each as (s, E(s), I(s)) in vertex bitmasks, with
+    C(s) the common neighbours of s, E(s) = C(s) & above(max s) the vertices
+    that extend s, and I(s) = C(s) & below(min s).  s grows by each v in E(s),
+    lowest first, so each clique is built once, from its prefix: what is left
+    of E(s) once v is taken is E(s) & above(v), so E(s + v) is that & adj[v],
+    and I(s + v) = I(s) & adj[v].  The lexicographic pairs are (s, s | the
+    lowest bit of I(s)) over the s with I(s) nonempty."""
+    if top < 1:
+        return []
+    adj = g.adj
+    level, ext = [], g.vertex_mask
+    while ext:  # the vertices: E({v}) = adj[v] & above(v), I({v}) = adj[v] & below(v)
+        low = ext & -ext
+        ext ^= low
+        a = adj[low.bit_length() - 1]
+        level.append((low, ext & a, a & low - 1))
+    levels = [level]
+    for _ in range(top - 1):
+        level = []
+        for s, ext, i in levels[-1]:
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                a = adj[low.bit_length() - 1]
+                level.append((s | low, ext & a, i & a))
+        levels.append(level)
+    return levels
 
 
-def _lex_walk(g: Graph, top: int):
-    """The levels of one ascending walk to depth top, and the lexicographic
-    pairs (s, s + {min I(s)}) over the cliques s of those levels with
-    I(s) = C(s) & below(min s) nonempty."""
-    levels = clique_lists(g, top)
-    pairs = []
-    for level in levels[1:]:
-        for s, c in level:
-            i_set = c & _below_mask(s[0])
-            if i_set:
-                pairs.append((s, ((i_set & -i_set).bit_length() - 1,) + s))
-    return levels, pairs
+def _simplex(mask: int) -> tuple:
+    """The vertices of mask as an increasing tuple."""
+    vs = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        vs.append(low.bit_length() - 1)
+    return tuple(vs)
+
+
+@lru_cache(maxsize=1 << 12)
+def _pair(t: int) -> tuple:
+    """The lexicographic pair whose coface is the mask t: the walk's pair
+    (s, s | the lowest bit of I(s)) has t = that, and its face s is t less
+    its lowest bit, since I(s) lies below min s.  Cached, so the Matchings
+    built from one graph share their tuples."""
+    return _simplex(t & t - 1), _simplex(t)
+
+
+def _pairs(levels) -> frozenset:
+    """The walk's lexicographic pairs as (face, coface) tuples."""
+    return frozenset(_pair(s | i & -i) for level in levels for s, _, i in level if i)
+
+
+def _matched(levels) -> set:
+    """The masks in the walk's pairs (s, s | the lowest bit of I(s)), once
+    Matching's checks pass in mask form: each coface is its face plus one
+    bit below the face's lowest bit, and no mask is in two pairs, else
+    ValueError."""
+    matched = set()
+    add = matched.add
+    pairs = 0
+    for level in levels:
+        for s, _, i in level:
+            if i:
+                low = i & -i
+                if low >= s & -s:
+                    raise ValueError("invalid pair %r -> %r" % (_simplex(s), _simplex(s | low)))
+                add(s)
+                add(s | low)
+                pairs += 1
+    if len(matched) != 2 * pairs:
+        raise ValueError("a simplex appears in two pairs")
+    return matched
 
 
 def lex_matching(g: Graph, max_size: int) -> Matching:
@@ -129,7 +194,7 @@ def lex_matching(g: Graph, max_size: int) -> Matching:
     if max_size > g.n:
         raise ValueError("max_size exceeds vertex count")
     # a size-n clique has empty I(s), so capping at n-1 loses nothing
-    return Matching(frozenset(_lex_walk(g, min(max_size, g.n - 1))[1]))
+    return Matching(_pairs(_lex_walk(g, min(max_size, g.n - 1))))
 
 
 def _crit_sizes(d: int, n: int):
@@ -139,8 +204,8 @@ def _crit_sizes(d: int, n: int):
 
 
 def _unmatched(levels, matched, d: int) -> CriticalVector:
-    """The cliques of each size 2..d+1 in levels that are not in matched."""
-    return CriticalVector(tuple(sum(s not in matched for s, _ in levels[size])
+    """The cliques of each size 2..d+1 in levels whose masks are not in matched."""
+    return CriticalVector(tuple(sum([s not in matched for s, _, _ in levels[size - 1]])
                                 for size in range(2, d + 2)))
 
 
@@ -150,8 +215,8 @@ def critical_counts_direct(g: Graph, d: int) -> CriticalVector:
     pairs from faces of size <= d+1 reach size d+2, so upward matches at the
     top size are seen, and larger faces match no clique of size <= d+1."""
     _crit_sizes(d, g.n)
-    levels, pairs = _lex_walk(g, d + 1)
-    return _unmatched(levels, _validated(pairs), d)
+    levels = _lex_walk(g, d + 1)
+    return _unmatched(levels, _matched(levels), d)
 
 
 def critical_counts_formula(g: Graph, d: int) -> CriticalVector:

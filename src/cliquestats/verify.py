@@ -22,7 +22,7 @@ from . import oracle as orc
 from .graphs import (MAX_ENUM_VERTICES, Graph, GnpParams, clique_levels, gnp_mask, gnp_pairs,
                      gnp_streams, pair_matrix)
 from .kinds import statistic
-from .morse import (Matching, _lex_walk, _unmatched, critical_counts_direct,
+from .morse import (Matching, _lex_walk, _matched, _pairs, _unmatched, critical_counts_direct,
                     critical_counts_formula, lex_matching, verify_acyclic)
 
 REL_TOL_ORACLE = 1e-10
@@ -83,10 +83,15 @@ def _equiv_on_graph(g: Graph, d: int) -> tuple[bool, bool]:
     """critical_counts_direct(g, d) == critical_counts_formula(g, d), and
     verify_acyclic(lex_matching(g, min(d + 2, n)), g), from one walk and one
     Matching: faces of size d + 2 match only to size d + 3, so the counts of
-    sizes 2..d+1 are those of the walk to depth d + 1."""
-    levels, pairs = _lex_walk(g, min(d + 2, g.n))
-    m = Matching(frozenset(pairs))
-    eq = _unmatched(levels, m.simplices(), d).counts == critical_counts_formula(g, d).counts
+    sizes 2..d+1 are those of the walk to depth d + 1.  Pairs that are no
+    matching fail both."""
+    levels = _lex_walk(g, min(d + 2, g.n))
+    try:
+        matched = _matched(levels)
+        m = Matching(_pairs(levels))
+    except ValueError:
+        return False, False
+    eq = _unmatched(levels, matched, d).counts == critical_counts_formula(g, d).counts
     return eq, verify_acyclic(m, g)
 
 

@@ -2,8 +2,9 @@
 at a time, edge lookup by adjacency row, each statistic's count vector from
 a walk on one Graph (the reference that kinds._small_graph_counts' tables
 must equal), the critical walk and its minima (the scalar reference for
-clique_levels' critical mode and the critical count table), and a
-hypothesis strategy for small graphs.  Also the
+clique_levels' critical mode and the critical count table), the
+lexicographic matching's walk on vertex tuples (the reference for morse's
+bitmask walk), and a hypothesis strategy for small graphs.  Also the
 convex discrepancy estimator as it was before its cuts, blocks and
 histogram were computed in fewer passes: the reference that
 montecarlo.convex_discrepancy must equal bit for bit.  The oracle law's
@@ -25,12 +26,16 @@ from hypothesis import strategies as st
 
 from cliquestats.bounds import BoundReport
 from cliquestats.graphs import (MAX_ENUM_VERTICES, EnumerationCapError, Graph, check_p,
-                                clique_walk, gnp_generator)
+                                clique_lists, clique_walk, gnp_generator)
 from cliquestats.montecarlo import (HALFSPACE_DIRECTIONS, QUANTILE_CUTS, ConvexFamily,
                                     DiscrepancyReport, _columns, _runs)
 from cliquestats.kinds import statistic
 from cliquestats.moments import _check_crit_args, _check_link_args, comb0, crit_mu, link_mu, sigma
-from cliquestats.morse import _below_mask
+
+
+def below_mask(v: int) -> int:
+    # bits 1..v-1
+    return (1 << v) - 2
 
 
 def all_graphs(n: int):
@@ -96,6 +101,22 @@ def critical_walk(g: Graph, top: int) -> list[list[int]]:
     return minima
 
 
+def lex_walk(g: Graph, top: int):
+    """The levels of clique_lists to depth top, and the lexicographic pairs
+    (s, (min I(s),) + s) over the cliques s of those levels with I(s) =
+    C(s) & below(min s) nonempty: morse's walk as it was on vertex tuples,
+    the reference that morse._lex_walk, critical_counts_direct and
+    lex_matching must agree with."""
+    levels = clique_lists(g, top)
+    pairs = []
+    for level in levels[1:]:
+        for s, c in level:
+            i_set = c & below_mask(s[0])
+            if i_set:
+                pairs.append((s, ((i_set & -i_set).bit_length() - 1,) + s))
+    return levels, pairs
+
+
 # kind -> (Graph, d, t) -> the d counts of the kind's sizes on that graph
 GRAPH_COUNTS = {
     "critical": lambda g, d, t: tuple(map(len, critical_walk(g, d + 1)[2:])),
@@ -123,7 +144,7 @@ def truncated_critical_count(g: Graph, k: int, K: int) -> int:
 def is_vertex_critical(g: Graph, v: int) -> bool:
     """A vertex is critical iff it has no neighbour with a smaller label;
     vertex 1 always is."""
-    return not g.adj[v] & _below_mask(v)
+    return not g.adj[v] & below_mask(v)
 
 
 def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:

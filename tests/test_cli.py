@@ -150,6 +150,31 @@ def test_morse_demo_graph_file(tmp_path):
     assert "critical counts (sizes 2..3): [1, 0]" in res.stdout
 
 
+@pytest.mark.parametrize("flags,named", [
+    (["--n", "8"], "--n"),
+    (["--p", "0.5"], "--p"),
+    (["--master-seed", "0"], "--master-seed"),
+    (["--master-seed", "3", "--n", "5", "--p", "0.2"], "--n, --p, --master-seed"),
+])
+def test_morse_demo_graph_file_refuses_the_sampling_flags(flags, named, tmp_path, capsys):
+    # the graph file fixes the graph, so the flags that draw one would change nothing
+    gf = tmp_path / "g.txt"
+    gf.write_text("5\n1 2\n2 3\n1 4\n3 4\n3 5\n4 5\n")
+    assert cli.main(["morse-demo", "--graph-file", str(gf), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s: read only when no --graph-file is given\n" % named
+
+
+def test_morse_demo_default_graph_is_g_8_half_at_seed_0(capsys, monkeypatch):
+    monkeypatch.delenv("CLIQUESTATS_SEED", raising=False)
+    outs = []
+    for args in ([], ["--n", "8", "--p", "0.5", "--master-seed", "0"]):
+        assert cli.main(["morse-demo", *args]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "critical counts (sizes 2..3):" in outs[0]
+
+
 def test_morse_demo_malformed_graph_file_names_line(tmp_path):
     gf = tmp_path / "g.txt"
     gf.write_text("5\n1 2\n2 3 4\n")

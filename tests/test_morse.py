@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquestats.graphs import (GnpParams, Graph, clique_count, clique_levels, cliques,
-                                pair_matrix, sample_gnp, spans_clique)
+                                gnp_mask, gnp_streams, pair_matrix, sample_gnp, spans_clique)
 from cliquestats.kinds import STATS, _small_graph_counts
-from cliquestats.morse import (CriticalVector, Matching, _below_mask, _crit_sizes, _validated,
-                               critical_counts_direct, critical_counts_formula, lex_matching,
-                               verify_acyclic)
-from reference import (all_graphs, critical_minima, graphs_on_at_most_9, is_vertex_critical,
-                       truncated_critical_count)
+from cliquestats.morse import (CriticalVector, Matching, _crit_sizes, _lex_walk, _matched,
+                               _simplex, _validated, critical_counts_direct,
+                               critical_counts_formula, lex_matching, verify_acyclic)
+from reference import (all_graphs, below_mask, critical_minima, graphs_on_at_most_9,
+                       is_vertex_critical, lex_walk, truncated_critical_count)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 FIG2_PAIRS = frozenset({
@@ -478,7 +478,7 @@ def _lex_matching_reference(g, max_size):
             common = (1 << (g.n + 1)) - 1
             for v in s:
                 common &= g.adj[v]
-            i_set = common & _below_mask(s[0])
+            i_set = common & below_mask(s[0])
             if i_set:
                 j = (i_set & -i_set).bit_length() - 1
                 pairs.append((s, tuple(sorted(s + (j,)))))
@@ -569,6 +569,94 @@ def test_morse_gates_match_reference_random_n12():
     for stream in range(50):
         g = sample_gnp(GnpParams(12, 0.5, 41), stream=stream)
         _assert_gates_match_reference(g, (3, 5), (1, 3), range(1, 6))
+
+
+def _assert_walk_matches_tuple_reference(g):
+    """morse's bitmask walk against the tuple walk it replaced, both to full
+    depth: the same cliques in the same order, with E(s) and I(s) the parts
+    of C(s) above max s and below min s.  Then critical_counts_direct for
+    every d and lex_matching for every max_size against the pairs of that
+    one reference walk: a clique of size k is matched only through faces of
+    size k - 1 or k, so a walk to any depth >= d + 1 gives the counts of
+    sizes 2..d+1, and a walk to max_size the pairs whose face has at most
+    max_size vertices."""
+    ref_levels, ref_pairs = lex_walk(g, g.n)
+    assert [[(_simplex(s), e, i) for s, e, i in level] for level in _lex_walk(g, g.n)] \
+        == [[(s, c & -(2 << s[-1]), c & below_mask(s[0])) for s, c in level]
+            for level in ref_levels[1:]]
+    matched = {s for pair in ref_pairs for s in pair}
+    unmatched = [sum(s not in matched for s, _ in level) for level in ref_levels]
+    for d in range(g.n):
+        assert critical_counts_direct(g, d).counts == tuple(unmatched[2:d + 2])
+    for max_size in range(g.n + 1):
+        assert lex_matching(g, max_size).pairs == {p for p in ref_pairs if len(p[0]) <= max_size}
+
+
+def test_bitmask_walk_matches_tuple_walk_every_graph_n6():
+    for g in all_graphs(6):
+        _assert_walk_matches_tuple_reference(g)
+
+
+def test_bitmask_walk_matches_tuple_walk_random_n12():
+    # the random corpus of verify --suite morse-equivalence
+    for rng in gnp_streams(1, 0, 1000):
+        _assert_walk_matches_tuple_reference(Graph(12, gnp_mask(rng, 12, 0.5)))
+
+
+def _mutated_walk(monkeypatch, mutate):
+    """Patch morse's walk, as critical_counts_direct, lex_matching and verify's
+    gate call it, to return mutate(levels) for the true walk's levels."""
+    from cliquestats import morse, verify
+    walk = _lex_walk
+    for module in (morse, verify):
+        monkeypatch.setattr(module, "_lex_walk", lambda g, top: mutate(walk(g, top)))
+
+
+def test_morse_gate_fails_a_walk_that_takes_the_highest_bit_of_i(monkeypatch):
+    # keeping only the highest bit of I(s) makes it the one the pair takes:
+    # on K3, {3} pairs with {2, 3}, which also pairs up with {1, 2, 3}
+    from cliquestats import verify
+    _mutated_walk(monkeypatch, lambda levels: [
+        [(s, e, i and 1 << i.bit_length() - 1) for s, e, i in level] for level in levels])
+    with pytest.raises(ValueError, match="a simplex appears in two pairs"):
+        critical_counts_direct(Graph.complete(3), 1)
+    with pytest.raises(ValueError, match=r"simplex \(2, 3\) appears in two pairs"):
+        lex_matching(Graph.complete(3), 3)
+    assert verify._equiv_on_graph(Graph.complete(3), 1) == (False, False)
+    status = _status(verify.suite_morse_equivalence(random_graphs=20, enum_ns=(5,)))
+    assert set(status.values()) == {"FAIL"}
+
+
+def test_direct_check_refuses_a_repeated_simplex(monkeypatch):
+    # the first vertex that pairs up is listed twice, so it is in two pairs
+    def repeat_first_face(levels):
+        first = next(r for r in levels[0] if r[2])
+        return [[first] + levels[0]] + levels[1:]
+    _mutated_walk(monkeypatch, repeat_first_face)
+    for g in (FIG2, Graph.complete(4), sample_gnp(GnpParams(9, 0.5, 2))):
+        with pytest.raises(ValueError, match="a simplex appears in two pairs"):
+            critical_counts_direct(g, 2)
+    # in masks: {3} -> {2, 3} and {2, 3} -> {1, 2, 3}; {2} -> {1, 2} twice
+    assert _matched([[(0b1000, 0, 0b100)]]) == {0b1000, 0b1100}
+    for levels in ([[(0b1000, 0, 0b100)], [(0b1100, 0, 0b10)]],
+                   [[(0b100, 0, 0b10), (0b100, 0, 0b10)]]):
+        with pytest.raises(ValueError, match="a simplex appears in two pairs"):
+            _matched(levels)
+
+
+@pytest.mark.parametrize("bad_i", [
+    lambda s, e: s & -s,  # the face's own lowest vertex: the coface is the face
+    lambda s, e: e,  # a vertex above the face
+])
+def test_direct_check_refuses_a_coface_not_its_face_plus_a_lower_vertex(bad_i, monkeypatch):
+    # the top vertex of each size-2 clique gets an I(s) whose lowest bit is no
+    # vertex below min s
+    def corrupt(levels):
+        return [levels[0]] + [[(s, e, bad_i(s, e) or i) for s, e, i in levels[1]]] + levels[2:]
+    _mutated_walk(monkeypatch, corrupt)
+    for g in (Graph.complete(4), Graph.complete(6)):
+        with pytest.raises(ValueError, match="invalid pair"):
+            critical_counts_direct(g, 2)
 
 
 def test_critical_vector_accessors():
