@@ -285,32 +285,51 @@ def sample_gnp(params: GnpParams, stream: int = 0) -> Graph:
     return Graph(params.n, gnp_mask(rng, params.n, params.p))
 
 
-def clique_lists(g: Graph, top: int) -> list:
-    """levels[k], k = 0..top: the k-cliques s of g in lexicographic order, each as
-    (s, C(s)) with C(s) the AND of adj[v] over s, its common neighbours
-    (levels[0] holds the empty clique and every vertex).  One ascending walk:
-    s grows by each v in C(s) & above(max s), so each clique is built once,
-    from its prefix, and its C(s) with one AND."""
+def clique_masks(g: Graph, top: int) -> list:
+    """levels[k - 1], k = 1..top: the k-cliques s of g in lexicographic order,
+    from one ascending walk, each as (s, E(s), I(s)) in vertex bitmasks, with
+    C(s) the common neighbours of s, E(s) = C(s) & above(max s) the vertices
+    that extend s, and I(s) = C(s) & below(min s).  s grows by each v in E(s),
+    lowest first, so each clique is built once, from its prefix: what is left
+    of E(s) once v is taken is E(s) & above(v), so E(s + v) is that & adj[v],
+    and I(s + v) = I(s) & adj[v]."""
+    if top < 1:
+        return []
     adj = g.adj
-    levels = [[((), g.vertex_mask)]]
-    for _ in range(top):
+    level, ext = [], g.vertex_mask
+    while ext:  # the vertices: E({v}) = adj[v] & above(v), I({v}) = adj[v] & below(v)
+        low = ext & -ext
+        ext ^= low
+        a = adj[low.bit_length() - 1]
+        level.append((low, ext & a, a & low - 1))
+    levels = [level]
+    for _ in range(top - 1):
         level = []
-        for s, c in levels[-1]:
-            mask = c & -(2 << s[-1]) if s else c  # C(s) & above(max s)
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                v = low.bit_length() - 1
-                level.append((s + (v,), c & adj[v]))
+        for s, ext, i in levels[-1]:
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                a = adj[low.bit_length() - 1]
+                level.append((s | low, ext & a, i & a))
         levels.append(level)
     return levels
+
+
+def mask_tuple(mask: int) -> tuple:
+    """The vertices of mask as an increasing tuple."""
+    vs = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        vs.append(low.bit_length() - 1)
+    return tuple(vs)
 
 
 def cliques(g: Graph, k: int) -> list[tuple[int, ...]]:
     """All k-cliques of g as sorted vertex tuples, in lexicographic order."""
     if not 1 <= k <= g.n:
         raise ValueError("k must lie in [1, n]")
-    return [s for s, _ in clique_lists(g, k)[k]]
+    return [mask_tuple(s) for s, _, _ in clique_masks(g, k)[k - 1]]
 
 
 def clique_walk(adj, cand, top: int) -> list[int]:

@@ -19,10 +19,10 @@ from . import bounds as bd
 from . import moments as mo
 from . import montecarlo as mc
 from . import oracle as orc
-from .graphs import (MAX_ENUM_VERTICES, Graph, GnpParams, clique_levels, gnp_mask, gnp_pairs,
-                     gnp_streams, pair_matrix)
+from .graphs import (MAX_ENUM_VERTICES, Graph, GnpParams, clique_levels, clique_masks, gnp_mask,
+                     gnp_pairs, gnp_streams, pair_matrix)
 from .kinds import statistic
-from .morse import (Matching, _lex_walk, _matched, _pairs, _unmatched, critical_counts_direct,
+from .morse import (Matching, _matched, _pairs, _unmatched, critical_counts_direct,
                     critical_counts_formula, lex_matching, verify_acyclic)
 
 REL_TOL_ORACLE = 1e-10
@@ -84,23 +84,28 @@ def _equiv_on_graph(g: Graph, d: int) -> tuple[bool, bool]:
     verify_acyclic(lex_matching(g, min(d + 2, n)), g), from one walk and one
     Matching: faces of size d + 2 match only to size d + 3, so the counts of
     sizes 2..d+1 are those of the walk to depth d + 1.  Pairs that are no
-    matching fail both."""
-    levels = _lex_walk(g, min(d + 2, g.n))
-    try:
-        matched = _matched(levels)
-        m = Matching(_pairs(levels))
-    except ValueError:
-        return False, False
+    matching raise ValueError, from _matched's mask form of the rule that
+    Matching checks."""
+    levels = clique_masks(g, min(d + 2, g.n))
+    matched = _matched(levels)
+    m = Matching(_pairs(levels))
     eq = _unmatched(levels, matched, d).counts == critical_counts_formula(g, d).counts
     return eq, verify_acyclic(m, g)
 
 
 def _equiv_tally(items) -> Counter:
     """Equivalence and acyclicity failures over (corpus, n, d, mask) items,
-    keyed (corpus, "eq") and (corpus, "acy")."""
+    keyed (corpus, "eq") and (corpus, "acy").  A graph whose pairs are no
+    matching fails both, and its error is counted under (corpus, "invalid",
+    message)."""
     tally = Counter()
     for corpus, n, d, mask in items:
-        eq, acy = _equiv_on_graph(Graph(n, mask), d)
+        g = Graph(n, mask)
+        try:
+            eq, acy = _equiv_on_graph(g, d)
+        except ValueError as e:  # from _matched or Matching
+            eq = acy = False
+            tally[corpus, "invalid", str(e)] += 1
         tally[corpus, "eq"] += not eq
         tally[corpus, "acy"] += not acy
     return tally
@@ -133,9 +138,14 @@ def suite_morse_equivalence(random_graphs: int = 1000, random_n: int = 12,
     tally = sum(mc.parallel_map(_equiv_tally, items, threads), Counter())
     results = []
     for c, (eq_name, acy_name, *_) in enumerate(corpora):
-        results += [_gate("morse equivalence " + eq_name, not tally[c, "eq"],
-                          "%d mismatches" % tally[c, "eq"]),
-                    _gate("acyclicity " + acy_name, not tally[c, "acy"])]
+        detail, why = "%d mismatches" % tally[c, "eq"], ""
+        invalid = sorted((key[2], k) for key, k in tally.items() if key[:2] == (c, "invalid"))
+        if invalid:
+            why = "%d graphs' pairs are no matching, e.g. %s" % (
+                sum(k for _, k in invalid), invalid[0][0])
+            detail += "; " + why
+        results += [_gate("morse equivalence " + eq_name, not tally[c, "eq"], detail),
+                    _gate("acyclicity " + acy_name, not tally[c, "acy"], why)]
     return results
 
 

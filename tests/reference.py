@@ -3,7 +3,7 @@ at a time, edge lookup by adjacency row, each statistic's count vector from
 a walk on one Graph (the reference that kinds._small_graph_counts' tables
 must equal), the critical walk and its minima (the scalar reference for
 clique_levels' critical mode and the critical count table), the
-lexicographic matching's walk on vertex tuples (the reference for morse's
+lexicographic matching's walk on vertex tuples (the reference for graphs'
 bitmask walk), and a hypothesis strategy for small graphs.  Also the
 convex discrepancy estimator as it was before its cuts, blocks and
 histogram were computed in fewer passes: the reference that
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from cliquestats.bounds import BoundReport
 from cliquestats.graphs import (MAX_ENUM_VERTICES, EnumerationCapError, Graph, check_p,
-                                clique_lists, clique_walk, gnp_generator)
+                                clique_walk, gnp_generator)
 from cliquestats.montecarlo import (HALFSPACE_DIRECTIONS, QUANTILE_CUTS, ConvexFamily,
                                     DiscrepancyReport, _columns, _runs)
 from cliquestats.kinds import statistic
@@ -101,12 +101,33 @@ def critical_walk(g: Graph, top: int) -> list[list[int]]:
     return minima
 
 
+def clique_lists(g: Graph, top: int) -> list:
+    """levels[k], k = 0..top: the k-cliques s of g in lexicographic order, each as
+    (s, C(s)) with C(s) the AND of adj[v] over s, its common neighbours
+    (levels[0] holds the empty clique and every vertex).  One ascending walk:
+    s grows by each v in C(s) & above(max s), so each clique is built once,
+    from its prefix, and its C(s) with one AND."""
+    adj = g.adj
+    levels = [[((), g.vertex_mask)]]
+    for _ in range(top):
+        level = []
+        for s, c in levels[-1]:
+            mask = c & -(2 << s[-1]) if s else c  # C(s) & above(max s)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                v = low.bit_length() - 1
+                level.append((s + (v,), c & adj[v]))
+        levels.append(level)
+    return levels
+
+
 def lex_walk(g: Graph, top: int):
     """The levels of clique_lists to depth top, and the lexicographic pairs
     (s, (min I(s),) + s) over the cliques s of those levels with I(s) =
-    C(s) & below(min s) nonempty: morse's walk as it was on vertex tuples,
-    the reference that morse._lex_walk, critical_counts_direct and
-    lex_matching must agree with."""
+    C(s) & below(min s) nonempty: the walk on vertex tuples that graphs'
+    bitmask walk replaced, the reference that graphs.clique_masks,
+    critical_counts_direct and lex_matching must agree with."""
     levels = clique_lists(g, top)
     pairs = []
     for level in levels[1:]:

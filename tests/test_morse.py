@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 from math import comb
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliquestats.graphs import (GnpParams, Graph, clique_count, clique_levels, cliques,
-                                gnp_mask, gnp_streams, pair_matrix, sample_gnp, spans_clique)
+from cliquestats.graphs import (GnpParams, Graph, clique_count, clique_levels, clique_masks,
+                                cliques, gnp_mask, gnp_streams, mask_tuple, pair_matrix,
+                                sample_gnp, spans_clique)
 from cliquestats.kinds import STATS, _small_graph_counts
-from cliquestats.morse import (CriticalVector, Matching, _crit_sizes, _lex_walk, _matched,
-                               _simplex, _validated, critical_counts_direct,
+from cliquestats.morse import (CriticalVector, Matching, _crit_sizes, _matched, _validated,
+                               critical_counts_direct,
                                critical_counts_formula, lex_matching, verify_acyclic)
 from reference import (all_graphs, below_mask, critical_minima, graphs_on_at_most_9,
                        is_vertex_critical, lex_walk, truncated_critical_count)
@@ -572,7 +574,7 @@ def test_morse_gates_match_reference_random_n12():
 
 
 def _assert_walk_matches_tuple_reference(g):
-    """morse's bitmask walk against the tuple walk it replaced, both to full
+    """graphs' bitmask walk against the tuple walk it replaced, both to full
     depth: the same cliques in the same order, with E(s) and I(s) the parts
     of C(s) above max s and below min s.  Then critical_counts_direct for
     every d and lex_matching for every max_size against the pairs of that
@@ -581,7 +583,7 @@ def _assert_walk_matches_tuple_reference(g):
     sizes 2..d+1, and a walk to max_size the pairs whose face has at most
     max_size vertices."""
     ref_levels, ref_pairs = lex_walk(g, g.n)
-    assert [[(_simplex(s), e, i) for s, e, i in level] for level in _lex_walk(g, g.n)] \
+    assert [[(mask_tuple(s), e, i) for s, e, i in level] for level in clique_masks(g, g.n)] \
         == [[(s, c & -(2 << s[-1]), c & below_mask(s[0])) for s, c in level]
             for level in ref_levels[1:]]
     matched = {s for pair in ref_pairs for s in pair}
@@ -604,12 +606,11 @@ def test_bitmask_walk_matches_tuple_walk_random_n12():
 
 
 def _mutated_walk(monkeypatch, mutate):
-    """Patch morse's walk, as critical_counts_direct, lex_matching and verify's
-    gate call it, to return mutate(levels) for the true walk's levels."""
+    """Patch graphs' bitmask walk, as critical_counts_direct, lex_matching and
+    verify's gate call it, to return mutate(levels) for the true walk's levels."""
     from cliquestats import morse, verify
-    walk = _lex_walk
     for module in (morse, verify):
-        monkeypatch.setattr(module, "_lex_walk", lambda g, top: mutate(walk(g, top)))
+        monkeypatch.setattr(module, "clique_masks", lambda g, top: mutate(clique_masks(g, top)))
 
 
 def test_morse_gate_fails_a_walk_that_takes_the_highest_bit_of_i(monkeypatch):
@@ -618,13 +619,18 @@ def test_morse_gate_fails_a_walk_that_takes_the_highest_bit_of_i(monkeypatch):
     from cliquestats import verify
     _mutated_walk(monkeypatch, lambda levels: [
         [(s, e, i and 1 << i.bit_length() - 1) for s, e, i in level] for level in levels])
-    with pytest.raises(ValueError, match="a simplex appears in two pairs"):
+    with pytest.raises(ValueError, match=r"simplex \(2, 3\) appears in two pairs"):
         critical_counts_direct(Graph.complete(3), 1)
     with pytest.raises(ValueError, match=r"simplex \(2, 3\) appears in two pairs"):
         lex_matching(Graph.complete(3), 3)
-    assert verify._equiv_on_graph(Graph.complete(3), 1) == (False, False)
-    status = _status(verify.suite_morse_equivalence(random_graphs=20, enum_ns=(5,)))
-    assert set(status.values()) == {"FAIL"}
+    with pytest.raises(ValueError, match=r"simplex \(2, 3\) appears in two pairs"):
+        verify._equiv_on_graph(Graph.complete(3), 1)
+    rows = verify.suite_morse_equivalence(random_graphs=20, enum_ns=(5,))
+    assert {r.status for r in rows} == {"FAIL"}
+    # each row names the fault, after its mismatch count on the equivalence rows
+    for r, prefix in zip(rows, [r"\d+ mismatches; ", "", r"\d+ mismatches; ", ""]):
+        assert re.fullmatch(prefix + r"\d+ graphs' pairs are no matching, "
+                            r"e\.g\. simplex \([\d, ]+\) appears in two pairs", r.detail), r.detail
 
 
 def test_direct_check_refuses_a_repeated_simplex(monkeypatch):
@@ -634,13 +640,13 @@ def test_direct_check_refuses_a_repeated_simplex(monkeypatch):
         return [[first] + levels[0]] + levels[1:]
     _mutated_walk(monkeypatch, repeat_first_face)
     for g in (FIG2, Graph.complete(4), sample_gnp(GnpParams(9, 0.5, 2))):
-        with pytest.raises(ValueError, match="a simplex appears in two pairs"):
+        with pytest.raises(ValueError, match=r"simplex \(\d,\) appears in two pairs"):
             critical_counts_direct(g, 2)
     # in masks: {3} -> {2, 3} and {2, 3} -> {1, 2, 3}; {2} -> {1, 2} twice
     assert _matched([[(0b1000, 0, 0b100)]]) == {0b1000, 0b1100}
-    for levels in ([[(0b1000, 0, 0b100)], [(0b1100, 0, 0b10)]],
-                   [[(0b100, 0, 0b10), (0b100, 0, 0b10)]]):
-        with pytest.raises(ValueError, match="a simplex appears in two pairs"):
+    for levels, repeat in (([[(0b1000, 0, 0b100)], [(0b1100, 0, 0b10)]], r"\(2, 3\)"),
+                           ([[(0b100, 0, 0b10), (0b100, 0, 0b10)]], r"\(2,\)")):
+        with pytest.raises(ValueError, match="simplex %s appears in two pairs" % repeat):
             _matched(levels)
 
 
