@@ -36,6 +36,10 @@ VERIFY_FLAGS = {
 }
 VERIFY_OPTS = sorted({f for flags in VERIFY_FLAGS.values() for f in flags})
 
+# The bounds flags each theorem reads, by argparse dest; a kind reads none.
+BOUNDS_FLAGS = {"convex": ("smooth_b",), "ustat": ("k_vec", "alpha_vec", "beta"),
+                "ustat-no-x": ("k_vec", "alpha_vec", "beta")}
+
 
 class UsageError(ValueError):
     pass
@@ -75,6 +79,13 @@ def _emit(args, payload: dict, text: str | None = None):
 
 
 # ---------------------------------------------------------------------------
+
+
+def _refuse(args, flags, why: str):
+    """Exit 2 naming those of flags, argparse dests, that args gives, if any."""
+    given = ["--" + f.replace("_", "-") for f in flags if getattr(args, f) is not None]
+    if given:
+        raise UsageError("%s: %s" % (", ".join(given), why))
 
 
 def _need(args, *names):
@@ -129,6 +140,8 @@ def _number_list(text: str, flag: str, kind) -> list:
 
 def cmd_bounds(args) -> int:
     th = args.theorem
+    _refuse(args, [f for f in ("smooth_b", "k_vec", "alpha_vec", "beta")
+                   if f not in BOUNDS_FLAGS.get(th, ())], "not read by --theorem " + th)
     stat = statistic(th) if th in KINDS else None
     t = _fixed_subset(args, stat)
     if stat is not None:
@@ -203,10 +216,7 @@ def cmd_morse_demo(args) -> int:
     if args.d < 1 or (args.max_size is not None and args.max_size < 1):
         raise UsageError("--d and --max-size must be >= 1")
     if args.graph_file:
-        ignored = [f for f in ("n", "p", "master_seed") if getattr(args, f) is not None]
-        if ignored:
-            raise UsageError("%s: read only when no --graph-file is given" % ", ".join(
-                "--" + f.replace("_", "-") for f in ignored))
+        _refuse(args, ("n", "p", "master_seed"), "read only when no --graph-file is given")
         with open(args.graph_file, encoding="utf-8") as fh:
             g = Graph.from_text(fh.read())
     else:  # absent --n and --p draw from G(8, 1/2)

@@ -6,7 +6,9 @@ s, the set I(s) = {j < min(s) : s+{j} is a clique} decides the upward match:
 s pairs with s+{min I(s)} whenever I(s) is nonempty.  The matching and the
 direct counts are read off graphs' one ascending walk on vertex bitmasks
 (clique_masks), which carries I(s) = C(s) & below(min s) down from each
-clique's prefix; tuples are built only for the pairs of a Matching.
+clique's prefix.  Its pairs are checked once, on the masks (_matched), and
+Matching._of_walk builds their tuples into a Matching without Matching's
+own check, which pairs from anywhere else still get.
 Criticality for sizes >= 2 is what the counting formula covers, evaluated by
 the kernels a replicate runs (kinds.critical_counts): the count table at
 n <= 6 and clique_levels' critical mode above it.  Vertex criticality (vertex v is
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import lt
 
 from .graphs import Graph, clique_masks, mask_tuple
 from .kinds import critical_counts
@@ -44,40 +45,17 @@ def _check_pairs(pairs):
             seen.add(s)
 
 
-def _lexicographic(pairs):
-    """The simplices of pairs when each pair is (face, (j,) + face), two tuples
-    of int vertices with 1 <= j < face[0] and face strictly increasing, and
-    no simplex is in two pairs; else None.  _matched checks the same rule on
-    bitmasks."""
-    try:
-        for face, coface in pairs:
-            if not (type(face) is tuple is type(coface) and face and coface[1:] == face
-                    and 0 < coface[0] < face[0]
-                    and (len(face) == 1 or all(map(lt, face, face[1:])))):
-                return None
-    except (TypeError, ValueError):  # not two simplices, or vertices that do not compare
-        return None
-    matched = set(chain.from_iterable(pairs))
-    if len(matched) == 2 * len(pairs) and {*map(type, chain.from_iterable(matched))} <= {int}:
-        return matched
-    return None
-
-
 def _validated(pairs) -> set:
-    """The simplices of pairs, once Matching's checks pass.  Lexicographic
-    pairs are valid as they stand, so when every pair is one, a set size
-    finds repeats; else every simplex must be a tuple of int vertices >= 1,
-    then _check_pairs runs, and the first fault raises."""
-    matched = _lexicographic(pairs)
-    if matched is None:
-        simplices = [s for pair in pairs for s in pair]
-        if not ({*map(type, simplices)} <= {tuple}
-                and {*map(type, chain.from_iterable(simplices))} <= {int}
-                and min(chain.from_iterable(simplices), default=1) >= 1):
-            raise ValueError(_NOT_INCREASING)
-        _check_pairs(pairs)
-        matched = set(simplices)
-    return matched
+    """The simplices of pairs, once Matching's checks pass: every simplex a
+    tuple of int vertices >= 1, then _check_pairs, and the first fault
+    raises."""
+    simplices = [s for pair in pairs for s in pair]
+    if not ({*map(type, simplices)} <= {tuple}
+            and {*map(type, chain.from_iterable(simplices))} <= {int}
+            and min(chain.from_iterable(simplices), default=1) >= 1):
+        raise ValueError(_NOT_INCREASING)
+    _check_pairs(pairs)
+    return set(simplices)
 
 
 @dataclass(frozen=True)
@@ -89,6 +67,17 @@ class Matching:
 
     def __post_init__(self):
         _validated(self.pairs)
+
+    @classmethod
+    def _of_walk(cls, levels) -> tuple:
+        """_matched(levels)'s masks and the Matching of those pairs.  A pair
+        _matched passes is (t less its lowest bit, t) for a mask t of
+        vertices >= 1, in no other pair, so _pair's tuples pass Matching's
+        check unrun."""
+        matched, cofaces = _matched(levels)
+        m = object.__new__(cls)
+        object.__setattr__(m, "pairs", frozenset(map(_pair, cofaces)))
+        return matched, m
 
     def simplices(self) -> frozenset:
         return frozenset(chain.from_iterable(self.pairs))
@@ -126,41 +115,33 @@ def _pair(t: int) -> tuple:
     return mask_tuple(t & t - 1), mask_tuple(t)
 
 
-def _pairs(levels) -> frozenset:
-    """The lexicographic pairs of clique_masks' levels as (face, coface)
-    tuples."""
-    return frozenset(_pair(s | i & -i) for level in levels for s, _, i in level if i)
-
-
-def _matched(levels) -> set:
-    """The masks in the pairs (s, s | the lowest bit of I(s)) over the
-    cliques s of clique_masks' levels with I(s) nonempty, once the checks of
-    _lexicographic, its tuple twin, pass in mask form: each coface is its
-    face plus one bit below the face's lowest bit, and no mask is in two
-    pairs, else ValueError."""
-    matched = set()
-    add = matched.add
-    pairs = 0
+def _matched(levels) -> tuple:
+    """The set of masks in the pairs (s, s | the lowest bit of I(s)) over
+    the cliques s of clique_masks' levels with I(s) nonempty, and the list
+    of their cofaces in walk order, once Matching's rule passes in mask
+    form: no mask has bit 0 (vertex 0), each coface is its face plus one bit
+    below the face's lowest bit, and no mask is in two pairs, else
+    ValueError, worded as Matching words it."""
+    faces, cofaces = [], []
     for level in levels:
         for s, _, i in level:
             if i:
                 low = i & -i
-                if low >= s & -s:
+                if not 1 < low < s & -s:
+                    if (s | low) & 1:
+                        raise ValueError(_NOT_INCREASING)
                     raise ValueError("invalid pair %r -> %r"
                                      % (mask_tuple(s), mask_tuple(s | low)))
-                add(s)
-                add(s | low)
-                pairs += 1
-    if len(matched) != 2 * pairs:  # name the first repeat, as _check_pairs does
+                faces.append(s)
+                cofaces.append(s | low)
+    matched = {*faces, *cofaces}
+    if len(matched) != 2 * len(faces):  # name the first repeat, as _check_pairs does
         seen = set()
-        for level in levels:
-            for s, _, i in level:
-                for m in (s, s | i & -i) if i else ():
-                    if m in seen:
-                        raise ValueError("simplex %r appears in two pairs"
-                                         % (mask_tuple(m),))
-                    seen.add(m)
-    return matched
+        for m in chain.from_iterable(zip(faces, cofaces)):
+            if m in seen:
+                raise ValueError("simplex %r appears in two pairs" % (mask_tuple(m),))
+            seen.add(m)
+    return matched, cofaces
 
 
 def lex_matching(g: Graph, max_size: int) -> Matching:
@@ -169,7 +150,7 @@ def lex_matching(g: Graph, max_size: int) -> Matching:
     if max_size > g.n:
         raise ValueError("max_size exceeds vertex count")
     # a size-n clique has empty I(s), so capping at n-1 loses nothing
-    return Matching(_pairs(clique_masks(g, min(max_size, g.n - 1))))
+    return Matching._of_walk(clique_masks(g, min(max_size, g.n - 1)))[1]
 
 
 def _crit_sizes(d: int, n: int):
@@ -191,7 +172,7 @@ def critical_counts_direct(g: Graph, d: int) -> CriticalVector:
     top size are seen, and larger faces match no clique of size <= d+1."""
     _crit_sizes(d, g.n)
     levels = clique_masks(g, d + 1)
-    return _unmatched(levels, _matched(levels), d)
+    return _unmatched(levels, _matched(levels)[0], d)
 
 
 def critical_counts_formula(g: Graph, d: int) -> CriticalVector:

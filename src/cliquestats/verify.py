@@ -22,8 +22,8 @@ from . import oracle as orc
 from .graphs import (MAX_ENUM_VERTICES, Graph, GnpParams, clique_levels, clique_masks, gnp_mask,
                      gnp_pairs, gnp_streams, pair_matrix)
 from .kinds import statistic
-from .morse import (Matching, _matched, _pairs, _unmatched, critical_counts_direct,
-                    critical_counts_formula, lex_matching, verify_acyclic)
+from .morse import (Matching, _unmatched, critical_counts_direct, critical_counts_formula,
+                    lex_matching, verify_acyclic)
 
 REL_TOL_ORACLE = 1e-10
 
@@ -84,11 +84,10 @@ def _equiv_on_graph(g: Graph, d: int) -> tuple[bool, bool]:
     verify_acyclic(lex_matching(g, min(d + 2, n)), g), from one walk and one
     Matching: faces of size d + 2 match only to size d + 3, so the counts of
     sizes 2..d+1 are those of the walk to depth d + 1.  Pairs that are no
-    matching raise ValueError, from _matched's mask form of the rule that
-    Matching checks."""
+    matching raise ValueError from _matched, the one check of the walk's
+    pairs."""
     levels = clique_masks(g, min(d + 2, g.n))
-    matched = _matched(levels)
-    m = Matching(_pairs(levels))
+    matched, m = Matching._of_walk(levels)
     eq = _unmatched(levels, matched, d).counts == critical_counts_formula(g, d).counts
     return eq, verify_acyclic(m, g)
 
@@ -103,7 +102,7 @@ def _equiv_tally(items) -> Counter:
         g = Graph(n, mask)
         try:
             eq, acy = _equiv_on_graph(g, d)
-        except ValueError as e:  # from _matched or Matching
+        except ValueError as e:  # from _matched
             eq = acy = False
             tally[corpus, "invalid", str(e)] += 1
         tally[corpus, "eq"] += not eq

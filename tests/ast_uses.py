@@ -85,3 +85,34 @@ def reached(found, roots) -> set:
             todo += [u.name for u in found
                      if u.top == name and u.kind == "name" and u.name in defs]
     return reach
+
+
+BUILD = ("__new__", "__init__", "__post_init__")  # the methods a call of a class runs
+
+
+def reached_functions(found, roots) -> set:
+    """(top, name) of each function or method in found that the roots are or
+    name, at any depth, each with the uses whose innermost function it is: a
+    name reaches every function or method of that name, and only a call of a
+    class, or of cls inside one of its methods, reaches the class's BUILD
+    methods.  So, unlike reached, naming a class for one of its methods does
+    not reach its constructor; a class passed uncalled is not followed."""
+    classes = {u.top for u in found if u.kind == "def" and u.top and u.func is None}
+    keys, body = {}, {}
+    for u in found:
+        if u.kind == "def" and (u.top or u.name not in classes):
+            keys.setdefault(u.name, set()).add((u.top or u.name, u.name))
+        body.setdefault((u.top, u.func), []).append(u)
+    reach, todo = set(), [key for root in roots for key in keys.get(root, ())]
+    while todo:
+        key = todo.pop()
+        if key in reach:
+            continue
+        reach.add(key)
+        for u in body.get(key, ()):
+            built = key[0] if u.name == "cls" else u.name
+            if u.kind == "name":
+                todo += keys.get(u.name, ())
+            elif u.kind == "call" and built in classes:
+                todo += [(built, m) for m in BUILD if (built, m) in keys.get(m, ())]
+    return reach

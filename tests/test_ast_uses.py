@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from ast_uses import reached, uses, within
+from ast_uses import reached, reached_functions, uses, within
 from test_fan_out import POOL_NAMES
 from test_halfspace_directions import HALFSPACE_STREAM
 from test_kind_dispatch import KIND_NAMES
@@ -12,6 +12,7 @@ from test_matched_normal import MATCHING
 from test_morse_independence import FORMULA
 from test_pair_layout import GENERATOR_CALLS, LAYOUT_CALLS
 from test_reachability import unreached, unused_methods
+from test_walk_checked_once import TUPLE_CHECK
 
 CALL, POOL, TABLE = ["call"], ["import", "name"], "_small_graph_counts"
 # rule: (use kinds, names, sources in each of which the scan finds such a use, look-alikes)
@@ -105,6 +106,29 @@ def test_reached_follows_calls_passed_functions_and_classes():
                            "def critical_counts_formula(g):\n    return clique_walk(g, 1, 2)\n"))
     assert reached(found, ["lex_matching", "renamed"]) == {"lex_matching", "clique_lists"}
     assert not FORMULA & {u.name for u in found if u.top in {"lex_matching", "clique_lists"}}
+
+
+def test_reached_functions_follows_calls_of_a_class_not_its_name():
+    checked = ("class M:\n    def __post_init__(self):\n        _validated(self.pairs)\n"
+               "def _validated(pairs):\n    return _check_pairs(pairs)\n"
+               "def _check_pairs(pairs):\n    pass\n")
+    for src in ["def lex_matching(g):\n    return M(g)\n",
+                "def lex_matching(g):\n    return helper(g)\n"
+                "def helper(g):\n    return [M(p) for p in g]\n",
+                "def lex_matching(g):\n    def inner():\n        return _check_pairs(g)\n"
+                "    return inner()\n",
+                "def lex_matching(g):\n    return M._of_walk(g)\n"
+                "class W:\n    @classmethod\n    def _of_walk(cls, g):\n        return cls(g)\n"
+                "    def __init__(self, g):\n        _validated(g)\n"]:
+        found = uses(ast.parse(checked + src))
+        assert TUPLE_CHECK & {n for _, n in reached_functions(found, ["lex_matching"])}, src
+    # naming the class for a method, or building one without a call of it, runs no check
+    found = uses(ast.parse(checked + "class N:\n    @classmethod\n    def _of_walk(cls, g):\n"
+                           "        m = object.__new__(cls)\n        return _matched(g), M\n"
+                           "def lex_matching(g):\n    return N._of_walk(g)[1], M.pairs\n"
+                           "def _matched(g):\n    return g\n"))
+    assert reached_functions(found, ["lex_matching", "renamed"]) == {
+        ("lex_matching", "lex_matching"), ("N", "_of_walk"), ("_matched", "_matched")}
 
 
 def test_unreached_leaves_out_what_main_a_module_statement_or_a_given_name_reaches():

@@ -567,6 +567,16 @@ def test_moments_too_few_replicates_exit2_on_every_path(args, capsys, monkeypatc
     ("moments --kind critical --n 5 --d 2 --p 0.5 --replicates 5", "--replicates"),  # oracle
     ("moments --kind critical --n 9 --d 1 --p 0.5 --replicates 5", "--replicates"),
     ("moments --kind link --n 9 --d 2 --p 0.5 --replicates 5", "--replicates"),
+    # cli.BOUNDS_FLAGS: the flags of another theorem
+    ("bounds --theorem convex --d 2 --smooth-b 3 --k-vec 2 --beta 1",
+     "--k-vec, --beta: not read by --theorem convex"),
+    ("bounds --theorem clique --n 40 --p 0.5 --smooth-b 3 --beta 2",
+     "--smooth-b, --beta: not read by --theorem clique"),
+    ("bounds --theorem critical --n 8 --p 0.5 --alpha-vec 0.1", "--alpha-vec"),
+    ("bounds --theorem link --n 8 --p 0.5 --t-size 1 --k-vec 2", "--k-vec"),
+    ("bounds --theorem ustat --k-vec 2 --alpha-vec 0.1 --beta 1 --smooth-b 2", "--smooth-b"),
+    ("bounds --theorem ustat-no-x --k-vec 2 --alpha-vec 0.1 --beta 1 --smooth-b 2",
+     "--smooth-b"),
 ])
 def test_a_flag_the_command_would_ignore_exits2_naming_it(args, flag, capsys, monkeypatch):
     from cliquestats import montecarlo as mc

@@ -581,7 +581,8 @@ def _assert_walk_matches_tuple_reference(g):
     one reference walk: a clique of size k is matched only through faces of
     size k - 1 or k, so a walk to any depth >= d + 1 gives the counts of
     sizes 2..d+1, and a walk to max_size the pairs whose face has at most
-    max_size vertices."""
+    max_size vertices.  The full-depth pairs, which Matching._of_walk checks
+    in mask form alone, also pass Matching's own check."""
     ref_levels, ref_pairs = lex_walk(g, g.n)
     assert [[(mask_tuple(s), e, i) for s, e, i in level] for level in clique_masks(g, g.n)] \
         == [[(s, c & -(2 << s[-1]), c & below_mask(s[0])) for s, c in level]
@@ -592,11 +593,14 @@ def _assert_walk_matches_tuple_reference(g):
         assert critical_counts_direct(g, d).counts == tuple(unmatched[2:d + 2])
     for max_size in range(g.n + 1):
         assert lex_matching(g, max_size).pairs == {p for p in ref_pairs if len(p[0]) <= max_size}
+    pairs = lex_matching(g, g.n).pairs
+    assert Matching(pairs).pairs is pairs
 
 
 def test_bitmask_walk_matches_tuple_walk_every_graph_n6():
-    for g in all_graphs(6):
-        _assert_walk_matches_tuple_reference(g)
+    for n in range(1, 7):  # and every smaller graph
+        for g in all_graphs(n):
+            _assert_walk_matches_tuple_reference(g)
 
 
 def test_bitmask_walk_matches_tuple_walk_random_n12():
@@ -643,11 +647,30 @@ def test_direct_check_refuses_a_repeated_simplex(monkeypatch):
         with pytest.raises(ValueError, match=r"simplex \(\d,\) appears in two pairs"):
             critical_counts_direct(g, 2)
     # in masks: {3} -> {2, 3} and {2, 3} -> {1, 2, 3}; {2} -> {1, 2} twice
-    assert _matched([[(0b1000, 0, 0b100)]]) == {0b1000, 0b1100}
+    assert _matched([[(0b1000, 0, 0b100)]]) == ({0b1000, 0b1100}, [0b1100])
     for levels, repeat in (([[(0b1000, 0, 0b100)], [(0b1100, 0, 0b10)]], r"\(2, 3\)"),
                            ([[(0b100, 0, 0b10), (0b100, 0, 0b10)]], r"\(2,\)")):
         with pytest.raises(ValueError, match="simplex %s appears in two pairs" % repeat):
             _matched(levels)
+
+
+@pytest.mark.parametrize("vertex_0", [
+    lambda s, e, i: (s, e, i and i | 1),  # the lowest bit of I(s) is vertex 0
+    lambda s, e, i: (s | 1, e, i),  # every clique holds vertex 0
+])
+def test_walk_check_refuses_vertex_0_in_matchings_words(vertex_0, monkeypatch):
+    from cliquestats import verify
+    _mutated_walk(monkeypatch, lambda levels: [[vertex_0(*r) for r in level] for level in levels])
+    message = re.escape("a simplex is not a strictly increasing tuple of vertices >= 1")
+    for g in (FIG2, Graph.complete(4)):
+        for direct in (lambda: lex_matching(g, g.n), lambda: critical_counts_direct(g, 2)):
+            with pytest.raises(ValueError, match="^%s$" % message):
+                direct()
+    rows = verify.suite_morse_equivalence(random_graphs=20, enum_ns=(5,))
+    assert {r.status for r in rows} == {"FAIL"}
+    for r, prefix in zip(rows, [r"\d+ mismatches; ", "", r"\d+ mismatches; ", ""]):
+        assert re.fullmatch(prefix + r"\d+ graphs' pairs are no matching, e\.g\. " + message,
+                            r.detail), r.detail
 
 
 @pytest.mark.parametrize("bad_i", [

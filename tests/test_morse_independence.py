@@ -1,6 +1,6 @@
 """The Morse-equivalence gate compares two independent enumerations: the direct
 construction (lex_matching, critical_counts_direct, verify_acyclic, and the
-one-walk helpers _matched, _pairs and _unmatched that verify's gate calls)
+one-walk helpers _matched and _unmatched that verify's gate reaches)
 reads graphs' ascending bitmask walk clique_masks, and the formula reads the
 kernels a replicate runs, kinds.critical_counts: the count table
 (_small_graph_counts over _is_critical) and clique_levels.  No function the
@@ -9,8 +9,7 @@ critical_counts_formula."""
 
 from ast_uses import reached, src_uses
 
-DIRECT = ("lex_matching", "critical_counts_direct", "verify_acyclic", "_matched", "_pairs",
-          "_unmatched")
+DIRECT = ("lex_matching", "critical_counts_direct", "verify_acyclic", "_matched", "_unmatched")
 FORMULA = {"clique_walk", "clique_levels", "critical_counts_formula", "critical_counts",
            "_small_graph_counts", "_is_critical"}
 
