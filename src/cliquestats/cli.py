@@ -100,9 +100,9 @@ def cmd_moments(args) -> int:
         raise UsageError("need at least 2 replicates")
     stat = statistic(args.kind)
     sampled = stat.cov is None and args.d > 1 and args.n > MAX_ENUM_VERTICES
-    if args.replicates is not None and not sampled:
-        raise UsageError("--replicates is read only where the off-diagonals are sampled "
-                         "(no closed form, d > 1, n > %d)" % MAX_ENUM_VERTICES)
+    if not sampled:
+        _refuse(args, ("replicates", "master_seed"), "read only where the off-diagonals "
+                "are sampled (no closed form, d > 1, n > %d)" % MAX_ENUM_VERTICES)
     _fixed_subset(args, stat)
     _seed(args)  # echoed in the spec
     offdiag = None

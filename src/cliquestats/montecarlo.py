@@ -322,18 +322,16 @@ def _grid(pooled: np.ndarray) -> list:
 def convex_family(w: np.ndarray, z: np.ndarray, seed: int = 0) -> ConvexFamily:
     """Rectangles between QUANTILE_CUTS pooled quantiles per axis, and
     halfspaces {x : <u,x> <= c} at as many quantiles of the projection on
-    each direction u of _directions."""
-    pooled = np.vstack([w, z])
-    return ConvexFamily(_grid(pooled), [(u, float(c)) for u, _, cuts, _ in _directions(pooled, seed)
-                                        for c in cuts])
+    each direction u of _directions, as _halfspace_probs builds them."""
+    return _halfspace_probs(w, z, seed)[0]
 
 
 def _halfspace_probs(w: np.ndarray, z: np.ndarray, seed: int):
-    """convex_family(w, z, seed), and the probability of each of its
-    halfspaces under W and under Z, in family order.  W's count <= a cut is
-    read off the pooled projection's first rows, and Z's is the pooled count
-    less W's; a count over the row count is np.mean of the bool array, bit
-    for bit."""
+    """The convex family of w and z (see convex_family), and the probability
+    of each of its halfspaces under W and under Z, in family order.  W's
+    count <= a cut is read off the pooled projection's first rows, and Z's
+    is the pooled count less W's; a count over the row count is np.mean of
+    the bool array, bit for bit."""
     pooled = np.vstack([w, z])
     halfspaces, w_below, pooled_below = [], [], []
     for u, projection, cuts, below in _directions(pooled, seed):

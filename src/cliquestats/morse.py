@@ -1,14 +1,15 @@
 """Lexicographical acyclic matching on clique complexes and critical-simplex
 counting, by direct matching construction and by the product-indicator sum.
 
-A Matching keeps each simplex as a sorted tuple of vertices.  For a clique
-s, the set I(s) = {j < min(s) : s+{j} is a clique} decides the upward match:
-s pairs with s+{min I(s)} whenever I(s) is nonempty.  The matching and the
-direct counts are read off graphs' one ascending walk on vertex bitmasks
-(clique_masks), which carries I(s) = C(s) & below(min s) down from each
-clique's prefix.  Its pairs are checked once, on the masks (_matched), and
-Matching._of_walk builds their tuples into a Matching without Matching's
-own check, which pairs from anywhere else still get.
+A Matching keeps each simplex as a vertex bitmask, bit v for vertex v >= 1,
+and shows its pairs as sorted vertex tuples only in its pairs view.  For a
+clique s, the set I(s) = {j < min(s) : s+{j} is a clique} decides the upward
+match: s pairs with s+{min I(s)} whenever I(s) is nonempty.  The matching
+and the direct counts are read off graphs' one ascending walk on vertex
+bitmasks (clique_masks), which carries I(s) = C(s) & below(min s) down from
+each clique's prefix.  Its pairs are checked once, on the masks (_matched),
+and Matching._of_walk keeps those masks as they are; pairs from anywhere
+else get Matching's tuple check before they become masks.
 Criticality for sizes >= 2 is what the counting formula covers, evaluated by
 the kernels a replicate runs (kinds.critical_counts): the count table at
 n <= 6 and clique_levels' critical mode above it.  Vertex criticality (vertex v is
@@ -19,7 +20,6 @@ CLT-statistics scope; tests/reference.py keeps it for the weak Morse checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 
 from .graphs import Graph, clique_masks, mask_tuple
@@ -58,26 +58,34 @@ def _validated(pairs) -> set:
     return set(simplices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matching:
     """Partial matching: set of (face, coface) pairs with |coface|-|face|=1,
-    each simplex a strictly increasing tuple of vertices >= 1."""
+    each simplex a strictly increasing tuple of vertices >= 1, kept as the
+    set masks of (face, coface) vertex bitmasks."""
 
-    pairs: frozenset
+    masks: frozenset
 
-    def __post_init__(self):
-        _validated(self.pairs)
+    def __init__(self, pairs):
+        _validated(pairs)  # so the vertices of each simplex are distinct bits
+        object.__setattr__(self, "masks", frozenset(
+            tuple(sum(1 << v for v in s) for s in pair) for pair in pairs))
 
     @classmethod
     def _of_walk(cls, levels) -> tuple:
         """_matched(levels)'s masks and the Matching of those pairs.  A pair
         _matched passes is (t less its lowest bit, t) for a mask t of
-        vertices >= 1, in no other pair, so _pair's tuples pass Matching's
-        check unrun."""
+        vertices >= 1, in no other pair, so it passes Matching's check
+        unrun."""
         matched, cofaces = _matched(levels)
         m = object.__new__(cls)
-        object.__setattr__(m, "pairs", frozenset(map(_pair, cofaces)))
+        object.__setattr__(m, "masks", frozenset([(t & t - 1, t) for t in cofaces]))
         return matched, m
+
+    @property
+    def pairs(self) -> frozenset:
+        """The pairs as (face, coface) vertex tuples."""
+        return frozenset([(mask_tuple(s), mask_tuple(t)) for s, t in self.masks])
 
     def simplices(self) -> frozenset:
         return frozenset(chain.from_iterable(self.pairs))
@@ -99,20 +107,6 @@ class CriticalVector:
     @property
     def d(self) -> int:
         return len(self.counts)
-
-
-@lru_cache(maxsize=1 << 12)
-def _pair(t: int) -> tuple:
-    """The lexicographic pair whose coface is the mask t: the pair (s, s |
-    the lowest bit of I(s)) of a clique s of clique_masks has t = that, and
-    its face s is t less its lowest bit, since I(s) lies below min s.  No
-    simplex is in two pairs of one Matching, so the cache serves the coface
-    masks that recur from graph to graph: all 64 subsets of {1..6} fit in it,
-    and so do all 4096 of {1..12}.  Over a perfbench small-graphs run
-    (seed 1) 99.97% of calls hit, and 96% over the 1000 G(12, 1/2) graphs
-    of verify --suite morse-equivalence; at G(20, 1/2) the cache is full
-    and 70% hit."""
-    return mask_tuple(t & t - 1), mask_tuple(t)
 
 
 def _matched(levels) -> tuple:
@@ -193,33 +187,33 @@ def verify_acyclic(m: Matching, g: Graph) -> bool:
     and so on: it is a closed V-path (Forman, Adv. Math. 1998).  So the
     check runs on the pairs alone: one node per pair whose coface t is a
     clique of g (an up arc into any other simplex is a dead end), and an arc
-    (s, t) -> (f, up[f]) for each face f != s of t matched upward.  Simplices
-    are bitmasks here: a node is keyed by its face's mask, and the faces of
-    t are its mask with one vertex bit cleared.  A finite digraph is acyclic
-    iff repeatedly deleting its nodes of in-degree 0 deletes every node
-    (Kahn, CACM 1962), so the nodes are peeled in that way."""
+    (s, t) -> (f, up[f]) for each face f != s of t matched upward.  A node is
+    keyed by its face's mask, and the faces of t are its mask with one
+    vertex bit cleared.  A finite digraph is acyclic iff repeatedly deleting
+    its nodes of in-degree 0 deletes every node (Kahn, CACM 1962), so the
+    nodes are peeled in that way."""
     adj, n = g.adj, g.n
-    node, cofaces = {}, []
-    for s, t in m.pairs:
-        if t[-1] > n:
+    node, arcs = {}, []
+    for s, t in m.masks:
+        if t >> n + 1:  # a vertex above n
             continue
-        tm, common = 0, -1
-        for v in t:
-            tm |= 1 << v
-            common &= adj[v] | 1 << v
-        if tm & ~common:  # some vertex of t is not adjacent to the rest
+        common, rest = -1, t
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            common &= adj[low.bit_length() - 1] | low
+        if t & ~common:  # some vertex of t is not adjacent to the rest
             continue
-        sm = 0
-        for v in s:
-            sm |= 1 << v
-        node[sm] = len(cofaces)
-        cofaces.append((sm, tm, t))
-    succ, indeg = [], [0] * len(cofaces)
-    for sm, tm, t in cofaces:
-        out = []
-        for v in t:
-            f = tm ^ 1 << v
-            if f != sm and f in node:
+        node[s] = len(arcs)
+        arcs.append((s, t))
+    succ, indeg = [], [0] * len(arcs)
+    for s, t in arcs:
+        out, rest = [], t
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            f = t ^ low
+            if f != s and f in node:
                 out.append(node[f])
                 indeg[node[f]] += 1
         succ.append(out)

@@ -13,7 +13,8 @@ class Use(NamedTuple):
     """kind "import": the dotted target, one leading dot per level of a relative
     import; "call": the callee's name or attribute; "arg": that name, a colon
     and the source of one argument, positional or a keyword's value, as
-    ast.unparse writes it; "name": a name or attribute; "str": a string;
+    ast.unparse writes it; "name": a name or attribute, attribute set for
+    the latter; "str": a string;
     "compare": a string compared, alone or in a tuple, list or set, or matched
     by a case; "def": a function or class.  func and top are the
     innermost function and the top-level function or class around it, or None."""
@@ -22,6 +23,7 @@ class Use(NamedTuple):
     line: int
     func: str | None
     top: str | None
+    attribute: bool = False
 
 
 def uses(tree) -> list[Use]:
@@ -29,8 +31,9 @@ def uses(tree) -> list[Use]:
     found = []
 
     def visit(node, func, top):
-        def add(kind, *names):
-            found.extend(Use(kind, n, node.lineno, func, top) for n in names if n is not None)
+        def add(kind, *names, attribute=False):
+            found.extend(Use(kind, n, node.lineno, func, top, attribute)
+                         for n in names if n is not None)
 
         if isinstance(node, ast.Import):
             add("import", *(a.name for a in node.names))
@@ -43,8 +46,10 @@ def uses(tree) -> list[Use]:
             if callee is not None:
                 add("arg", *("%s:%s" % (callee, ast.unparse(a))
                              for a in [*node.args, *(k.value for k in node.keywords)]))
-        elif isinstance(node, (ast.Name, ast.Attribute)):
-            add("name", node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.Name):
+            add("name", node.id)
+        elif isinstance(node, ast.Attribute):
+            add("name", node.attr, attribute=True)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             add("str", node.value)
         elif isinstance(node, (ast.Compare, ast.MatchValue)):
@@ -93,15 +98,19 @@ BUILD = ("__new__", "__init__", "__post_init__")  # the methods a call of a clas
 def reached_functions(found, roots) -> set:
     """(top, name) of each function or method in found that the roots are or
     name, at any depth, each with the uses whose innermost function it is: a
-    name reaches every function or method of that name, and only a call of a
-    class, or of cls inside one of its methods, reaches the class's BUILD
-    methods.  So, unlike reached, naming a class for one of its methods does
-    not reach its constructor; a class passed uncalled is not followed."""
+    name reaches every function of that name, an attribute also every method
+    of that name, and only a call of a class, or of cls inside one of its
+    methods, reaches the class's BUILD methods.  So, unlike reached, naming
+    a class for one of its methods does not reach its constructor, a local
+    variable named like a method does not reach the method, and a class
+    passed uncalled is not followed."""
     classes = {u.top for u in found if u.kind == "def" and u.top and u.func is None}
-    keys, body = {}, {}
+    keys, body, methods = {}, {}, set()
     for u in found:
         if u.kind == "def" and (u.top or u.name not in classes):
             keys.setdefault(u.name, set()).add((u.top or u.name, u.name))
+            if u.top in classes and u.func is None:
+                methods.add((u.top, u.name))
         body.setdefault((u.top, u.func), []).append(u)
     reach, todo = set(), [key for root in roots for key in keys.get(root, ())]
     while todo:
@@ -112,7 +121,7 @@ def reached_functions(found, roots) -> set:
         for u in body.get(key, ()):
             built = key[0] if u.name == "cls" else u.name
             if u.kind == "name":
-                todo += keys.get(u.name, ())
+                todo += [k for k in keys.get(u.name, ()) if u.attribute or k not in methods]
             elif u.kind == "call" and built in classes:
                 todo += [(built, m) for m in BUILD if (built, m) in keys.get(m, ())]
     return reach

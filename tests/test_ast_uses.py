@@ -12,7 +12,7 @@ from test_matched_normal import MATCHING
 from test_morse_independence import FORMULA
 from test_pair_layout import GENERATOR_CALLS, LAYOUT_CALLS
 from test_reachability import unreached, unused_methods
-from test_walk_checked_once import TUPLE_CHECK
+from test_walk_checked_once import TUPLE_CHECK, TUPLE_VIEWS, Unraised
 
 CALL, POOL, TABLE = ["call"], ["import", "name"], "_small_graph_counts"
 # rule: (use kinds, names, sources in each of which the scan finds such a use, look-alikes)
@@ -129,6 +129,24 @@ def test_reached_functions_follows_calls_of_a_class_not_its_name():
                            "def _matched(g):\n    return g\n"))
     assert reached_functions(found, ["lex_matching", "renamed"]) == {
         ("lex_matching", "lex_matching"), ("N", "_of_walk"), ("_matched", "_matched")}
+
+
+def test_reached_functions_reaches_a_method_through_an_attribute_not_a_local():
+    view = ("class Matching:\n    @property\n    def pairs(self):\n"
+            "        return mask_tuple(self.masks)\n"
+            "def mask_tuple(m):\n    return ()\n"
+            "def pair_matrix(n, pairs):\n    return pairs\n")
+    for src in ["def verify_acyclic(m, g):\n    return [s for s, t in m.pairs]\n",
+                "def verify_acyclic(m, g):\n    return [mask_tuple(t) for s, t in m.masks]\n"]:
+        found = uses(Unraised().visit(ast.parse(view + src)))
+        assert TUPLE_VIEWS & reached_functions(found, ["verify_acyclic"]), src
+    # a parameter named like the view, or a tuple only in what is raised, reaches neither
+    for src in ["def verify_acyclic(m, g):\n    return pair_matrix(g.n, m.masks)\n",
+                "def verify_acyclic(m, g):\n    if not m.masks:\n"
+                "        raise ValueError(mask_tuple(g))\n    return m.masks\n"]:
+        found = uses(Unraised().visit(ast.parse(view + src)))
+        assert reached_functions(found, ["verify_acyclic"]) - {("verify_acyclic",) * 2} \
+            <= {("pair_matrix",) * 2}, src
 
 
 def test_unreached_leaves_out_what_main_a_module_statement_or_a_given_name_reaches():

@@ -567,6 +567,11 @@ def test_moments_too_few_replicates_exit2_on_every_path(args, capsys, monkeypatc
     ("moments --kind critical --n 5 --d 2 --p 0.5 --replicates 5", "--replicates"),  # oracle
     ("moments --kind critical --n 9 --d 1 --p 0.5 --replicates 5", "--replicates"),
     ("moments --kind link --n 9 --d 2 --p 0.5 --replicates 5", "--replicates"),
+    ("moments --kind clique --n 4 --p 0.5 --master-seed 77", "--master-seed"),  # closed form
+    ("moments --kind critical --n 5 --d 2 --p 0.5 --master-seed 77", "--master-seed"),  # oracle
+    ("moments --kind critical --n 9 --d 1 --p 0.5 --master-seed 77", "--master-seed"),
+    ("moments --kind critical --n 9 --d 1 --p 0.5 --replicates 5 --master-seed 7",
+     "--replicates, --master-seed: read only where the off-diagonals are sampled"),
     # cli.BOUNDS_FLAGS: the flags of another theorem
     ("bounds --theorem convex --d 2 --smooth-b 3 --k-vec 2 --beta 1",
      "--k-vec, --beta: not read by --theorem convex"),

@@ -152,7 +152,7 @@ def test_matching_validation_matches_reference():
     for pairs in lex + general:
         assert _outcome(_matching_validation_reference, pairs) is None
         assert _validated(pairs) == {s for pair in pairs for s in pair}
-        assert Matching(pairs).pairs is pairs
+        assert Matching(pairs).pairs == pairs
     messages = []
     for pairs in _malformed_corpus(random.Random(2026)):
         want = _outcome(_matching_validation_reference, pairs)
@@ -582,7 +582,8 @@ def _assert_walk_matches_tuple_reference(g):
     size k - 1 or k, so a walk to any depth >= d + 1 gives the counts of
     sizes 2..d+1, and a walk to max_size the pairs whose face has at most
     max_size vertices.  The full-depth pairs, which Matching._of_walk checks
-    in mask form alone, also pass Matching's own check."""
+    in mask form alone, also pass Matching's own check, into an equal
+    Matching that verify_acyclic also passes."""
     ref_levels, ref_pairs = lex_walk(g, g.n)
     assert [[(mask_tuple(s), e, i) for s, e, i in level] for level in clique_masks(g, g.n)] \
         == [[(s, c & -(2 << s[-1]), c & below_mask(s[0])) for s, c in level]
@@ -593,8 +594,10 @@ def _assert_walk_matches_tuple_reference(g):
         assert critical_counts_direct(g, d).counts == tuple(unmatched[2:d + 2])
     for max_size in range(g.n + 1):
         assert lex_matching(g, max_size).pairs == {p for p in ref_pairs if len(p[0]) <= max_size}
-    pairs = lex_matching(g, g.n).pairs
-    assert Matching(pairs).pairs is pairs
+    lex = lex_matching(g, g.n)
+    assert Matching(lex.pairs).pairs == lex.pairs
+    assert Matching(lex.pairs) == lex
+    assert verify_acyclic(Matching(lex.pairs), g) is verify_acyclic(lex, g) is True
 
 
 def test_bitmask_walk_matches_tuple_walk_every_graph_n6():
