@@ -36,7 +36,8 @@ VERIFY_FLAGS = {
 }
 VERIFY_OPTS = sorted({f for flags in VERIFY_FLAGS.values() for f in flags})
 
-# The bounds flags each theorem reads, by argparse dest; a kind reads none.
+# The bounds flags each theorem reads, by argparse dest; a kind reads --n and
+# --p.  --d is not checked: its default of 1 is echoed for every theorem.
 BOUNDS_FLAGS = {"convex": ("smooth_b",), "ustat": ("k_vec", "alpha_vec", "beta"),
                 "ustat-no-x": ("k_vec", "alpha_vec", "beta")}
 
@@ -140,8 +141,8 @@ def _number_list(text: str, flag: str, kind) -> list:
 
 def cmd_bounds(args) -> int:
     th = args.theorem
-    _refuse(args, [f for f in ("smooth_b", "k_vec", "alpha_vec", "beta")
-                   if f not in BOUNDS_FLAGS.get(th, ())], "not read by --theorem " + th)
+    _refuse(args, [f for f in ("n", "p", "smooth_b", "k_vec", "alpha_vec", "beta")
+                   if f not in BOUNDS_FLAGS.get(th, ("n", "p"))], "not read by --theorem " + th)
     stat = statistic(th) if th in KINDS else None
     t = _fixed_subset(args, stat)
     if stat is not None:

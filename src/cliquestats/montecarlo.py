@@ -297,21 +297,30 @@ def _project(s: np.ndarray, u: np.ndarray) -> np.ndarray:
     return s[:, 0] * u[0] if len(u) == 1 else s @ u
 
 
-def _directions(pooled: np.ndarray, seed: int):
+def _directions(pooled: np.ndarray, rows: int, seed: int):
     """Each of HALFSPACE_DIRECTIONS unit directions u drawn from stream 2^32
-    of the seed, with the pooled rows' projection on u, its QUANTILE_CUTS
-    cuts and the pooled count <= each cut.  The projection is sorted once,
-    as a copy, and both the cuts and the counts are read off the copy."""
+    of the seed, with the QUANTILE_CUTS cuts of the pooled rows' projection
+    on u, the pooled count <= each cut, and the count of the first `rows`
+    rows <= each cut.  The projection is sorted once, as a copy, and the cuts
+    and pooled counts are read off the copy.  Each distinct direction is
+    projected once: a direction with an earlier one's bytes reuses its cuts
+    and counts (at d = 1 every u is exactly +1.0 or -1.0).  A projection is
+    held only until the next distinct direction's replaces it."""
     rng = gnp_generator(seed, 2 ** 32)
+    counted = {}
     for _ in range(HALFSPACE_DIRECTIONS):
         u = rng.standard_normal(pooled.shape[1])
         u /= np.linalg.norm(u)
-        projection = _project(pooled, u)
-        ordered = np.sort(projection)
-        cuts = _sorted_quantiles(ordered)
-        below = np.searchsorted(ordered, cuts, side="right")
-        del ordered  # not held while the caller reads the projection
-        yield u, projection, cuts, below
+        key = u.tobytes()
+        if key not in counted:
+            projection = _project(pooled, u)
+            ordered = np.sort(projection)
+            cuts = _sorted_quantiles(ordered)
+            below = np.searchsorted(ordered, cuts, side="right")
+            del ordered  # not held while the first rows are counted
+            counted[key] = cuts, below, [np.count_nonzero(projection[:rows] <= c)
+                                         for c in cuts]
+        yield (u,) + counted[key]
 
 
 def _grid(pooled: np.ndarray) -> list:
@@ -334,10 +343,9 @@ def _halfspace_probs(w: np.ndarray, z: np.ndarray, seed: int):
     the bool array, bit for bit."""
     pooled = np.vstack([w, z])
     halfspaces, w_below, pooled_below = [], [], []
-    for u, projection, cuts, below in _directions(pooled, seed):
-        part = projection[:len(w)]
+    for u, cuts, below, part_below in _directions(pooled, len(w), seed):
         halfspaces += [(u, float(c)) for c in cuts]
-        w_below += [np.count_nonzero(part <= c) for c in cuts]
+        w_below += part_below
         pooled_below.append(below)
     w_below = np.array(w_below)
     z_below = np.concatenate(pooled_below) - w_below
@@ -378,34 +386,44 @@ def _rect_probs(samples: np.ndarray, grid) -> np.ndarray:
     return pad
 
 
+def _add_corners(block: np.ndarray, terms, first) -> np.ndarray:
+    """Add or subtract, in order, each term's corner gather at first-axis
+    level(s) `first` into block, in place."""
+    for op, gathered in terms:
+        op(block, gathered[first], out=block)
+    return block
+
+
 def _rect_blocks(cum: np.ndarray):
     """Probabilities of the rectangles (lo_1, hi_1) x ... x (lo_d, hi_d),
     lo_i < hi_i, from the padded cumulative array, in itertools.product order
-    of the intervals; one flat block per run of consecutive first-axis
-    intervals, as many as keep a block within the C(L, 2)^2 rectangles of
-    L grid levels on two axes: the whole family at d <= 2, one first-axis
-    interval a block at d >= 3.
+    of the intervals, as flat blocks of consecutive first-axis intervals:
+    the whole family at d <= 2, one first-axis interval a block at d >= 3.
 
     Each probability is the inclusion-exclusion sum over the 2^d corners,
     added to 0.0 in itertools.product order, subtracted at an odd number of
     lo ends, so it is bit-identical to summing corner by corner.  The corners
-    on axes 2..d are gathered once, for all first-axis levels."""
+    on axes 2..d are gathered once, for all first-axis levels.  That order
+    adds the 2^(d-1) corners at the first axis's lo end first, so at d >= 3
+    their running sum is taken once per lo level and copied into each of its
+    intervals' blocks, which the hi-end corners are then added to."""
     ends = [np.triu_indices(s, 1) for s in cum.shape]
     trailing = {corner: cum[(slice(None),) + np.ix_(*(e[b] for e, b in zip(ends[1:], corner)))]
                 for corner in itertools.product((0, 1), repeat=cum.ndim - 1)}
-    terms = [(np.subtract if corner.count(0) % 2 else np.add, corner[0], trailing[corner[1:]])
+    terms = [(np.subtract if corner.count(0) % 2 else np.add, trailing[corner[1:]])
              for corner in itertools.product((0, 1), repeat=cum.ndim)]
+    lo_terms, hi_terms = terms[:len(terms) // 2], terms[len(terms) // 2:]
     shape = tuple(len(lo) for lo, _ in ends[1:])
-    step = math.comb(QUANTILE_CUTS + 2, 2) ** 2 // math.prod(shape)
     lo, hi = ends[0]
+    if cum.ndim <= 2:
+        yield _add_corners(_add_corners(np.zeros((len(lo),) + shape), lo_terms, lo),
+                           hi_terms, hi).ravel()
+        return
     # a block of one interval indexes its corners as views of the gathers
-    groups = zip(lo, hi) if step <= 1 else ((lo[k:k + step], hi[k:k + step])
-                                            for k in range(0, len(lo), step))
-    for first in groups:
-        block = np.zeros(np.shape(first[0]) + shape)
-        for op, b, gathered in terms:
-            op(block, gathered[first[b]], out=block)
-        yield block.ravel()
+    for level in range(len(cum) - 1):
+        partial = _add_corners(np.zeros(shape), lo_terms, level)
+        for top in range(level + 1, len(cum)):
+            yield _add_corners(partial.copy(), hi_terms, top).ravel()
 
 
 def convex_discrepancy(w_samples, z_samples, bound: BoundReport | None = None,

@@ -98,19 +98,22 @@ BUILD = ("__new__", "__init__", "__post_init__")  # the methods a call of a clas
 def reached_functions(found, roots) -> set:
     """(top, name) of each function or method in found that the roots are or
     name, at any depth, each with the uses whose innermost function it is: a
-    name reaches every function of that name, an attribute also every method
-    of that name, and only a call of a class, or of cls inside one of its
-    methods, reaches the class's BUILD methods.  So, unlike reached, naming
-    a class for one of its methods does not reach its constructor, a local
-    variable named like a method does not reach the method, and a class
-    passed uncalled is not followed."""
+    name reaches every function of that name but a nested one outside its
+    own top-level def, an attribute also every method of that name, and
+    only a call of a class, or of cls inside one of its methods, reaches the
+    class's BUILD methods.  So, unlike reached, naming a class for one of
+    its methods does not reach its constructor, a local variable named like
+    a method or like another def's nested function does not reach it, and a
+    class passed uncalled is not followed."""
     classes = {u.top for u in found if u.kind == "def" and u.top and u.func is None}
-    keys, body, methods = {}, {}, set()
+    keys, body, methods, nested = {}, {}, set(), set()
     for u in found:
         if u.kind == "def" and (u.top or u.name not in classes):
             keys.setdefault(u.name, set()).add((u.top or u.name, u.name))
             if u.top in classes and u.func is None:
                 methods.add((u.top, u.name))
+            elif u.func is not None:
+                nested.add((u.top, u.name))
         body.setdefault((u.top, u.func), []).append(u)
     reach, todo = set(), [key for root in roots for key in keys.get(root, ())]
     while todo:
@@ -121,7 +124,8 @@ def reached_functions(found, roots) -> set:
         for u in body.get(key, ()):
             built = key[0] if u.name == "cls" else u.name
             if u.kind == "name":
-                todo += [k for k in keys.get(u.name, ()) if u.attribute or k not in methods]
+                todo += [k for k in keys.get(u.name, ()) if u.attribute or (k not in methods
+                         and (k not in nested or k[0] == key[0]))]
             elif u.kind == "call" and built in classes:
                 todo += [(built, m) for m in BUILD if (built, m) in keys.get(m, ())]
     return reach

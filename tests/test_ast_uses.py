@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from ast_uses import reached, reached_functions, uses, within
+from ast_uses import reached, reached_functions, src_uses, uses, within
 from test_fan_out import POOL_NAMES
 from test_halfspace_directions import HALFSPACE_STREAM
 from test_kind_dispatch import KIND_NAMES
@@ -147,6 +147,26 @@ def test_reached_functions_reaches_a_method_through_an_attribute_not_a_local():
         found = uses(Unraised().visit(ast.parse(view + src)))
         assert reached_functions(found, ["verify_acyclic"]) - {("verify_acyclic",) * 2} \
             <= {("pair_matrix",) * 2}, src
+
+
+def test_reached_functions_reaches_a_nested_def_only_from_its_own_top_level_def():
+    found = uses(ast.parse("def build_parser():\n    def common(p):\n        return p\n"
+                           "    return common(1)\n"
+                           "def verify_acyclic(m):\n    common = -1\n"
+                           "    def inner(t):\n        return common & t\n"
+                           "    return inner(m)\n"))
+    # a local named like another def's nested function does not reach it; a
+    # nested def is reached from its own top-level def, and from a sibling
+    assert reached_functions(found, ["verify_acyclic"]) == {
+        ("verify_acyclic", "verify_acyclic"), ("verify_acyclic", "inner")}
+    assert reached_functions(found, ["build_parser"]) == {
+        ("build_parser", "build_parser"), ("build_parser", "common")}
+    # in src: morse.verify_acyclic's local common, cli.build_parser's nested common
+    src = [u for _, u in src_uses()]
+    assert ("build_parser", "common") in reached_functions(src, ["build_parser"])
+    assert ("build_parser", "common") not in reached_functions(src, ["verify_acyclic"])
+    assert {u.func for u in src if u.kind == "name" and u.name == "common"} \
+        >= {"verify_acyclic", "build_parser"}
 
 
 def test_unreached_leaves_out_what_main_a_module_statement_or_a_given_name_reaches():

@@ -582,6 +582,12 @@ def test_moments_too_few_replicates_exit2_on_every_path(args, capsys, monkeypatc
     ("bounds --theorem ustat --k-vec 2 --alpha-vec 0.1 --beta 1 --smooth-b 2", "--smooth-b"),
     ("bounds --theorem ustat-no-x --k-vec 2 --alpha-vec 0.1 --beta 1 --smooth-b 2",
      "--smooth-b"),
+    # --n and --p are read by the kinds alone
+    ("bounds --theorem convex --d 2 --smooth-b 0.5 --n 40 --p 0.5",
+     "--n, --p: not read by --theorem convex"),
+    ("bounds --theorem ustat --k-vec 2 --alpha-vec 1 --beta 1 --n 40", "--n: not read"),
+    ("bounds --theorem ustat-no-x --k-vec 2 --alpha-vec 1 --beta 1 --p 0.3",
+     "--p: not read by --theorem ustat-no-x"),
 ])
 def test_a_flag_the_command_would_ignore_exits2_naming_it(args, flag, capsys, monkeypatch):
     from cliquestats import montecarlo as mc

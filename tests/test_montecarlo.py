@@ -362,6 +362,10 @@ def _workload_cases():
         cov = np.full((d, d), 0.3) + 0.7 * np.eye(d)
         yield pytest.param(mc.mvn_samples(cov, 20_000, 20 + d),
                            mc.mvn_samples(cov, 20_000, 30 + d), d, id="d=%d-20000-rows" % d)
+    # W on a 0.2 lattice, as a standardized link count at rates' link d = 1
+    # spec: its cuts are lattice points, on which many rows of W fall
+    yield pytest.param(np.round(5 * mc.mvn_samples(np.eye(1), 20_000, 24)) / 5,
+                       mc.mvn_samples(np.eye(1), 20_000, 34), 5, id="d=1-20000-rows-lattice")
 
 
 @pytest.mark.parametrize("w, z, seed", list(_convex_cases()) + list(_workload_cases()))
