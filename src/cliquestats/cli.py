@@ -36,9 +36,10 @@ VERIFY_FLAGS = {
 }
 VERIFY_OPTS = sorted({f for flags in VERIFY_FLAGS.values() for f in flags})
 
-# The bounds flags each theorem reads, by argparse dest; a kind reads --n and
-# --p.  --d is not checked: its default of 1 is echoed for every theorem.
-BOUNDS_FLAGS = {"convex": ("smooth_b",), "ustat": ("k_vec", "alpha_vec", "beta"),
+# The bounds flags each theorem reads, by argparse dest; a kind reads --n, --p
+# and --d.  A theorem that reads --d fills in 1 when it is absent, and the spec
+# echoes it; the ustat theorems read no --d, so they refuse it and echo none.
+BOUNDS_FLAGS = {"convex": ("d", "smooth_b"), "ustat": ("k_vec", "alpha_vec", "beta"),
                 "ustat-no-x": ("k_vec", "alpha_vec", "beta")}
 
 
@@ -141,8 +142,11 @@ def _number_list(text: str, flag: str, kind) -> list:
 
 def cmd_bounds(args) -> int:
     th = args.theorem
-    _refuse(args, [f for f in ("n", "p", "smooth_b", "k_vec", "alpha_vec", "beta")
-                   if f not in BOUNDS_FLAGS.get(th, ("n", "p"))], "not read by --theorem " + th)
+    reads = BOUNDS_FLAGS.get(th, ("n", "p", "d"))
+    _refuse(args, [f for f in ("n", "p", "d", "smooth_b", "k_vec", "alpha_vec", "beta")
+                   if f not in reads], "not read by --theorem " + th)
+    if "d" in reads and args.d is None:
+        args.d = 1
     stat = statistic(th) if th in KINDS else None
     t = _fixed_subset(args, stat)
     if stat is not None:
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--k-vec", default=None)
     pb.add_argument("--alpha-vec", default=None)
     pb.add_argument("--beta", type=float, default=None)
-    pb.set_defaults(func=cmd_bounds)
+    pb.set_defaults(func=cmd_bounds, d=None)
 
     ps = sub.add_parser("simulate", help="seeded Monte Carlo sample dump")
     ps.add_argument("--kind", choices=KINDS, required=True)

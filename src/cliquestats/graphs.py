@@ -90,23 +90,6 @@ class Graph:
     def empty(cls, n: int) -> "Graph":
         return cls(n, 0)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(1, self.n) for j in range(i + 1, self.n + 1)
-                if self.adj[i] >> j & 1]
-
-    @property
-    def edge_count(self) -> int:
-        return self.edge_mask.bit_count()
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edge_mask == other.edge_mask
-
-    def __hash__(self):
-        return hash((self.n, self.edge_mask))
-
-    def __repr__(self):
-        return "Graph(n=%d, edges=%d)" % (self.n, self.edge_count)
-
     @classmethod
     def from_text(cls, text: str) -> "Graph":
         """Parse n, then one 'i j' line per edge; a malformed line is named by its number."""

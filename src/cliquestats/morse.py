@@ -8,8 +8,8 @@ match: s pairs with s+{min I(s)} whenever I(s) is nonempty.  The matching
 and the direct counts are read off graphs' one ascending walk on vertex
 bitmasks (clique_masks), which carries I(s) = C(s) & below(min s) down from
 each clique's prefix.  Its pairs are checked once, on the masks (_matched),
-and Matching._of_walk keeps those masks as they are; pairs from anywhere
-else get Matching's tuple check before they become masks.
+and Matching._of_walk keeps those masks as they are: a Matching is a plain
+value, and its constructor checks nothing.
 Criticality for sizes >= 2 is what the counting formula covers, evaluated by
 the kernels a replicate runs (kinds.critical_counts): the count table at
 n <= 6 and clique_levels' critical mode above it.  Vertex criticality (vertex v is
@@ -29,58 +29,21 @@ from .kinds import critical_counts
 _NOT_INCREASING = "a simplex is not a strictly increasing tuple of vertices >= 1"
 
 
-def _check_pairs(pairs):
-    """Pair by pair, in iteration order: each simplex strictly increasing,
-    each coface its face plus one vertex, no simplex in two pairs."""
-    seen = set()
-    for face, coface in pairs:
-        fs, cs = set(face), set(coface)
-        if list(face) != sorted(fs) or list(coface) != sorted(cs):
-            raise ValueError("pair %r -> %r: %s" % (face, coface, _NOT_INCREASING))
-        if len(coface) - len(face) != 1 or not fs < cs:
-            raise ValueError("invalid pair %r -> %r" % (face, coface))
-        for s in (face, coface):
-            if s in seen:
-                raise ValueError("simplex %r appears in two pairs" % (s,))
-            seen.add(s)
-
-
-def _validated(pairs) -> set:
-    """The simplices of pairs, once Matching's checks pass: every simplex a
-    tuple of int vertices >= 1, then _check_pairs, and the first fault
-    raises."""
-    simplices = [s for pair in pairs for s in pair]
-    if not ({*map(type, simplices)} <= {tuple}
-            and {*map(type, chain.from_iterable(simplices))} <= {int}
-            and min(chain.from_iterable(simplices), default=1) >= 1):
-        raise ValueError(_NOT_INCREASING)
-    _check_pairs(pairs)
-    return set(simplices)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Matching:
-    """Partial matching: set of (face, coface) pairs with |coface|-|face|=1,
-    each simplex a strictly increasing tuple of vertices >= 1, kept as the
-    set masks of (face, coface) vertex bitmasks."""
+    """Partial matching: the set masks of (face, coface) vertex bitmasks,
+    each coface its face plus one vertex >= 1, no simplex in two pairs.  The
+    constructor checks none of this; _of_walk builds it from pairs _matched
+    has checked."""
 
     masks: frozenset
 
-    def __init__(self, pairs):
-        _validated(pairs)  # so the vertices of each simplex are distinct bits
-        object.__setattr__(self, "masks", frozenset(
-            tuple(sum(1 << v for v in s) for s in pair) for pair in pairs))
-
     @classmethod
     def _of_walk(cls, levels) -> tuple:
-        """_matched(levels)'s masks and the Matching of those pairs.  A pair
-        _matched passes is (t less its lowest bit, t) for a mask t of
-        vertices >= 1, in no other pair, so it passes Matching's check
-        unrun."""
+        """_matched(levels)'s masks and the Matching of its pairs, each
+        (t less its lowest bit, t) for a coface t."""
         matched, cofaces = _matched(levels)
-        m = object.__new__(cls)
-        object.__setattr__(m, "masks", frozenset([(t & t - 1, t) for t in cofaces]))
-        return matched, m
+        return matched, cls(frozenset([(t & t - 1, t) for t in cofaces]))
 
     @property
     def pairs(self) -> frozenset:
@@ -112,10 +75,12 @@ class CriticalVector:
 def _matched(levels) -> tuple:
     """The set of masks in the pairs (s, s | the lowest bit of I(s)) over
     the cliques s of clique_masks' levels with I(s) nonempty, and the list
-    of their cofaces in walk order, once Matching's rule passes in mask
+    of their cofaces in walk order, once a matching's rule passes in mask
     form: no mask has bit 0 (vertex 0), each coface is its face plus one bit
-    below the face's lowest bit, and no mask is in two pairs, else
-    ValueError, worded as Matching words it."""
+    below the face's lowest bit, and no mask is in two pairs.  Else
+    ValueError names the first fault, its simplices as vertex tuples:
+    _NOT_INCREASING, "invalid pair (face) -> (coface)" or "simplex (s)
+    appears in two pairs"."""
     faces, cofaces = [], []
     for level in levels:
         for s, _, i in level:
@@ -129,7 +94,7 @@ def _matched(levels) -> tuple:
                 faces.append(s)
                 cofaces.append(s | low)
     matched = {*faces, *cofaces}
-    if len(matched) != 2 * len(faces):  # name the first repeat, as _check_pairs does
+    if len(matched) != 2 * len(faces):  # name the first repeat in walk order
         seen = set()
         for m in chain.from_iterable(zip(faces, cofaces)):
             if m in seen:

@@ -1,19 +1,21 @@
 """Per-graph references for the tests: every graph on n vertices, one Graph
-at a time, edge lookup by adjacency row, each statistic's count vector from
-a walk on one Graph (the reference that kinds._small_graph_counts' tables
-must equal), the critical walk and its minima (the scalar reference for
-clique_levels' critical mode and the critical count table), the
-lexicographic matching's walk on vertex tuples (the reference for graphs'
-bitmask walk), and a hypothesis strategy for small graphs.  Also the
-convex discrepancy estimator as it was before its cuts, blocks and
-histogram were computed in fewer passes: the reference that
+at a time, edge lookup and the edge list by adjacency row, each statistic's
+count vector from a walk on one Graph (the reference that
+kinds._small_graph_counts' tables must equal), the critical walk and its
+minima (the scalar reference for clique_levels' critical mode and the
+critical count table), the lexicographic matching's walk on vertex tuples
+(the reference for graphs' bitmask walk), and a hypothesis strategy for
+small graphs.  Also the convex discrepancy estimator as it was before its
+cuts, blocks and histogram were computed in fewer passes: the reference that
 montecarlo.convex_discrepancy must equal bit for bit.  The oracle law's
 moments summed atom by atom over Python tuples and floats, which
-ExactDistribution.moments must equal bit for bit.  Two paper statements no
-command prints: the two-sided bracket of the critical mean and the
-single-overlap lower bound on the link covariance.  And the paper's general
-dissociated-sum bound on a fully enumerated instance, which the printed
-bounds of bounds.py must dominate at n <= 6."""
+ExactDistribution.moments must equal bit for bit.  A morse.Matching built
+from tuple pairs through the checks that the walk's pairs pass in mask form,
+for the tests that build cyclic, partial or malformed matchings.  Two paper
+statements no command prints: the two-sided bracket of the critical mean and
+the single-overlap lower bound on the link covariance.  And the paper's
+general dissociated-sum bound on a fully enumerated instance, which the
+printed bounds of bounds.py must dominate at n <= 6."""
 
 import itertools
 import math
@@ -31,6 +33,7 @@ from cliquestats.montecarlo import (HALFSPACE_DIRECTIONS, QUANTILE_CUTS, ConvexF
                                     DiscrepancyReport, _columns, _runs)
 from cliquestats.kinds import statistic
 from cliquestats.moments import _check_crit_args, _check_link_args, comb0, crit_mu, link_mu, sigma
+from cliquestats.morse import Matching
 
 
 def below_mask(v: int) -> int:
@@ -60,13 +63,18 @@ def graph_probability(g: Graph, p: float) -> float:
     """P(G(n,p) = g) = p^edges * (1-p)^missing."""
     check_p(p)
     m = comb(g.n, 2)
-    e = g.edge_count
+    e = g.edge_mask.bit_count()
     return p ** e * (1.0 - p) ** (m - e)
 
 
 def has_edge(g: Graph, i: int, j: int) -> bool:
     """Whether i~j in g: bit j of i's adjacency row."""
     return bool(g.adj[i] >> j & 1)
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, of g in lexicographic pair order."""
+    return [(i, j) for i in range(1, g.n) for j in range(i + 1, g.n + 1) if has_edge(g, i, j)]
 
 
 def link_candidates(g: Graph, t) -> int:
@@ -136,6 +144,30 @@ def lex_walk(g: Graph, top: int):
             if i_set:
                 pairs.append((s, ((i_set & -i_set).bit_length() - 1,) + s))
     return levels, pairs
+
+
+def matching(pairs) -> Matching:
+    """The Matching of tuple pairs (face, coface), once they pass the checks
+    below: the type and range of every vertex first, then pair by pair in
+    iteration order; the first fault raises ValueError."""
+    simplices = [s for pair in pairs for s in pair]
+    if not ({*map(type, simplices)} <= {tuple}
+            and {*map(type, itertools.chain.from_iterable(simplices))} <= {int}
+            and min(itertools.chain.from_iterable(simplices), default=1) >= 1):
+        raise ValueError("a simplex is not a strictly increasing tuple of vertices >= 1")
+    seen = set()
+    for face, coface in pairs:
+        fs, cs = set(face), set(coface)
+        if list(face) != sorted(fs) or list(coface) != sorted(cs):
+            raise ValueError("pair %r -> %r: a simplex is not a strictly increasing "
+                             "tuple of vertices >= 1" % (face, coface))
+        if len(coface) - len(face) != 1 or not fs < cs:
+            raise ValueError("invalid pair %r -> %r" % (face, coface))
+        for s in (face, coface):
+            if s in seen:
+                raise ValueError("simplex %r appears in two pairs" % (s,))
+            seen.add(s)
+    return Matching(frozenset(tuple(sum(1 << v for v in s) for s in pair) for pair in pairs))
 
 
 # kind -> (Graph, d, t) -> the d counts of the kind's sizes on that graph

@@ -11,8 +11,8 @@ from test_kind_dispatch import KIND_NAMES
 from test_matched_normal import MATCHING
 from test_morse_independence import FORMULA
 from test_pair_layout import GENERATOR_CALLS, LAYOUT_CALLS
-from test_reachability import unreached, unused_methods
-from test_walk_checked_once import TUPLE_CHECK, TUPLE_VIEWS, Unraised
+from test_reachability import IMPLICIT, unreached
+from test_walk_checked_once import TUPLE_VIEWS, Unraised
 
 CALL, POOL, TABLE = ["call"], ["import", "name"], "_small_graph_counts"
 # rule: (use kinds, names, sources in each of which the scan finds such a use, look-alikes)
@@ -121,7 +121,8 @@ def test_reached_functions_follows_calls_of_a_class_not_its_name():
                 "class W:\n    @classmethod\n    def _of_walk(cls, g):\n        return cls(g)\n"
                 "    def __init__(self, g):\n        _validated(g)\n"]:
         found = uses(ast.parse(checked + src))
-        assert TUPLE_CHECK & {n for _, n in reached_functions(found, ["lex_matching"])}, src
+        reach = {n for _, n in reached_functions(found, ["lex_matching"])}
+        assert {"_validated", "_check_pairs"} & reach, src
     # naming the class for a method, or building one without a call of it, runs no check
     found = uses(ast.parse(checked + "class N:\n    @classmethod\n    def _of_walk(cls, g):\n"
                            "        m = object.__new__(cls)\n        return _matched(g), M\n"
@@ -169,30 +170,30 @@ def test_reached_functions_reaches_a_nested_def_only_from_its_own_top_level_def(
         >= {"verify_acyclic", "build_parser"}
 
 
-def test_unreached_leaves_out_what_main_a_module_statement_or_a_given_name_reaches():
-    found = uses(ast.parse("def main():\n    return helper()\n"
-                           "def helper():\n    return 1\n"
-                           "TABLE = {'k': from_table}\n"
-                           "def from_table():\n    return Report()\n"
-                           "class Report:\n    def as_dict(self):\n        return nested()\n"
-                           "def nested():\n    pass\n"
-                           "def bench_only():\n    pass\n"
-                           "def orphan():\n    return only_orphan()\n"
-                           "def only_orphan():\n    return helper()\n"
-                           "def named_in_a_string():\n    return 'orphan'\n"))
-    assert unreached(found, {"bench_only"}) == {"orphan", "only_orphan", "named_in_a_string"}
-
-
-def test_unused_methods_flags_a_method_named_only_in_its_own_body():
-    found = uses(ast.parse("class Vector:\n"
-                           "    def __len__(self):\n        return 0\n"
-                           "    def by_size(self, k):\n        return self.by_size(k - 1)\n"
-                           "    def dims(self):\n        return 1\n"
-                           "    def dump(self):\n        return 2\n"
-                           "    @property\n    def d(self):\n        return 3\n"
-                           "def report(v):\n    return v.dims() + getattr(v, 'x.d')\n"
-                           "def outer():\n    def inner():\n        pass\n"))
-    # a dunder, a method another def calls or names in a string, and a nested
-    # function are not flagged; a name perfbench uses saves a method
-    assert unused_methods(found, set()) == {"by_size", "dump"}
-    assert unused_methods(found, {"dump"}) == {"by_size"}
+def test_unreached_follows_calls_from_main_an_import_and_perfbench(monkeypatch):
+    src = uses(ast.parse("def main():\n    return helper()\n"
+                         "def helper():\n    return 1\n"
+                         "TABLE = {'k': from_table}\n"
+                         "def from_table():\n    return Report(1)\n"
+                         "class Report:\n    def __init__(self, x):\n        self.x = nested()\n"
+                         "    def as_dict(self):\n        return 0\n"
+                         "    def by_size(self, k):\n        return self.by_size(k - 1)\n"
+                         "    def __len__(self):\n        return 0\n"
+                         "def nested():\n    pass\n"
+                         "class Named:\n    def __init__(self):\n        pass\n"
+                         "    def dump(self):\n        return isinstance(self, Named)\n"
+                         "def bench_only():\n    pass\n"
+                         "def orphan():\n    return only_orphan()\n"
+                         "def only_orphan():\n    return helper()\n"
+                         "def named_in_a_string():\n    return 'orphan'\n"))
+    bench = uses(ast.parse("def run(r, dump):\n    super().__init__()\n"
+                           "    return r.as_dict(), dump, 'lib.bench_only'\n"))
+    # a class named but never called, a method named only in its own body or
+    # by a bare name, and an operator dunder not in IMPLICIT are flagged;
+    # perfbench's __init__ reaches no __init__
+    assert unreached(src, bench) == {
+        ("Report", "by_size"), ("Report", "__len__"), ("Named", "__init__"), ("Named", "dump"),
+        ("orphan", "orphan"), ("only_orphan", "only_orphan"),
+        ("named_in_a_string", "named_in_a_string")}
+    monkeypatch.setitem(IMPLICIT, ("Report", "__len__"), "len(report) in main")
+    assert ("Report", "__len__") not in unreached(src, bench)

@@ -588,6 +588,11 @@ def test_moments_too_few_replicates_exit2_on_every_path(args, capsys, monkeypatc
     ("bounds --theorem ustat --k-vec 2 --alpha-vec 1 --beta 1 --n 40", "--n: not read"),
     ("bounds --theorem ustat-no-x --k-vec 2 --alpha-vec 1 --beta 1 --p 0.3",
      "--p: not read by --theorem ustat-no-x"),
+    # --d is read by the kinds and convex alone
+    ("bounds --theorem ustat --k-vec 2 --alpha-vec 1 --beta 1 --d 1",
+     "--d: not read by --theorem ustat"),
+    ("bounds --theorem ustat-no-x --k-vec 2 --alpha-vec 1 --beta 1 --n 7 --d 3",
+     "--n, --d: not read by --theorem ustat-no-x"),
 ])
 def test_a_flag_the_command_would_ignore_exits2_naming_it(args, flag, capsys, monkeypatch):
     from cliquestats import montecarlo as mc

@@ -13,11 +13,10 @@ from cliquestats.graphs import (GnpParams, Graph, clique_count, clique_levels, c
                                 cliques, gnp_mask, gnp_streams, mask_tuple, pair_matrix,
                                 sample_gnp, spans_clique)
 from cliquestats.kinds import STATS, _small_graph_counts
-from cliquestats.morse import (CriticalVector, Matching, _crit_sizes, _matched, _validated,
-                               critical_counts_direct,
+from cliquestats.morse import (CriticalVector, _crit_sizes, _matched, critical_counts_direct,
                                critical_counts_formula, lex_matching, verify_acyclic)
 from reference import (all_graphs, below_mask, critical_minima, graphs_on_at_most_9,
-                       is_vertex_critical, lex_walk, truncated_critical_count)
+                       is_vertex_critical, lex_walk, matching, truncated_critical_count)
 
 FIG2 = Graph.from_edges(5, [(1, 2), (2, 3), (1, 4), (3, 4), (3, 5), (4, 5)])
 FIG2_PAIRS = frozenset({
@@ -59,9 +58,9 @@ def test_formula_example_two_edges():
 
 def test_matching_validation():
     with pytest.raises(ValueError):
-        Matching(frozenset({((1,), (1, 2)), ((1,), (1, 3))}))
+        matching(frozenset({((1,), (1, 2)), ((1,), (1, 3))}))
     with pytest.raises(ValueError):
-        Matching(frozenset({((1,), (2, 3))}))
+        matching(frozenset({((1,), (2, 3))}))
 
 
 @pytest.mark.parametrize("pairs", [
@@ -73,29 +72,7 @@ def test_matching_validation():
 ])
 def test_matching_rejects_simplices_not_increasing_tuples_of_vertices(pairs):
     with pytest.raises(ValueError, match="strictly increasing tuple"):
-        Matching(frozenset(pairs))
-
-
-def _matching_validation_reference(pairs):
-    """The scalar reference for Matching's checks: the type and range of
-    every vertex first, then pair by pair in iteration order."""
-    simplices = [s for pair in pairs for s in pair]
-    if not ({*map(type, simplices)} <= {tuple}
-            and {*map(type, itertools.chain.from_iterable(simplices))} <= {int}
-            and min(itertools.chain.from_iterable(simplices), default=1) >= 1):
-        raise ValueError("a simplex is not a strictly increasing tuple of vertices >= 1")
-    seen = set()
-    for face, coface in pairs:
-        fs, cs = set(face), set(coface)
-        if list(face) != sorted(fs) or list(coface) != sorted(cs):
-            raise ValueError("pair %r -> %r: a simplex is not a strictly increasing "
-                             "tuple of vertices >= 1" % (face, coface))
-        if len(coface) - len(face) != 1 or not fs < cs:
-            raise ValueError("invalid pair %r -> %r" % (face, coface))
-        for s in (face, coface):
-            if s in seen:
-                raise ValueError("simplex %r appears in two pairs" % (s,))
-            seen.add(s)
+        matching(frozenset(pairs))
 
 
 def _outcome(check, pairs):
@@ -144,21 +121,19 @@ def _malformed_corpus(rng):
 
 
 def test_matching_validation_matches_reference():
-    # the same inputs pass, and the same ValueError messages name the same
-    # faults, whatever the order in which the set lists its pairs
+    # reference.matching passes the lexicographic and general matchings into
+    # a Matching of the same pairs, and on the malformed corpus raises
+    # nothing but ValueError
     lex = [lex_matching(g, g.n).pairs for n in range(1, 6) for g in all_graphs(n)]
     general = [random_partial_matching(g, random.Random(s), beyond=True).pairs
                for s, g in enumerate(all_graphs(4))]
     for pairs in lex + general:
-        assert _outcome(_matching_validation_reference, pairs) is None
-        assert _validated(pairs) == {s for pair in pairs for s in pair}
-        assert Matching(pairs).pairs == pairs
+        assert matching(pairs).pairs == pairs
     messages = []
     for pairs in _malformed_corpus(random.Random(2026)):
-        want = _outcome(_matching_validation_reference, pairs)
-        assert _outcome(_validated, pairs) == want, pairs
-        assert _outcome(Matching, pairs) == want, pairs
-        messages.append(want and want[1])
+        outcome = _outcome(matching, pairs)
+        assert outcome is None or outcome[0] is ValueError, (pairs, outcome)
+        messages.append(outcome and outcome[1])
     # the corpus reaches every check, and some faulty-looking sets are valid
     for start in ("a simplex is not", "pair (", "invalid pair", "simplex (", "too many values"):
         assert sum(bool(m) and m.startswith(start) for m in messages) > 50, start
@@ -339,9 +314,9 @@ def test_acyclic_on_lex_matchings():
 
 def test_acyclic_counterexample():
     k3 = Graph.complete(3)
-    bad = Matching(frozenset({((1,), (1, 2)), ((2,), (2, 3)), ((3,), (1, 3))}))
+    bad = matching(frozenset({((1,), (1, 2)), ((2,), (2, 3)), ((3,), (1, 3))}))
     assert not verify_acyclic(bad, k3)
-    assert verify_acyclic(Matching(frozenset()), k3)
+    assert verify_acyclic(matching(frozenset()), k3)
 
 
 def brute_force_has_closed_path(m, g):
@@ -395,7 +370,7 @@ def random_partial_matching(g, rng, beyond=False):
             pairs.append((face, coface))
             used.add(face)
             used.add(coface)
-    return Matching(frozenset(pairs))
+    return matching(frozenset(pairs))
 
 
 def test_verify_acyclic_against_path_enumeration():
@@ -434,7 +409,7 @@ def test_verify_acyclic_with_cofaces_outside_the_complex():
         got = verify_acyclic(m, g)
         assert got == _verify_acyclic_reference(m, g)
         in_complex = frozenset((s, t) for s, t in m.pairs if t in _cliques_reference(g, len(t)))
-        assert got == (not brute_force_has_closed_path(Matching(in_complex), g))
+        assert got == (not brute_force_has_closed_path(matching(in_complex), g))
         cyclic_seen += not got
         acyclic_seen += got
     assert cyclic_seen > 20 and acyclic_seen > 20
@@ -484,7 +459,7 @@ def _lex_matching_reference(g, max_size):
             if i_set:
                 j = (i_set & -i_set).bit_length() - 1
                 pairs.append((s, tuple(sorted(s + (j,)))))
-    return Matching(frozenset(pairs))
+    return matching(frozenset(pairs))
 
 
 def _critical_counts_direct_reference(g, d):
@@ -582,8 +557,8 @@ def _assert_walk_matches_tuple_reference(g):
     size k - 1 or k, so a walk to any depth >= d + 1 gives the counts of
     sizes 2..d+1, and a walk to max_size the pairs whose face has at most
     max_size vertices.  The full-depth pairs, which Matching._of_walk checks
-    in mask form alone, also pass Matching's own check, into an equal
-    Matching that verify_acyclic also passes."""
+    in mask form alone, also pass reference.matching's tuple check, into an
+    equal Matching that verify_acyclic also passes."""
     ref_levels, ref_pairs = lex_walk(g, g.n)
     assert [[(mask_tuple(s), e, i) for s, e, i in level] for level in clique_masks(g, g.n)] \
         == [[(s, c & -(2 << s[-1]), c & below_mask(s[0])) for s, c in level]
@@ -595,9 +570,10 @@ def _assert_walk_matches_tuple_reference(g):
     for max_size in range(g.n + 1):
         assert lex_matching(g, max_size).pairs == {p for p in ref_pairs if len(p[0]) <= max_size}
     lex = lex_matching(g, g.n)
-    assert Matching(lex.pairs).pairs == lex.pairs
-    assert Matching(lex.pairs) == lex
-    assert verify_acyclic(Matching(lex.pairs), g) is verify_acyclic(lex, g) is True
+    rebuilt = matching(lex.pairs)
+    assert rebuilt.pairs == lex.pairs
+    assert rebuilt == lex
+    assert verify_acyclic(rebuilt, g) is verify_acyclic(lex, g) is True
 
 
 def test_bitmask_walk_matches_tuple_walk_every_graph_n6():
@@ -736,8 +712,9 @@ def test_morse_equivalence_suite_two_workers_match_serial(monkeypatch):
                                             "acyclicity 21 random graphs n=8"]
     # flag every graph with an odd edge count: both corpora are tallied over
     # all their chunks (the forked workers see the patch)
-    monkeypatch.setattr(verify, "_equiv_on_graph", lambda g, d: (g.edge_count % 2 == 0, True))
-    odd = sum(sample_gnp(GnpParams(8, 0.5, 3), r).edge_count % 2 for r in range(21))
+    monkeypatch.setattr(verify, "_equiv_on_graph",
+                        lambda g, d: (g.edge_mask.bit_count() % 2 == 0, True))
+    odd = sum(sample_gnp(GnpParams(8, 0.5, 3), r).edge_mask.bit_count() % 2 for r in range(21))
     for threads in (1, 2):
         rows = verify.suite_morse_equivalence(threads=threads, **kwargs)
         assert [r.detail for r in rows] == ["512 mismatches", "", "%d mismatches" % odd, ""]
@@ -759,8 +736,8 @@ def test_morse_equivalence_suite_splits_by_workers_not_threads(monkeypatch, fake
         assert size == len(parts) == workers, (k, threads)
         assert [item for part in parts for item in part] == want
     # each corpus's failures are summed over the parts it is spread across
-    monkeypatch.setattr(verify, "_equiv_on_graph",
-                        lambda g, d: (g.edge_count % 2 == 0, g.edge_count % 3 != 0))
+    monkeypatch.setattr(verify, "_equiv_on_graph", lambda g, d: (
+        g.edge_mask.bit_count() % 2 == 0, g.edge_mask.bit_count() % 3 != 0))
     flagged = verify.suite_morse_equivalence(**kwargs)
     assert verify.suite_morse_equivalence(threads=8, **kwargs) == flagged != serial
     assert len(fake_pool.pop()[1]) == 8

@@ -1,7 +1,8 @@
 """The pairs of the clique walk are checked once, in mask form: lex_matching
 and verify's Morse gate build their Matching through Matching._of_walk,
-whose check is _matched's, and reach neither Matching's tuple check nor a
-call of Matching, which would run that check again.
+whose check is _matched's.  A Matching's constructor checks nothing, so
+every function in src that calls Matching calls _matched itself, on the
+pairs it builds from: reaching a function that calls it is not enough.
 
 Simplices stay masks from the walk to the acyclicity check: lex_matching,
 the gate's _equiv_on_graph, critical_counts_direct and verify_acyclic reach
@@ -13,15 +14,24 @@ import ast
 from ast_uses import SRC, reached_functions, src_uses, uses
 
 WALK_ROOTS = ("lex_matching", "_equiv_on_graph")
-TUPLE_CHECK = {"_validated", "_check_pairs"}
 MASK_ROOTS = (*WALK_ROOTS, "critical_counts_direct", "verify_acyclic")
 TUPLE_VIEWS = {("mask_tuple", "mask_tuple"), ("Matching", "pairs")}
 
 
+def callers(found, names, top=None) -> set:
+    """(top, function) of each function in found that calls one of names, or
+    calls cls inside the class top."""
+    return {(u.top, u.func) for u in found if u.kind == "call"
+            and (u.name in names or u.name == "cls" and u.top == top)}
+
+
 def test_walk_matchings_are_checked_by_masks_alone():
-    reach = {name for _, name in reached_functions([u for _, u in src_uses()], WALK_ROOTS)}
+    found = [u for _, u in src_uses()]
+    reach = {name for _, name in reached_functions(found, WALK_ROOTS)}
     assert {*WALK_ROOTS, "_of_walk", "_matched", "clique_masks"} <= reach
-    assert not TUPLE_CHECK & reach
+    builders = callers(found, {"Matching"}, "Matching")
+    assert ("Matching", "_of_walk") in builders
+    assert builders <= callers(found, {"_matched"})
 
 
 class Unraised(ast.NodeTransformer):
